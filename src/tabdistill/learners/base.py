@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from tabdistill.errors import DataError, SerializationError, TrainingError
-from tabdistill.tabular import Dataset
+from tabdistill.tabular import Dataset, FeatureEncoder
 
 MODEL_FORMAT = "tabdistill.model/v1"
 
@@ -166,6 +166,23 @@ def resolve_weight_pairs(target: TrainingTarget, labels: np.ndarray) -> tuple[np
     return target.w_pos, target.w_neg
 
 
+def encode_features(encoder: FeatureEncoder, rows) -> np.ndarray:
+    """The encoded feature matrix a model predicts on: a Dataset goes
+    through the encoder, a raw matrix must already have its width. Non-finite
+    features raise DataError, since no model can score them meaningfully."""
+    if isinstance(rows, Dataset):
+        x = encoder.transform(rows)
+    else:
+        x = np.asarray(rows, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != len(encoder.output_names):
+            raise TrainingError(
+                f"raw feature rows must have {len(encoder.output_names)} columns")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise DataError(f"feature row {int(np.argmin(finite))} has non-finite values")
+    return x
+
+
 def train(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,
           valid: Optional[Dataset] = None):
     """Train a model of the requested kind; deterministic given spec/seed."""
@@ -197,11 +214,13 @@ def deserialize_model(doc: dict):
             f"unknown model document version {doc.get('format')!r}"
             if isinstance(doc, dict) else "model document must be an object")
     kind = doc.get("kind")
-    if kind == "gbdt":
-        return GBDTModel.from_json_dict(doc)
-    if kind == "mlp":
-        return MLPModel.from_json_dict(doc)
-    raise SerializationError(f"unknown model kind {kind!r}")
+    if kind not in ("gbdt", "mlp"):
+        raise SerializationError(f"unknown model kind {kind!r}")
+    model_cls = GBDTModel if kind == "gbdt" else MLPModel
+    try:
+        return model_cls.from_json_dict(doc)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise SerializationError(f"malformed {kind} model document: {exc!r}") from exc
 
 
 def save_model(model, path: str | Path) -> None:

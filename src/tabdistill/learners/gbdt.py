@@ -7,6 +7,24 @@ strictly increasing per-feature transform maps a fitted tree onto the tree
 fitted on transformed data, leaving predictions bit-identical. Ties in gain
 break toward the lower feature index, then the lower threshold.
 
+Each training call sorts every feature once, stably, into a (features x
+rows) block of row indices: the column-block layout of exact greedy XGBoost
+(Chen & Guestrin 2016, section 4.1). A node owns the sub-block of its rows,
+and a split partitions every feature's list with one stable boolean gather,
+so each list stays sorted by value with ties in ascending row order. That is
+the order a stable per-node sort of the node's rows would give, so the
+per-feature gradient and hessian cumsums add the same numbers in the same
+order and the gains are bit-identical to a search that sorts at every node.
+The search scans all features of a node in one 2-D pass; ``cumsum`` along a
+row is sequential, exactly like a 1-D ``cumsum``. Node and leaf sums run
+over the node's rows in ascending row order, as numpy's pairwise summation
+needs for bit-identical totals. The builder hands back each training row's
+leaf value, so boosting updates its scores without predicting on the
+training matrix.
+
+Prediction descends a fixed ``depth`` steps per tree; a leaf's children are
+the leaf itself, so rows that reach a leaf early stay there.
+
 Each training row contributes two virtual instances, (label 1, weight
 w_pos) and (label 0, weight w_neg), folded directly into the per-row
 gradient and hessian instead of materializing a doubled dataset.
@@ -14,12 +32,18 @@ gradient and hessian instead of materializing a doubled dataset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from tabdistill.errors import SerializationError, TrainingError
-from tabdistill.learners.base import LearnerSpec, TrainingTarget, resolve_weight_pairs
+from tabdistill.learners.base import (
+    LearnerSpec,
+    TrainingTarget,
+    encode_features,
+    resolve_weight_pairs,
+)
 from tabdistill.tabular import Dataset, FeatureEncoder
 
 
@@ -32,6 +56,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise SerializationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class Tree:
     """Flat array form of one regression tree. Leaves have feature -1."""
@@ -42,17 +72,31 @@ class Tree:
     right: np.ndarray
     value: np.ndarray      # leaf value, 0.0 for internal nodes
 
+    def __post_init__(self):
+        # descent tables: a leaf tests column 0 and both its children are the
+        # leaf itself, so every row takes exactly `depth` steps and a row that
+        # reaches a leaf early stays there. Node i's children sit at
+        # _child[2 * i] (right) and _child[2 * i + 1] (left).
+        leaf = self.feature < 0
+        nodes = np.arange(len(self.feature))
+        self._column = np.where(leaf, 0, self.feature)
+        self._child = np.stack([np.where(leaf, nodes, self.right),
+                                np.where(leaf, nodes, self.left)], axis=1).ravel()
+        self.depth = 0
+        level = np.zeros(1, dtype=np.int64)
+        while (level := level[~leaf[level]]).size:
+            level = np.concatenate([self.left[level], self.right[level]])
+            self.depth += 1
+
     def predict_value(self, x: np.ndarray) -> np.ndarray:
         """Raw leaf value per row of the encoded matrix x."""
-        idx = np.zeros(len(x), dtype=np.int64)
-        while True:
-            active = self.feature[idx] >= 0
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            node = idx[rows]
-            go_left = x[rows, self.feature[node]] < self.threshold[node]
-            idx[rows] = np.where(go_left, self.left[node], self.right[node])
+        n, width = x.shape
+        flat = x.ravel()
+        offset = np.arange(n) * width
+        idx = np.zeros(n, dtype=np.int64)
+        for _ in range(self.depth):
+            go_left = flat[offset + self._column[idx]] < self.threshold[idx]
+            idx = self._child[2 * idx + go_left]
         return self.value[idx]
 
     def to_nested(self) -> dict:
@@ -69,28 +113,42 @@ class Tree:
 
     @classmethod
     def from_nested(cls, doc: dict) -> "Tree":
+        """Parse one nested tree; any malformed node raises
+        SerializationError."""
         feature, threshold, left, right, value = [], [], [], [], []
 
-        def rec(node: dict) -> int:
+        def rec(node) -> int:
             i = len(feature)
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
             value.append(0.0)
-            if "leaf" in node:
-                value[i] = float(node["leaf"]["value"])
-            elif "split" in node:
-                s = node["split"]
-                feature[i] = int(s["feature"])
-                threshold[i] = float(s["threshold"])
-                left[i] = rec(s["left"])
-                right[i] = rec(s["right"])
-            else:
+            if not isinstance(node, dict) or len(node) != 1:
+                raise SerializationError("tree node must be an object with one key")
+            body = node.get("leaf", node.get("split"))
+            if not isinstance(body, dict):
                 raise SerializationError("tree node is neither split nor leaf")
+            if "leaf" in node:
+                value[i] = _number(body.get("value"), "leaf value")
+                return i
+            if "left" not in body or "right" not in body:
+                raise SerializationError("split node needs both left and right")
+            feature[i] = body.get("feature")
+            if isinstance(feature[i], bool) or not isinstance(feature[i], int) or feature[i] < 0:
+                raise SerializationError(
+                    f"split feature must be a nonnegative integer, got {feature[i]!r}")
+            threshold[i] = _number(body.get("threshold"), "split threshold")
+            if not math.isfinite(threshold[i]):
+                raise SerializationError("split threshold must be finite")
+            left[i] = rec(body["left"])
+            right[i] = rec(body["right"])
             return i
 
-        rec(doc)
+        try:
+            rec(doc)
+        except RecursionError as exc:
+            raise SerializationError("tree is nested too deeply") from exc
         return cls(np.array(feature, dtype=np.int64),
                    np.array(threshold, dtype=np.float64),
                    np.array(left, dtype=np.int64),
@@ -99,13 +157,22 @@ class Tree:
 
 
 class _TreeBuilder:
-    def __init__(self, x, grad, hess, max_depth, l2, min_child_weight):
-        self.x = x
+    """Grows one tree on the presorted column blocks of a training call.
+
+    ``xt`` is the encoded training matrix as (features x rows) and ``order``
+    the int32 block of row indices that sorts each of its rows stably.
+    """
+
+    def __init__(self, xt, order, grad, hess, max_depth, l2, min_child_weight):
+        self.xt = xt
+        self.order = order
         self.grad = grad
         self.hess = hess
         self.max_depth = max_depth
         self.l2 = l2
         self.mcw = min_child_weight
+        self.columns = np.arange(len(xt))[:, None]
+        self.row_value = np.empty(len(grad))
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -120,61 +187,89 @@ class _TreeBuilder:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _best_split(self, rows: np.ndarray):
+    def _best_split(self, rows: np.ndarray, block: np.ndarray):
+        """Best (feature, threshold) over every feature of the node, or None.
+
+        Each expression below runs the same float operations, in the same
+        order, as ``0.5 * (gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent)`` on one
+        feature's sorted rows, but in place to keep few (features x rows)
+        temporaries alive.
+        """
         g_total = self.grad[rows].sum()
         h_total = self.hess[rows].sum()
         parent = g_total * g_total / (h_total + self.l2)
-        best_gain = 0.0
-        best = None
-        for f in range(self.x.shape[1]):
-            vals = self.x[rows, f]
-            order = np.argsort(vals, kind="mergesort")
-            sv = vals[order]
-            cg = np.cumsum(self.grad[rows][order])
-            ch = np.cumsum(self.hess[rows][order])
-            cut = np.flatnonzero(sv[:-1] < sv[1:])
-            if len(cut) == 0:
-                continue
-            gl = cg[cut]
-            hl = ch[cut]
-            gr = g_total - gl
-            hr = h_total - hl
-            gains = 0.5 * (gl * gl / (hl + self.l2) + gr * gr / (hr + self.l2) - parent)
-            gains[(hl < self.mcw) | (hr < self.mcw)] = -np.inf
-            j = int(np.argmax(gains))  # first max: lowest threshold wins ties
-            if gains[j] > best_gain:
-                best_gain = float(gains[j])
-                best = (f, float(sv[cut[j] + 1]))
-        return best
+        sv = self.xt[self.columns, block]
+        blocked = sv[:, :-1] == sv[:, 1:]  # equal neighbours cannot be cut apart
+        del sv
+        gl = self.grad[block]
+        np.cumsum(gl, axis=1, out=gl)
+        gl = gl[:, :-1]
+        hl = self.hess[block]
+        np.cumsum(hl, axis=1, out=hl)
+        hl = hl[:, :-1]
+        blocked |= hl < self.mcw
+        hr = h_total - hl  # from hl itself: (hl + l2) - l2 is not hl
+        blocked |= hr < self.mcw
+        right = g_total - gl
+        right *= right
+        hr += self.l2
+        right /= hr  # gr*gr/(hr+l2)
+        del hr
+        hl += self.l2
+        gl *= gl
+        gl /= hl  # gl*gl/(hl+l2)
+        gl += right
+        gl -= parent
+        gl *= 0.5
+        gains = gl
+        gains[blocked] = -np.inf
+        # the lowest feature wins ties, and its lowest threshold; a gain must
+        # beat 0.0 strictly and a NaN gain never wins
+        best = gains.max(axis=1)
+        best[~(best > 0.0)] = 0.0
+        f = int(np.argmax(best))
+        if best[f] == 0.0:
+            return None
+        cut = int(np.argmax(gains[f]))
+        return f, float(self.xt[f, block[f, cut + 1]])
 
-    def build(self) -> Tree:
+    def build(self) -> tuple[Tree, np.ndarray]:
+        """The tree and each training row's leaf value."""
+        n_features = len(self.order)
         root = self._new_node()
-        stack = [(root, np.arange(len(self.grad)), 0)]
+        stack = [(root, np.arange(len(self.grad)), self.order, 0)]
         while stack:
-            node, rows, depth = stack.pop()
+            node, rows, block, depth = stack.pop()
             split = None
             if depth < self.max_depth and len(rows) >= 2:
-                split = self._best_split(rows)
+                split = self._best_split(rows, block)
             if split is None:
                 g = self.grad[rows].sum()
                 h = self.hess[rows].sum()
                 self.value[node] = float(-g / (h + self.l2))
+                self.row_value[rows] = self.value[node]
                 continue
             f, thr = split
-            go_left = self.x[rows, f] < thr
+            go_left_all = self.xt[f] < thr
+            go_left = go_left_all[rows]
+            in_left = go_left_all[block]  # stable: every list stays sorted
+            left_rows, right_rows = rows[go_left], rows[~go_left]
+            left_block = block[in_left].reshape(n_features, len(left_rows))
+            right_block = block[~in_left].reshape(n_features, len(right_rows))
             left_node = self._new_node()
             right_node = self._new_node()
             self.feature[node] = f
             self.threshold[node] = thr
             self.left[node] = left_node
             self.right[node] = right_node
-            stack.append((right_node, rows[~go_left], depth + 1))
-            stack.append((left_node, rows[go_left], depth + 1))
-        return Tree(np.array(self.feature, dtype=np.int64),
+            stack.append((right_node, right_rows, right_block, depth + 1))
+            stack.append((left_node, left_rows, left_block, depth + 1))
+        tree = Tree(np.array(self.feature, dtype=np.int64),
                     np.array(self.threshold, dtype=np.float64),
                     np.array(self.left, dtype=np.int64),
                     np.array(self.right, dtype=np.int64),
                     np.array(self.value, dtype=np.float64))
+        return tree, self.row_value
 
 
 class GBDTModel:
@@ -189,17 +284,8 @@ class GBDTModel:
         self.trees = trees
         self.base_logit = base_logit
 
-    def _encode(self, rows) -> np.ndarray:
-        if isinstance(rows, Dataset):
-            return self.encoder.transform(rows)
-        x = np.asarray(rows, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != len(self.encoder.output_names):
-            raise TrainingError(
-                f"raw feature rows must have {len(self.encoder.output_names)} columns")
-        return x
-
     def predict_logit(self, rows) -> np.ndarray:
-        x = self._encode(rows)
+        x = encode_features(self.encoder, rows)
         lr = self.spec["learning_rate"]
         score = np.full(len(x), self.base_logit)
         for tree in self.trees:
@@ -220,11 +306,19 @@ class GBDTModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GBDTModel":
+        if not isinstance(doc.get("trees"), list):
+            raise SerializationError("gbdt model 'trees' must be a list")
+        encoder = FeatureEncoder.from_json_dict(doc["encoder"])
+        trees = [Tree.from_nested(t) for t in doc["trees"]]
+        width = len(encoder.output_names)
+        if any(t.feature.max() >= width for t in trees):
+            raise SerializationError(
+                f"gbdt split feature out of range for {width} encoded columns")
         return cls(
             spec=LearnerSpec.from_json_dict(doc["spec"]),
-            encoder=FeatureEncoder.from_json_dict(doc["encoder"]),
-            trees=[Tree.from_nested(t) for t in doc["trees"]],
-            base_logit=float(doc["base_logit"]),
+            encoder=encoder,
+            trees=trees,
+            base_logit=_number(doc["base_logit"], "base_logit"),
         )
 
 
@@ -241,6 +335,8 @@ def train_gbdt(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget) -> 
         raise TrainingError("training features contain non-finite values")
     w_pos, w_neg = resolve_weight_pairs(target, train_ds.labels)
     w_sum = w_pos + w_neg
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1, kind="stable").astype(np.int32)
 
     score = np.zeros(len(x))
     trees: list[Tree] = []
@@ -249,8 +345,9 @@ def train_gbdt(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget) -> 
         p = _sigmoid(score)
         grad = w_sum * p - w_pos
         hess = w_sum * p * (1.0 - p)
-        tree = _TreeBuilder(x, grad, hess, int(spec["max_depth"]),
-                            spec["l2_leaf_penalty"], spec["min_child_weight"]).build()
+        tree, row_value = _TreeBuilder(
+            xt, order, grad, hess, int(spec["max_depth"]),
+            spec["l2_leaf_penalty"], spec["min_child_weight"]).build()
         trees.append(tree)
-        score += lr * tree.predict_value(x)
+        score += lr * row_value
     return GBDTModel(spec=spec, encoder=encoder, trees=trees)

@@ -9,7 +9,12 @@ from typing import Optional
 import numpy as np
 
 from tabdistill.errors import TrainingError
-from tabdistill.learners.base import LearnerSpec, TrainingTarget, resolve_weight_pairs
+from tabdistill.learners.base import (
+    LearnerSpec,
+    TrainingTarget,
+    encode_features,
+    resolve_weight_pairs,
+)
 from tabdistill.metrics import roc_auc
 from tabdistill.tabular import Dataset, FeatureEncoder
 
@@ -172,17 +177,8 @@ class MLPModel:
         self.epochs_run = epochs_run
         self.best_epoch = best_epoch
 
-    def _encode(self, rows) -> np.ndarray:
-        if isinstance(rows, Dataset):
-            return self.encoder.transform(rows)
-        x = np.asarray(rows, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != len(self.encoder.output_names):
-            raise TrainingError(
-                f"raw feature rows must have {len(self.encoder.output_names)} columns")
-        return x
-
     def predict(self, rows) -> np.ndarray:
-        x = self._encode(rows)
+        x = encode_features(self.encoder, rows)
         return _forward(self.params, x, training=False)[0]
 
     def to_json_dict(self) -> dict:

@@ -315,3 +315,85 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SerializationError, match="kind"):
             deserialize_model({"format": "tabdistill.model/v1", "kind": "tree"})
+
+
+class TestMalformedGBDTDocument:
+    @pytest.fixture(scope="class")
+    def doc(self):
+        ds = separable_dataset(80, seed=23)
+        model = train(gbdt_spec(rounds=2, max_depth=2), ds, TrainingTarget.hard())
+        return json.loads(json.dumps(serialize_model(model)))
+
+    @staticmethod
+    def _first_split(doc):
+        return doc["trees"][0]["split"]
+
+    def test_missing_trees(self, doc):
+        bad = {k: v for k, v in doc.items() if k != "trees"}
+        with pytest.raises(SerializationError, match="trees"):
+            deserialize_model(bad)
+
+    def test_null_trees(self, doc):
+        with pytest.raises(SerializationError, match="trees"):
+            deserialize_model({**doc, "trees": None})
+
+    def test_split_without_left(self, doc):
+        bad = json.loads(json.dumps(doc))
+        del self._first_split(bad)["left"]
+        with pytest.raises(SerializationError, match="left"):
+            deserialize_model(bad)
+
+    def test_non_numeric_leaf_value(self, doc):
+        bad = json.loads(json.dumps(doc))
+        node = bad["trees"][0]
+        while "split" in node:
+            node = node["split"]["left"]
+        node["leaf"]["value"] = "x"
+        with pytest.raises(SerializationError, match="leaf value"):
+            deserialize_model(bad)
+
+    def test_feature_out_of_encoder_range(self, doc):
+        bad = json.loads(json.dumps(doc))
+        self._first_split(bad)["feature"] = 2
+        with pytest.raises(SerializationError, match="out of range"):
+            deserialize_model(bad)
+
+    def test_node_neither_split_nor_leaf(self, doc):
+        bad = json.loads(json.dumps(doc))
+        self._first_split(bad)["right"] = {"stump": {}}
+        with pytest.raises(SerializationError, match="neither"):
+            deserialize_model(bad)
+
+    def test_malformed_spec(self, doc):
+        with pytest.raises(SerializationError, match="malformed gbdt"):
+            deserialize_model({**doc, "spec": {"kind": "gbdt"}})
+
+    def test_well_formed_document_still_loads(self, doc):
+        restored = deserialize_model(doc)
+        assert serialize_model(restored) == doc
+
+
+class TestNonFiniteFeaturesAtPredict:
+    @pytest.fixture(scope="class")
+    def models(self):
+        ds = separable_dataset(120, seed=24)
+        return [train(gbdt_spec(rounds=3), ds, TrainingTarget.hard()),
+                train(mlp_spec(epochs=2, hidden_sizes=(4,)), ds, TrainingTarget.hard())]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raw_rows_rejected(self, models, bad):
+        rows = np.array([[0.1, 0.2], [bad, bad], [0.3, -0.4]])
+        for model in models:
+            with pytest.raises(DataError, match="row 1"):
+                model.predict(rows)
+
+    def test_dataset_rows_rejected(self, models):
+        ds = dataset_from_arrays({"f1": [0.5, np.nan], "f2": [0.1, 0.2]}, [0, 1])
+        for model in models:
+            with pytest.raises(DataError, match="non-finite"):
+                model.predict(ds)
+
+    def test_wrong_width_is_still_a_training_error(self, models):
+        for model in models:
+            with pytest.raises(TrainingError, match="2 columns"):
+                model.predict(np.zeros((3, 3)))

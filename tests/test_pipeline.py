@@ -224,6 +224,20 @@ class TestCli:
         eval_report = json.loads(capsys.readouterr().out)
         assert eval_report["auc"] == train_report["auc"]
 
+    def test_malformed_model_is_data_error(self, tmp_path, capsys):
+        path = self._write_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        assert cli_main(["train", "--data", str(path), "--label", "label",
+                         "--out", str(model_path), "--kind", "gbdt",
+                         "--params", '{"rounds": 2}']) == 0
+        capsys.readouterr()
+        doc = json.loads(model_path.read_text())
+        del doc["trees"]
+        model_path.write_text(json.dumps(doc))
+        assert cli_main(["evaluate", "--model", str(model_path), "--data",
+                         str(path), "--label", "label"]) == 2
+        assert "trees" in capsys.readouterr().err
+
     def test_missing_config_is_data_error_naming_path(self, tmp_path, capsys):
         code = cli_main(["pipeline", "--config", str(tmp_path / "missing.json")])
         assert code == 2
