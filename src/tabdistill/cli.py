@@ -13,7 +13,12 @@ from pathlib import Path
 
 from tabdistill import __version__
 from tabdistill.distill import DistillConfig, run_generations, write_ledger_csv
-from tabdistill.ensemble import DEConfig, EnsembleModel, optimize_weights_detailed, uniform_ensemble
+from tabdistill.ensemble import (
+    DEConfig,
+    load_ensemble,
+    optimize_weights_detailed,
+    uniform_ensemble,
+)
 from tabdistill.errors import (
     DataError,
     SchemaMismatchError,
@@ -104,13 +109,7 @@ def _cmd_ensemble_opt(args) -> int:
 
 
 def _cmd_deploy_distill(args) -> int:
-    doc = json.loads(Path(args.ensemble).read_text())
-    if doc.get("format") != "tabdistill.ensemble/v1":
-        raise SerializationError(f"unknown ensemble format {doc.get('format')!r}")
-    base = Path(args.ensemble).parent
-    members = [load_model(base / f if not Path(f).is_absolute() else f)
-               for f in doc["members"]]
-    ens = EnsembleModel(members, doc["weights"])
+    ens = load_ensemble(args.ensemble)
     ds = ingest_csv(args.data, args.label)
     model = distill_to_deployment(ens, ds, _learner_spec(args), args.beta,
                                   args.threshold)

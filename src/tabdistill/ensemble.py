@@ -12,15 +12,19 @@ down to zero and the search reruns on the survivors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from tabdistill.errors import DataError
+from tabdistill.errors import DataError, SerializationError
+from tabdistill.learners import load_model
 from tabdistill.metrics import roc_auc
 from tabdistill.tabular import Dataset
+
+ENSEMBLE_FORMAT = "tabdistill.ensemble/v1"
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class EnsembleModel:
         if len(member_files) != len(self.members):
             raise DataError("one file reference per member required")
         return {
-            "format": "tabdistill.ensemble/v1",
+            "format": ENSEMBLE_FORMAT,
             "members": list(member_files),
             "weights": self.weights.tolist(),
         }
@@ -129,8 +133,11 @@ def _de_maximize(objective: Callable[[np.ndarray], float], n_dims: int,
 
     for _ in range(cfg.max_iterations):
         for i in range(pop_size):
-            candidates = [j for j in range(pop_size) if j != i]
-            a, b, c = rng.choice(candidates, size=3, replace=False)
+            # three distinct members other than i: draw from pop_size - 1
+            # slots and step over i
+            abc = rng.choice(pop_size - 1, size=3, replace=False)
+            abc += abc >= i
+            a, b, c = abc
             mutant = np.clip(
                 population[a] + cfg.mutation_factor * (population[b] - population[c]),
                 lo, hi)
@@ -264,3 +271,26 @@ def combine_families(family_a: Sequence, family_b: Sequence, valid: Dataset,
 def save_ensemble(ens: EnsembleModel, member_files: Sequence[str], path: str | Path) -> None:
     Path(path).write_text(json.dumps(ens.to_json_dict(member_files), indent=2,
                                      sort_keys=True))
+
+
+def load_ensemble(path: str | Path) -> EnsembleModel:
+    """Read a document written by ``save_ensemble`` and load its members,
+    resolving relative member paths against the document's directory. A
+    document that is not a well-formed ensemble raises SerializationError."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"{path}: corrupted ensemble document: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != ENSEMBLE_FORMAT:
+        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+        raise SerializationError(f"{path}: unknown ensemble format {found!r}")
+    files, weights = doc.get("members"), doc.get("weights")
+    if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+        raise SerializationError(f"{path}: 'members' must be a list of model file names")
+    if not (isinstance(weights, list) and len(weights) == len(files)
+            and all(isinstance(w, (int, float)) and not isinstance(w, bool)
+                    and math.isfinite(w) for w in weights)):
+        raise SerializationError(
+            f"{path}: 'weights' must be one finite number per member ({len(files)})")
+    return EnsembleModel([load_model(path.parent / f) for f in files], weights)

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from tabdistill.errors import TrainingError
+from tabdistill.errors import SerializationError, TrainingError
 from tabdistill.learners.base import (
     LearnerSpec,
     TrainingTarget,
@@ -203,28 +203,51 @@ class MLPModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MLPModel":
+        """Rebuild a model from ``to_json_dict`` output. Every parameter must
+        have the shape the spec's layer sizes imply, starting from the
+        encoder's output width, and finite values; anything else raises
+        SerializationError."""
+        spec = LearnerSpec.from_json_dict(doc["spec"])
+        encoder = FeatureEncoder.from_json_dict(doc["encoder"])
+        sizes = [len(encoder.output_names), *spec["hidden_sizes"], 1]
+        n_layers = len(sizes) - 1
+        if len(doc["layers"]) != n_layers:
+            raise SerializationError(
+                f"mlp document has {len(doc['layers'])} layers, its spec {n_layers}")
+        hidden_keys = ("W", "b", "gamma", "beta") if spec["batch_norm"] else ("W", "b")
         layers = []
-        for entry in doc["layers"]:
-            layer = {"W": np.array(entry["W"], dtype=np.float64),
-                     "b": np.array(entry["b"], dtype=np.float64)}
-            if "gamma" in entry:
-                layer["gamma"] = np.array(entry["gamma"], dtype=np.float64)
-                layer["beta"] = np.array(entry["beta"], dtype=np.float64)
-            layers.append(layer)
+        for i, entry in enumerate(doc["layers"]):
+            keys = hidden_keys if i < n_layers - 1 else ("W", "b")
+            if set(entry) != set(keys):
+                raise SerializationError(f"mlp layer {i} must hold exactly {list(keys)}")
+            shapes = {"W": (sizes[i], sizes[i + 1])}
+            layers.append({k: _checked_array(entry[k], shapes.get(k, (sizes[i + 1],)),
+                                             f"layer {i} {k}") for k in keys})
         running = doc["running"]
-        params = {
-            "layers": layers,
-            "running": None if running is None else
-            [{"mean": np.array(r["mean"], dtype=np.float64),
-              "var": np.array(r["var"], dtype=np.float64)} for r in running],
-        }
+        if spec["batch_norm"]:
+            if not isinstance(running, list) or len(running) != n_layers - 1:
+                raise SerializationError(
+                    f"mlp batch norm needs running statistics for {n_layers - 1} layers")
+            running = [{k: _checked_array(r[k], (sizes[i + 1],), f"running {i} {k}")
+                        for k in ("mean", "var")} for i, r in enumerate(running)]
+        elif running is not None:
+            raise SerializationError("mlp without batch norm has no running statistics")
         return cls(
-            spec=LearnerSpec.from_json_dict(doc["spec"]),
-            encoder=FeatureEncoder.from_json_dict(doc["encoder"]),
-            params=params,
+            spec=spec,
+            encoder=encoder,
+            params={"layers": layers, "running": running},
             epochs_run=int(doc["epochs_run"]),
             best_epoch=int(doc["best_epoch"]),
         )
+
+
+def _checked_array(values, shape: tuple, name: str) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    if arr.shape != shape:
+        raise SerializationError(f"mlp {name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise SerializationError(f"mlp {name} has non-finite values")
+    return arr
 
 
 def train_mlp(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,

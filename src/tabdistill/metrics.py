@@ -1,5 +1,9 @@
 """Evaluation kernels: ROC AUC, log loss, accuracy, prediction correlation,
-and train-vs-test overfit probes. All kernels are pure functions."""
+and train-vs-test overfit probes. All kernels are pure functions.
+
+The ROC AUC is a rank sum over a single sort of the scores, exact under
+ties, and rejects non-finite scores with DataError; ``evaluate`` inherits
+that check."""
 
 from __future__ import annotations
 
@@ -25,38 +29,37 @@ class EvalReport:
                 "accuracy": self.accuracy, "n_pos": self.n_pos, "n_neg": self.n_neg}
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing the mid-rank."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    n = len(values)
-    # group boundaries of equal values in sorted order
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    starts = np.flatnonzero(boundary)
-    ends = np.append(starts[1:], n)
-    group_rank = (starts + ends + 1) / 2.0  # mean of ranks start+1 .. end
-    ranks_sorted = np.repeat(group_rank, ends - starts)
-    ranks = np.empty(n)
-    ranks[order] = ranks_sorted
-    return ranks
-
-
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative, with
     ties counting one half. Rank-sum formulation; exactly equal to pair
-    counting."""
+    counting.
+
+    One sort finds the groups of tied scores; the positives' rank sum is each
+    group's mid-rank times its count of positives. Mid-ranks are
+    half-integers, so that sum is exact whatever the sort kind or the order
+    within a group. Non-finite scores raise DataError."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise DataError("scores and labels must have equal length")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    pos = labels == 1
+    n_pos = np.count_nonzero(pos)
+    n_neg = np.count_nonzero(labels == 0)
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC AUC needs both classes present")
-    ranks = _midranks(scores)
-    rank_sum_pos = ranks[labels == 1].sum()
+    if not np.isfinite(scores).all():
+        raise DataError("ROC AUC needs finite scores")
+    order = np.argsort(scores)
+    sorted_scores = scores[order]
+    n = len(scores)
+    # edges of the tie groups in sorted order: group k spans edges[k]..edges[k+1]
+    boundary = np.empty(n + 1, dtype=bool)
+    boundary[0] = boundary[n] = True
+    boundary[1:n] = sorted_scores[1:] != sorted_scores[:-1]
+    edges = np.flatnonzero(boundary)
+    group_rank = (edges[:-1] + edges[1:] + 1) / 2.0  # mean of ranks start+1 .. end
+    pos_per_group = np.add.reduceat(pos[order], edges[:-1], dtype=np.int64)
+    rank_sum_pos = group_rank @ pos_per_group
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -9,14 +9,15 @@ from tabdistill.ensemble import (
     _de_maximize,
     blend,
     combine_families,
+    load_ensemble,
     optimize_weights,
     optimize_weights_detailed,
     predict_ensemble,
     save_ensemble,
     uniform_ensemble,
 )
-from tabdistill.errors import DataError
-from tabdistill.learners import TrainingTarget, gbdt_spec, mlp_spec, train
+from tabdistill.errors import DataError, SerializationError
+from tabdistill.learners import TrainingTarget, gbdt_spec, mlp_spec, save_model, train
 from tabdistill.metrics import roc_auc
 
 from helpers import dataset_from_arrays, noisy_nonlinear_dataset
@@ -216,3 +217,43 @@ class TestPersistence:
         assert doc["format"] == "tabdistill.ensemble/v1"
         assert doc["members"] == ["m0.json", "m1.json"]
         np.testing.assert_allclose(doc["weights"], [0.25, 0.75])
+
+    def test_load_ensemble_resolves_members_next_to_the_document(self, tmp_path):
+        ds = noisy_nonlinear_dataset(80, seed=13)
+        models = [train(gbdt_spec(seed=s, rounds=2), ds, TrainingTarget.hard())
+                  for s in (0, 1)]
+        (tmp_path / "sub").mkdir()
+        save_model(models[0], tmp_path / "m0.json")
+        save_model(models[1], tmp_path / "sub" / "m1.json")
+        out = tmp_path / "ens.json"
+        save_ensemble(EnsembleModel(models, [0.25, 0.75]),
+                      ["m0.json", str(tmp_path / "sub" / "m1.json")], out)
+        restored = load_ensemble(out)
+        np.testing.assert_array_equal(restored.weights, [0.25, 0.75])
+        np.testing.assert_array_equal(restored.predict(ds),
+                                      EnsembleModel(models, [0.25, 0.75]).predict(ds))
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"format": "tabdistill.ensemble/v2", "members": [], "weights": []},
+        {"format": "tabdistill.ensemble/v1", "weights": [1.0]},
+        {"format": "tabdistill.ensemble/v1", "members": "m0.json", "weights": [1.0]},
+        {"format": "tabdistill.ensemble/v1", "members": [3], "weights": [1.0]},
+        {"format": "tabdistill.ensemble/v1", "members": ["m0.json"]},
+        {"format": "tabdistill.ensemble/v1", "members": ["m0.json"], "weights": [1, 2]},
+        {"format": "tabdistill.ensemble/v1", "members": ["m0.json"], "weights": ["1"]},
+        {"format": "tabdistill.ensemble/v1", "members": ["m0.json"], "weights": [True]},
+        {"format": "tabdistill.ensemble/v1", "members": ["m0.json"],
+         "weights": [float("nan")]},
+    ])
+    def test_malformed_document_rejected(self, tmp_path, doc):
+        out = tmp_path / "ens.json"
+        out.write_text(json.dumps(doc))
+        with pytest.raises(SerializationError):
+            load_ensemble(out)
+
+    def test_corrupted_json_rejected(self, tmp_path):
+        out = tmp_path / "ens.json"
+        out.write_text('{"format": ')
+        with pytest.raises(SerializationError):
+            load_ensemble(out)

@@ -373,6 +373,68 @@ class TestMalformedGBDTDocument:
         assert serialize_model(restored) == doc
 
 
+class TestMalformedMLPDocument:
+    @pytest.fixture(scope="class")
+    def doc(self):
+        ds = separable_dataset(80, seed=24)
+        model = train(mlp_spec(epochs=2, hidden_sizes=(3, 2), batch_norm=True), ds,
+                      TrainingTarget.hard())
+        return json.loads(json.dumps(serialize_model(model)))
+
+    @pytest.mark.parametrize("layer, key, fix", [
+        (0, "W", lambda w: w[:-1]),               # fewer rows than encoder width
+        (1, "W", lambda w: [row + [0.0] for row in w]),  # wider than the next layer
+        (2, "W", lambda w: w + w),                # taller than the layer before
+        (1, "b", lambda b: b + [0.0]),
+        (0, "gamma", lambda g: g[:1]),
+        (1, "beta", lambda b: [b]),
+    ])
+    def test_wrong_layer_shape(self, doc, layer, key, fix):
+        bad = json.loads(json.dumps(doc))
+        bad["layers"][layer][key] = fix(bad["layers"][layer][key])
+        with pytest.raises(SerializationError, match=f"layer {layer} {key}"):
+            deserialize_model(bad)
+
+    def test_wrong_running_shape(self, doc):
+        bad = json.loads(json.dumps(doc))
+        bad["running"][1]["var"] = bad["running"][1]["var"] * 2
+        with pytest.raises(SerializationError, match="running 1 var"):
+            deserialize_model(bad)
+
+    @pytest.mark.parametrize("change", [
+        lambda d: d["layers"].pop(),
+        lambda d: d["layers"][0].pop("gamma"),
+        lambda d: d["layers"][2].update(gamma=[1.0]),
+        lambda d: d.update(running=None),
+        lambda d: d["running"].pop(),
+    ])
+    def test_layers_disagree_with_spec(self, doc, change):
+        bad = json.loads(json.dumps(doc))
+        change(bad)
+        with pytest.raises(SerializationError):
+            deserialize_model(bad)
+
+    def test_non_finite_parameter(self, doc):
+        bad = json.loads(json.dumps(doc))
+        bad["layers"][1]["W"][0][0] = float("nan")
+        with pytest.raises(SerializationError, match="non-finite"):
+            deserialize_model(bad)
+
+    def test_running_without_batch_norm(self, doc):
+        bad = json.loads(json.dumps(doc))
+        bad["spec"]["params"]["batch_norm"] = False
+        for layer in bad["layers"]:
+            layer.pop("gamma", None)
+            layer.pop("beta", None)
+        with pytest.raises(SerializationError, match="running"):
+            deserialize_model(bad)
+        bad["running"] = None
+        deserialize_model(bad)
+
+    def test_well_formed_document_still_loads(self, doc):
+        assert serialize_model(deserialize_model(doc)) == doc
+
+
 class TestNonFiniteFeaturesAtPredict:
     @pytest.fixture(scope="class")
     def models(self):

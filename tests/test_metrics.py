@@ -30,6 +30,12 @@ class TestRocAuc:
         with pytest.raises(DataError):
             roc_auc([0.1, 0.9], [1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        for score_fn in (roc_auc, evaluate):
+            with pytest.raises(DataError, match="finite"):
+                score_fn([bad, 0.2, 0.3, 0.9], [1, 0, 1, 0])
+
     def test_matches_pair_counting_oracle_exactly(self):
         rng = np.random.default_rng(42)
         for _ in range(500):

@@ -299,3 +299,37 @@ class TestCli:
         monkeypatch.setattr(cli_module, "run_verification",
                             lambda seed, fast: {"passed": False})
         assert cli_main(["verify", "--fast"]) == 4
+
+    def _train_model(self, tmp_path, capsys, kind="gbdt", params='{"rounds": 2}'):
+        path = self._write_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        assert cli_main(["train", "--data", str(path), "--label", "label",
+                         "--out", str(model_path), "--kind", kind,
+                         "--params", params]) == 0
+        capsys.readouterr()
+        return path, model_path
+
+    @pytest.mark.parametrize("doc", [
+        {"format": "tabdistill.ensemble/v1", "weights": [1.0]},
+        {"format": "tabdistill.ensemble/v1", "members": ["model.json"],
+         "weights": [0.5, 0.5]},
+    ], ids=["no_members", "length_mismatch"])
+    def test_malformed_ensemble_is_data_error(self, tmp_path, capsys, doc):
+        path, _ = self._train_model(tmp_path, capsys)
+        ens_path = tmp_path / "ens.json"
+        ens_path.write_text(json.dumps(doc))
+        code = cli_main(["deploy-distill", "--ensemble", str(ens_path),
+                         "--data", str(path), "--label", "label",
+                         "--out", str(tmp_path / "final.json")])
+        assert code == 2
+        assert "ens.json" in capsys.readouterr().err
+
+    def test_wrong_width_mlp_layer_is_data_error(self, tmp_path, capsys):
+        path, model_path = self._train_model(
+            tmp_path, capsys, "mlp", '{"hidden_sizes": [4], "epochs": 2}')
+        doc = json.loads(model_path.read_text())
+        doc["layers"][0]["W"].append(doc["layers"][0]["W"][0])
+        model_path.write_text(json.dumps(doc))
+        assert cli_main(["evaluate", "--model", str(model_path), "--data",
+                         str(path), "--label", "label"]) == 2
+        assert "shape" in capsys.readouterr().err
