@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING if isinstance(exc.cause, TrainingError) else EXIT_DATA
-    except (DataError, SchemaMismatchError, SerializationError, FileNotFoundError) as exc:
+    except (DataError, SchemaMismatchError, SerializationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingError as exc:

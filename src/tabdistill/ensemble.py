@@ -6,7 +6,8 @@ population is seeded with the uniform vector and every one-hot vector, and
 selection never discards an incumbent for a tie, so the final validation
 objective can never fall below any single member or the plain average.
 Weights whose share of the total falls under ``prune_epsilon`` are rounded
-down to zero and the search reruns on the survivors.
+down to zero and the search reruns on the survivors; a round that would
+leave no survivor is not run.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: DEConfig,
     while active.sum() > 1:
         share = best_w / best_w.sum()
         tiny = (share < cfg.prune_epsilon) & active
-        if not tiny.any():
+        # a round that would drop every active member keeps the current weights
+        if not tiny.any() or (tiny == active).all():
             break
         active = active & ~tiny
         prune_rounds += 1

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +29,11 @@ MAX_ONE_HOT = 64
 
 _BOOL_TOKENS = {"true": True, "false": False, "True": True, "False": False,
                 "TRUE": True, "FALSE": False}
+# label cells after stripping: 0/1 or a bool token
+_LABEL_TOKENS = {"0": 0, "1": 1, **{k: int(v) for k, v in _BOOL_TOKENS.items()}}
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_DTYPES = {"bool": bool, "int": np.int64, "float": np.float64}
 
 
 @dataclass(frozen=True)
@@ -177,14 +183,45 @@ class Dataset:
                        labels=self.labels, row_ids=self.row_ids)
 
 
-def _infer_kind(values: list[str]) -> str:
-    if all(v in _BOOL_TOKENS for v in values):
-        return "bool"
-    if all(_parse_int(v) is not None for v in values):
-        return "int"
-    if all(_parse_float(v) is not None for v in values):
-        return "float"
-    return "categorical"
+def _parse_column(kind: str, values: Sequence[str]) -> list:
+    """Every cell of a column parsed as ``kind`` with the same rules as the
+    per-cell parsers below; KeyError or ValueError when any cell does not."""
+    if kind == "bool":
+        return list(map(_BOOL_TOKENS.__getitem__, values))
+    return list(map(int if kind == "int" else float, map(str.strip, values)))
+
+
+def _infer_column(values: Sequence[str]) -> tuple[str, Optional[list]]:
+    """The first of bool, int, float whose parser accepts every cell, with
+    the parsed cells; categorical (and None) when none does."""
+    for kind in ("bool", "int", "float"):
+        try:
+            return kind, _parse_column(kind, values)
+        except (KeyError, ValueError):
+            pass
+    return "categorical", None
+
+
+def _cell_problem(kind: str, raw: str) -> Optional[str]:
+    """Why ``raw`` is not a valid cell of a ``kind`` column, or None."""
+    if kind == "bool":
+        return None if raw in _BOOL_TOKENS else f"{raw!r} is not a boolean"
+    if kind == "int":
+        v = _parse_int(raw)
+        if v is None:
+            return f"{raw!r} is not an integer"
+        return None if _INT64_MIN <= v <= _INT64_MAX else f"{raw!r} is outside the int64 range"
+    v = _parse_float(raw)
+    if v is None:
+        return f"{raw!r} is not a number"
+    return f"{raw!r} parses as NaN, a missing value" if math.isnan(v) else None
+
+
+def _bad_cell(path: Path, name: str, kind: str, values: Sequence[str]) -> DataError:
+    """The error for the first cell of a column that ``kind`` rejects."""
+    row, problem = next((i, p) for i, v in enumerate(values, 1)
+                        if (p := _cell_problem(kind, v)) is not None)
+    return DataError(f"{path}: row {row}, column {name!r}: {problem}")
 
 
 def _parse_int(s: str) -> Optional[int]:
@@ -208,22 +245,33 @@ def _parse_float(s: str) -> Optional[float]:
 
 
 def _parse_label(raw: str, row: int, column: str) -> int:
-    v = raw.strip()
-    if v in ("0", "1"):
-        return int(v)
-    if v in _BOOL_TOKENS:
-        return int(_BOOL_TOKENS[v])
-    raise DataError(f"row {row}, column {column!r}: label {raw!r} is not 0/1")
+    v = _LABEL_TOKENS.get(raw.strip())
+    if v is None:
+        raise DataError(f"row {row}, column {column!r}: label {raw!r} is not 0/1")
+    return v
 
 
 def ingest_csv(path: str | Path, label_column: str,
                schema_hint: Optional[Schema] = None) -> Dataset:
     """Read an RFC-4180-style CSV (header mandatory) into a Dataset.
 
-    Without ``schema_hint`` column kinds are inferred: all-true/false ->
-    bool, all-integer -> int, numeric with a fractional part -> float,
-    anything else -> categorical (values interned to dense integer codes in
-    order of first appearance). Cell errors report row and column.
+    Without ``schema_hint`` each feature column gets the first kind, tried
+    in this order, whose parser accepts every cell:
+
+    1. bool: the exact tokens true/false, True/False, TRUE/FALSE;
+    2. int: Python ``int`` of the whitespace-stripped cell, so signs and
+       ``1_000`` parse;
+    3. float: Python ``float`` of the stripped cell, so ``1.0``, ``-2e3``
+       and ``inf`` parse;
+    4. categorical otherwise, with values interned to dense integer codes
+       in order of first appearance.
+
+    Labels are 0/1 or a bool token. Every error is a DataError; a bad cell
+    is reported with its row and column. Besides cells a hinted kind
+    rejects and labels that are not 0/1, these are errors: an integer
+    outside the int64 range, a float cell that parses as NaN, and a blank
+    cell in a column whose other cells all parse as bool, int or float (a
+    column of blank cells only stays categorical).
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -240,11 +288,13 @@ def ingest_csv(path: str | Path, label_column: str,
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(header)
-    for i, r in enumerate(rows):
-        if len(r) != width:
-            raise DataError(f"{path}: row {i + 1} has {len(r)} cells, expected {width}")
+    if set(map(len, rows)) != {width}:
+        for i, r in enumerate(rows):
+            if len(r) != width:
+                raise DataError(f"{path}: row {i + 1} has {len(r)} cells, expected {width}")
 
-    by_name = {name: [r[j] for r in rows] for j, name in enumerate(header)}
+    by_name = dict(zip(header, zip(*rows)))
+    del rows  # the column tuples hold the cells now
 
     if schema_hint is not None:
         if [c.name for c in schema_hint.columns] != header:
@@ -253,14 +303,15 @@ def ingest_csv(path: str | Path, label_column: str,
             raise DataError("schema hint label column disagrees with argument")
         kinds = {c.name: c.kind for c in schema_hint.columns}
     else:
-        kinds = {name: _infer_kind(by_name[name])
-                 for name in header if name != label_column}
-        kinds[label_column] = "int"
+        kinds = {label_column: "int"}
 
-    labels = np.array(
-        [_parse_label(v, i + 1, label_column) for i, v in enumerate(by_name[label_column])],
-        dtype=np.int64,
-    )
+    raw_labels = by_name[label_column]
+    try:
+        labels = np.array(list(map(_LABEL_TOKENS.__getitem__, map(str.strip, raw_labels))),
+                          dtype=np.int64)
+    except KeyError:
+        labels = np.array([_parse_label(v, i + 1, label_column)
+                           for i, v in enumerate(raw_labels)], dtype=np.int64)
 
     columns: list[Column] = []
     arrays: list[np.ndarray] = []
@@ -268,46 +319,31 @@ def ingest_csv(path: str | Path, label_column: str,
         if name == label_column:
             columns.append(Column(name, kinds[name]))
             continue
-        kind = kinds[name]
-        raw = by_name[name]
-        if kind == "bool":
-            vals = []
-            for i, v in enumerate(raw):
-                if v not in _BOOL_TOKENS:
-                    raise DataError(f"{path}: row {i + 1}, column {name!r}: "
-                                    f"{v!r} is not a boolean")
-                vals.append(_BOOL_TOKENS[v])
-            arrays.append(np.array(vals, dtype=bool))
-            columns.append(Column(name, "bool"))
-        elif kind == "int":
-            vals = []
-            for i, v in enumerate(raw):
-                parsed = _parse_int(v)
-                if parsed is None:
-                    raise DataError(f"{path}: row {i + 1}, column {name!r}: "
-                                    f"{v!r} is not an integer")
-                vals.append(parsed)
-            arrays.append(np.array(vals, dtype=np.int64))
-            columns.append(Column(name, "int"))
-        elif kind == "float":
-            vals = []
-            for i, v in enumerate(raw):
-                parsed = _parse_float(v)
-                if parsed is None:
-                    raise DataError(f"{path}: row {i + 1}, column {name!r}: "
-                                    f"{v!r} is not a number")
-                vals.append(parsed)
-            arrays.append(np.array(vals, dtype=np.float64))
-            columns.append(Column(name, "float"))
-        else:  # categorical
-            codes: dict[str, int] = {}
-            vals = []
-            for v in raw:
-                if v not in codes:
-                    codes[v] = len(codes)
-                vals.append(codes[v])
-            arrays.append(np.array(vals, dtype=np.int64))
-            columns.append(Column(name, "categorical", tuple(codes)))
+        values = by_name[name]
+        parsed = None
+        kind = kinds.get(name)
+        if kind is None:
+            kind, parsed = _infer_column(values)
+            if kind == "categorical" and "" in map(str.strip, values):
+                # a blank cell must not turn a bool or numeric column categorical
+                nonblank = [v for v in values if v.strip()]
+                if nonblank:
+                    kind = _infer_column(nonblank)[0]
+        if kind == "categorical":
+            codes = {v: j for j, v in enumerate(dict.fromkeys(values))}
+            arrays.append(np.array(list(map(codes.__getitem__, values)), dtype=np.int64))
+            columns.append(Column(name, kind, tuple(codes)))
+            continue
+        try:
+            if parsed is None:
+                parsed = _parse_column(kind, values)
+            arr = np.array(parsed, dtype=_DTYPES[kind])
+        except (KeyError, ValueError, OverflowError):
+            raise _bad_cell(path, name, kind, values) from None
+        if kind == "float" and np.isnan(arr).any():
+            raise _bad_cell(path, name, kind, values)
+        arrays.append(arr)
+        columns.append(Column(name, kind))
 
     schema = Schema(tuple(columns), label_column)
     return Dataset(schema=schema, feature_arrays=tuple(arrays), labels=labels,
@@ -505,10 +541,11 @@ class FeatureEncoder:
             else:
                 kept = self.kept_categories[col.name]
                 index = {cat: j for j, cat in enumerate(kept)}
+                # output column of each of this dataset's category codes
+                lut = np.array([index.get(cat, len(kept)) for cat in col.categories],
+                               dtype=np.intp)
                 out = np.zeros((len(arr), len(kept) + 1))
-                cols = np.array([index.get(col.categories[code], len(kept))
-                                 for code in arr])
-                out[np.arange(len(arr)), cols] = 1.0
+                out[np.arange(len(arr)), lut[arr]] = 1.0
                 blocks.append(out)
         return np.hstack(blocks)
 

@@ -157,6 +157,18 @@ class TestOptimizeWeights:
         b = optimize_weights(uniform_ensemble(members), valid, cfg)
         np.testing.assert_array_equal(a.weights, b.weights)
 
+    def test_prune_epsilon_above_every_share_keeps_the_weights(self):
+        # 12 identical members share 1/12 each, below prune_epsilon: a prune
+        # round would drop them all, so none runs
+        valid = _valid_set(60, seed=11)
+        member = _FixedModel(np.random.default_rng(12).random(60))
+        cfg = DEConfig(population_size=8, prune_epsilon=0.15, max_iterations=5, seed=0)
+        out, audit = optimize_weights_detailed(uniform_ensemble([member] * 12), valid, cfg)
+        assert audit["prune_rounds"] == 0
+        assert audit["final_weights"] == audit["pre_prune_weights"]
+        np.testing.assert_array_equal(out.weights, np.ones(12))
+        assert audit["validation_auc"] == roc_auc(member.predict(None), valid.labels)
+
     def test_single_class_validation_rejected(self):
         ds = dataset_from_arrays({"a": [0.1, 0.2]}, [1, 1])
         with pytest.raises(DataError):

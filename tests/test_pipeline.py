@@ -324,6 +324,25 @@ class TestCli:
         assert code == 2
         assert "ens.json" in capsys.readouterr().err
 
+    def test_directory_as_model_is_data_error(self, tmp_path, capsys):
+        path = self._write_csv(tmp_path)
+        assert cli_main(["evaluate", "--model", str(tmp_path), "--data",
+                         str(path), "--label", "label"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_blank_ensemble_member_is_data_error(self, tmp_path, capsys):
+        path, _ = self._train_model(tmp_path, capsys)
+        ens_path = tmp_path / "ens.json"
+        ens_path.write_text(json.dumps({"format": "tabdistill.ensemble/v1",
+                                        "members": [""], "weights": [1.0]}))
+        code = cli_main(["deploy-distill", "--ensemble", str(ens_path),
+                         "--data", str(path), "--label", "label",
+                         "--out", str(tmp_path / "final.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_wrong_width_mlp_layer_is_data_error(self, tmp_path, capsys):
         path, model_path = self._train_model(
             tmp_path, capsys, "mlp", '{"hidden_sizes": [4], "epochs": 2}')
