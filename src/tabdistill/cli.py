@@ -29,7 +29,6 @@ from tabdistill.errors import (
 from tabdistill.learners import LearnerSpec, TrainingTarget, load_model, save_model, train
 from tabdistill.metrics import evaluate
 from tabdistill.pipeline import (
-    PipelineConfig,
     StageError,
     distill_to_deployment,
     load_config,
@@ -119,18 +118,9 @@ def _cmd_deploy_distill(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.seed is None and args.out is None:
-        cfg = load_config(args.config)
-    else:
-        path = Path(args.config)
-        if not path.exists():
-            raise DataError(f"config file not found: {path}")
-        doc = json.loads(path.read_text())
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.out is not None:
-            doc["output_dir"] = args.out
-        cfg = PipelineConfig.from_json_dict(doc, base_dir=path.parent)
+    overrides = {key: value for key, value in (("seed", args.seed), ("output_dir", args.out))
+                 if value is not None}
+    cfg = load_config(args.config, overrides)
     report = run_pipeline(cfg)
     print(json.dumps({"run_id": report["run_id"],
                       "metrics": report["metrics"]}, indent=2, sort_keys=True))

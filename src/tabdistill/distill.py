@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from tabdistill.errors import DataError
+from tabdistill.errors import DataError, require_integer
 from tabdistill.learners import LearnerSpec, TrainingTarget, train
 from tabdistill.metrics import roc_auc
 from tabdistill.tabular import Dataset
@@ -43,8 +43,8 @@ class DistillConfig:
             raise DataError("beta must lie in [0, 1]")
         if not (0.0 < self.denoise_threshold <= 1.0):
             raise DataError("denoise_threshold must lie in (0, 1]")
-        if self.generations < 1:
-            raise DataError("need at least one generation")
+        require_integer(self.generations, "generations", 1)
+        require_integer(self.seed, "seed")
         if self.teacher_mode not in ("from_last", "from_ensemble"):
             raise DataError(f"unknown teacher_mode {self.teacher_mode!r}")
         if self.target_mode not in ("row_weighted", "label_sampled"):

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from tabdistill.errors import DataError, SerializationError
+from tabdistill.errors import DataError, SerializationError, require_integer
 from tabdistill.learners import load_model
 from tabdistill.metrics import roc_auc
 from tabdistill.tabular import Dataset
@@ -40,6 +40,8 @@ class DEConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "max_iterations", "seed"):
+            require_integer(getattr(self, name), name)
         if self.population_size and self.population_size < 4:
             raise DataError("population must have at least 4 members")
         if not (0.0 < self.mutation_factor <= 2.0):

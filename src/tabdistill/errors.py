@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one for malformed configuration values."""
+
+import numbers
 
 
 class TabDistillError(Exception):
@@ -23,3 +26,11 @@ class SerializationError(TabDistillError):
 
 class VerificationError(TabDistillError):
     """A numerical verification suite reported a failure."""
+
+
+def require_integer(value, what: str, low: int = 0) -> int:
+    """``value`` as an int if it is an integer (not a bool) of at least
+    ``low``; anything else raises DataError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DataError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)

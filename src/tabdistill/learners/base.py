@@ -166,6 +166,16 @@ def resolve_weight_pairs(target: TrainingTarget, labels: np.ndarray) -> tuple[np
     return target.w_pos, target.w_neg
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so that no ``exp`` overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def encode_features(encoder: FeatureEncoder, rows) -> np.ndarray:
     """The encoded feature matrix a model predicts on: a Dataset goes
     through the encoder, a raw matrix must already have its width. Non-finite

@@ -8,19 +8,23 @@ fitted on transformed data, leaving predictions bit-identical. Ties in gain
 break toward the lower feature index, then the lower threshold.
 
 Each training call sorts every feature once, stably, into a (features x
-rows) block of row indices: the column-block layout of exact greedy XGBoost
-(Chen & Guestrin 2016, section 4.1). A node owns the sub-block of its rows,
-and a split partitions every feature's list with one stable boolean gather,
-so each list stays sorted by value with ties in ascending row order. That is
-the order a stable per-node sort of the node's rows would give, so the
-per-feature gradient and hessian cumsums add the same numbers in the same
-order and the gains are bit-identical to a search that sorts at every node.
-The search scans all features of a node in one 2-D pass; ``cumsum`` along a
-row is sequential, exactly like a 1-D ``cumsum``. Node and leaf sums run
-over the node's rows in ascending row order, as numpy's pairwise summation
-needs for bit-identical totals. The builder hands back each training row's
-leaf value, so boosting updates its scores without predicting on the
-training matrix.
+rows) block of native-width (``np.intp``) row indices, so no gather pays an
+index cast: the column-block layout of exact greedy XGBoost (Chen & Guestrin
+2016, section 4.1). A node owns the sub-block of its rows, and a split
+partitions every feature's list with one stable gather per side, so each list
+stays sorted by value with ties in ascending row order. That is the order a
+stable per-node sort of the node's rows would give, so the per-feature
+gradient and hessian cumsums add the same numbers in the same order and the
+gains are bit-identical to a search that sorts at every node. The search
+scans all features of a node in one 2-D pass; ``cumsum`` along a row is
+sequential, exactly like a 1-D ``cumsum``. Gains are evaluated only between
+distinct sorted values: the candidate cuts of all features are gathered into
+one vector, so the gain arithmetic follows the number of cuts, not the
+number of rows; a one-hot column of a node has at most one cut. Node and
+leaf sums run over the node's rows in ascending row order, as numpy's
+pairwise summation needs for bit-identical totals. The builder hands back
+each training row's leaf value, so boosting updates its scores without
+predicting on the training matrix.
 
 Prediction descends a fixed ``depth`` steps per tree; a leaf's children are
 the leaf itself, so rows that reach a leaf early stay there.
@@ -41,19 +45,11 @@ from tabdistill.errors import SerializationError, TrainingError
 from tabdistill.learners.base import (
     LearnerSpec,
     TrainingTarget,
+    _sigmoid,
     encode_features,
     resolve_weight_pairs,
 )
 from tabdistill.tabular import Dataset, FeatureEncoder
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def _number(value, what: str) -> float:
@@ -160,7 +156,7 @@ class _TreeBuilder:
     """Grows one tree on the presorted column blocks of a training call.
 
     ``xt`` is the encoded training matrix as (features x rows) and ``order``
-    the int32 block of row indices that sorts each of its rows stably.
+    the ``np.intp`` block of row indices that sorts each of its rows stably.
     """
 
     def __init__(self, xt, order, grad, hess, max_depth, l2, min_child_weight):
@@ -190,31 +186,36 @@ class _TreeBuilder:
     def _best_split(self, rows: np.ndarray, block: np.ndarray):
         """Best (feature, threshold) over every feature of the node, or None.
 
-        Each expression below runs the same float operations, in the same
-        order, as ``0.5 * (gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent)`` on one
-        feature's sorted rows, but in place to keep few (features x rows)
-        temporaries alive.
+        Gains are computed only at candidate cuts: positions whose sorted
+        value differs from the next one, taken in row-major (feature, cut)
+        order. Each expression below runs the same float operations, in the
+        same order, as ``0.5 * (gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent)`` on
+        one feature's sorted rows, but in place on the candidates.
         """
         g_total = self.grad[rows].sum()
         h_total = self.hess[rows].sum()
         parent = g_total * g_total / (h_total + self.l2)
         sv = self.xt[self.columns, block]
-        blocked = sv[:, :-1] == sv[:, 1:]  # equal neighbours cannot be cut apart
+        differs = np.empty(block.shape, dtype=bool)  # equal neighbours cannot be cut apart
+        np.not_equal(sv[:, :-1], sv[:, 1:], out=differs[:, :-1])
+        differs[:, -1] = False
         del sv
+        cand = np.flatnonzero(differs)
+        if not cand.size:
+            return None
         gl = self.grad[block]
         np.cumsum(gl, axis=1, out=gl)
-        gl = gl[:, :-1]
+        gl = gl.take(cand)
         hl = self.hess[block]
         np.cumsum(hl, axis=1, out=hl)
-        hl = hl[:, :-1]
-        blocked |= hl < self.mcw
+        hl = hl.take(cand)
+        blocked = hl < self.mcw
         hr = h_total - hl  # from hl itself: (hl + l2) - l2 is not hl
         blocked |= hr < self.mcw
         right = g_total - gl
         right *= right
         hr += self.l2
         right /= hr  # gr*gr/(hr+l2)
-        del hr
         hl += self.l2
         gl *= gl
         gl /= hl  # gl*gl/(hl+l2)
@@ -223,15 +224,20 @@ class _TreeBuilder:
         gl *= 0.5
         gains = gl
         gains[blocked] = -np.inf
-        # the lowest feature wins ties, and its lowest threshold; a gain must
-        # beat 0.0 strictly and a NaN gain never wins
-        best = gains.max(axis=1)
-        best[~(best > 0.0)] = 0.0
-        f = int(np.argmax(best))
-        if best[f] == 0.0:
+        # the lowest feature wins ties, then its lowest cut; a gain must beat
+        # 0.0 strictly, and a feature with a NaN gain never wins. argmax
+        # returns the first NaN when there is one, so only then are the
+        # features holding a NaN dropped and the search repeated.
+        width = block.shape[1]
+        k = int(np.argmax(gains))
+        if np.isnan(gains[k]):
+            feature = cand // width
+            gains[np.isin(feature, feature[np.isnan(gains)])] = -np.inf
+            k = int(np.argmax(gains))
+        if not gains[k] > 0.0:
             return None
-        cut = int(np.argmax(gains[f]))
-        return f, float(self.xt[f, block[f, cut + 1]])
+        f = int(cand[k] // width)
+        return f, float(self.xt[f, block.ravel()[cand[k] + 1]])
 
     def build(self) -> tuple[Tree, np.ndarray]:
         """The tree and each training row's leaf value."""
@@ -252,10 +258,13 @@ class _TreeBuilder:
             f, thr = split
             go_left_all = self.xt[f] < thr
             go_left = go_left_all[rows]
-            in_left = go_left_all[block]  # stable: every list stays sorted
+            # a stable gather, so every list stays sorted; taking positions
+            # from flatnonzero is faster than indexing with the boolean mask
+            in_left = go_left_all[block].ravel()
             left_rows, right_rows = rows[go_left], rows[~go_left]
-            left_block = block[in_left].reshape(n_features, len(left_rows))
-            right_block = block[~in_left].reshape(n_features, len(right_rows))
+            flat = block.ravel()
+            left_block = flat.take(np.flatnonzero(in_left)).reshape(n_features, len(left_rows))
+            right_block = flat.take(np.flatnonzero(~in_left)).reshape(n_features, len(right_rows))
             left_node = self._new_node()
             right_node = self._new_node()
             self.feature[node] = f
@@ -336,7 +345,7 @@ def train_gbdt(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget) -> 
     w_pos, w_neg = resolve_weight_pairs(target, train_ds.labels)
     w_sum = w_pos + w_neg
     xt = np.ascontiguousarray(x.T)
-    order = np.argsort(xt, axis=1, kind="stable").astype(np.int32)
+    order = np.argsort(xt, axis=1, kind="stable")
 
     score = np.zeros(len(x))
     trees: list[Tree] = []

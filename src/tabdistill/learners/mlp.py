@@ -12,6 +12,7 @@ from tabdistill.errors import SerializationError, TrainingError
 from tabdistill.learners.base import (
     LearnerSpec,
     TrainingTarget,
+    _sigmoid,
     encode_features,
     resolve_weight_pairs,
 )
@@ -20,15 +21,6 @@ from tabdistill.tabular import Dataset, FeatureEncoder
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.9
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 class EarlyStopTracker:

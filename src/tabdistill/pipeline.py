@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -38,7 +38,7 @@ from tabdistill.ensemble import (
     save_ensemble,
     uniform_ensemble,
 )
-from tabdistill.errors import DataError, TabDistillError
+from tabdistill.errors import DataError, TabDistillError, require_integer
 from tabdistill.learners import LearnerSpec, TrainingTarget, save_model, train
 from tabdistill.metrics import evaluate, roc_auc
 from tabdistill.tabular import (
@@ -72,6 +72,65 @@ class StageError(TabDistillError):
         self.cause = cause
 
 
+_REQUIRED = object()
+
+
+def _entry(doc: dict, path: str, default=_REQUIRED):
+    """The entry of ``doc`` named by the last part of the dotted ``path``."""
+    key = path.rpartition(".")[2]
+    if key in doc:
+        return doc[key]
+    if default is _REQUIRED:
+        raise DataError(f"pipeline config needs {path!r}")
+    return default
+
+
+def _section(doc: dict, path: str, default=_REQUIRED, nullable: bool = False):
+    value = _entry(doc, path, default)
+    if not (isinstance(value, dict) or (nullable and value is None)):
+        raise DataError(f"pipeline config {path!r} must be an object")
+    return value
+
+
+def _typed(kind: type, doc: dict, path: str, default=_REQUIRED):
+    value = _entry(doc, path, default)
+    if not isinstance(value, kind):
+        raise DataError(f"pipeline config {path!r} must be of type {kind.__name__}")
+    return value
+
+
+def _convert(convert, doc: dict, path: str, default):
+    try:
+        return convert(_entry(doc, path, default))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"pipeline config {path!r}: {exc}") from None
+
+
+def _seed(doc: dict, path: str, default: int) -> int:
+    return require_integer(_entry(doc, path, default), f"pipeline config {path!r}")
+
+
+def _build(cls, doc: dict, path: str):
+    """A config dataclass from its section; unknown keys raise DataError."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DataError(f"pipeline config {path!r} has unknown keys {unknown}")
+    try:
+        return cls(**doc)
+    except TypeError as exc:  # an ill-typed value met a comparison
+        raise DataError(f"pipeline config {path!r}: {exc}") from None
+
+
+def _learner(doc: dict, path: str, default_seed: int) -> LearnerSpec:
+    section = _section(doc, path)
+    params = _section(section, f"{path}.params", {})
+    try:
+        return LearnerSpec(kind=_entry(section, f"{path}.kind"), params=dict(params),
+                           seed=_seed(section, f"{path}.seed", default_seed))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"pipeline config {path!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class FamilyConfig:
     learner: LearnerSpec
@@ -96,31 +155,33 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":
-        seed = int(doc.get("seed", 0))
-        data = doc["data"]
-        split_doc = doc.get("split", {})
+        """Parse a config document. A missing, unknown or ill-typed entry
+        raises DataError naming its dotted path."""
+        if not isinstance(doc, dict):
+            raise DataError("pipeline config must be a JSON object")
+        seed = _seed(doc, "seed", 0)
+        data = _section(doc, "data")
+        split_doc = _section(doc, "split", {})
         split = SplitSpec(
-            train_fraction=float(split_doc.get("train_fraction", 0.6)),
-            valid_fraction=float(split_doc.get("valid_fraction", 0.2)),
-            seed=int(split_doc.get("seed", seed)),
+            train_fraction=_convert(float, split_doc, "split.train_fraction", 0.6),
+            valid_fraction=_convert(float, split_doc, "split.valid_fraction", 0.2),
+            seed=_seed(split_doc, "split.seed", seed),
         )
-        pre = doc.get("preprocess", {})
+        pre = _section(doc, "preprocess", {})
+        families = _section(doc, "families", {})
 
         def family(tag: str, learner_seed: int, distill_seed: int) -> Optional[FamilyConfig]:
-            fam = doc.get("families", {}).get(tag)
+            path = f"families.{tag}"
+            fam = _section(families, path, None, nullable=True)
             if fam is None:
                 return None
-            learner = LearnerSpec(
-                kind=fam["learner"]["kind"],
-                params=dict(fam["learner"].get("params", {})),
-                seed=int(fam["learner"].get("seed", seed + learner_seed)),
-            )
-            distill_doc = fam.get("distill")
+            learner = _learner(fam, f"{path}.learner", seed + learner_seed)
+            distill_doc = _section(fam, f"{path}.distill", None, nullable=True)
             distill = None
             if distill_doc is not None:
                 distill_doc = dict(distill_doc)
                 distill_doc.setdefault("seed", seed + distill_seed)
-                distill = DistillConfig(**distill_doc)
+                distill = _build(DistillConfig, distill_doc, f"{path}.distill")
             return FamilyConfig(learner=learner, distill=distill)
 
         fam_a = family(FAMILY_A, _SEED_LEARNER_A, _SEED_DISTILL_A)
@@ -128,38 +189,35 @@ class PipelineConfig:
             raise DataError('pipeline config needs families["a"]')
         fam_b = family(FAMILY_B, _SEED_LEARNER_B, _SEED_DISTILL_B)
 
-        de_doc = doc.get("ensemble_opt")
+        de_doc = _section(doc, "ensemble_opt", None, nullable=True)
         de_cfg = None
         if de_doc is not None:
             de_doc = dict(de_doc)
             de_doc.setdefault("seed", seed + _SEED_DE)
-            de_cfg = DEConfig(**de_doc)
+            de_cfg = _build(DEConfig, de_doc, "ensemble_opt")
 
-        final = doc.get("final_distill", {})
-        final_learner_doc = final.get("learner", {"kind": "gbdt", "params": {}})
-        final_learner = LearnerSpec(
-            kind=final_learner_doc["kind"],
-            params=dict(final_learner_doc.get("params", {})),
-            seed=int(final_learner_doc.get("seed", seed + _SEED_FINAL)),
-        )
+        final = _section(doc, "final_distill", {})
+        final_learner = _learner(
+            {"learner": {"kind": "gbdt", "params": {}}, **final},
+            "final_distill.learner", seed + _SEED_FINAL)
 
-        data_path = data["path"]
+        data_path = _typed(str, data, "data.path")
         if base_dir is not None and not os.path.isabs(data_path):
             data_path = str(base_dir / data_path)
 
         return cls(
             data_path=data_path,
-            label_column=data["label_column"],
+            label_column=_typed(str, data, "data.label_column"),
             split=split,
-            remove_constants=bool(pre.get("remove_constant_columns", True)),
+            remove_constants=_typed(bool, pre, "preprocess.remove_constant_columns", True),
             transform=pre.get("transform"),
             family_a=fam_a,
             family_b=fam_b,
             ensemble_opt=de_cfg,
             final_learner=final_learner,
-            final_beta=float(final.get("beta", 0.7)),
-            final_threshold=float(final.get("threshold", 0.99)),
-            output_dir=doc.get("output_dir", "out"),
+            final_beta=_convert(float, final, "final_distill.beta", 0.7),
+            final_threshold=_convert(float, final, "final_distill.threshold", 0.99),
+            output_dir=_typed(str, doc, "output_dir", "out"),
             seed=seed,
         )
 
@@ -193,12 +251,18 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineConfig:
+    """Read a config file; ``overrides`` replace its top-level entries."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"config file not found: {path}")
-    return PipelineConfig.from_json_dict(json.loads(path.read_text()),
-                                         base_dir=path.parent)
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"config file {path} is not valid JSON: {exc}") from None
+    if overrides and isinstance(doc, dict):
+        doc = {**doc, **overrides}
+    return PipelineConfig.from_json_dict(doc, base_dir=path.parent)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:

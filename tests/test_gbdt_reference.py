@@ -2,14 +2,16 @@
 feature at every node, the way the original implementation did.
 
 Both must build bit-identical trees: the same features, thresholds, child
-links and leaf values, round after round, on data full of ties."""
+links and leaf values, round after round, on data full of ties. The search
+over candidate cuts is also checked node by node against the masked 2-D
+search it replaced, which evaluated a gain at every sorted position."""
 
 import numpy as np
 import pytest
 
 from tabdistill.learners import LearnerSpec, TrainingTarget, train
 from tabdistill.learners.base import resolve_weight_pairs
-from tabdistill.learners.gbdt import _sigmoid
+from tabdistill.learners.gbdt import _sigmoid, _TreeBuilder
 from tabdistill.tabular import Column, Dataset, FeatureEncoder, Schema
 
 
@@ -176,3 +178,198 @@ def test_fixed_depth_descent_matches_reference_predict():
         ref = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
         np.testing.assert_array_equal(tree.predict_value(probe),
                                       _reference_predict(ref, probe))
+
+
+def _reference_masked_split(xt, grad, hess, rows, block, l2, mcw):
+    """The masked 2-D search: a gain at every sorted position of every
+    feature, ties and blocked cuts set to -inf, then a per-feature max."""
+    g_total = grad[rows].sum()
+    h_total = hess[rows].sum()
+    parent = g_total * g_total / (h_total + l2)
+    sv = xt[np.arange(len(xt))[:, None], block]
+    blocked = sv[:, :-1] == sv[:, 1:]
+    gl = grad[block]
+    np.cumsum(gl, axis=1, out=gl)
+    gl = gl[:, :-1]
+    hl = hess[block]
+    np.cumsum(hl, axis=1, out=hl)
+    hl = hl[:, :-1]
+    blocked |= hl < mcw
+    hr = h_total - hl
+    blocked |= hr < mcw
+    right = g_total - gl
+    right *= right
+    hr += l2
+    right /= hr
+    hl += l2
+    gl *= gl
+    gl /= hl
+    gl += right
+    gl -= parent
+    gl *= 0.5
+    gains = gl
+    gains[blocked] = -np.inf
+    best = gains.max(axis=1)
+    best[~(best > 0.0)] = 0.0
+    f = int(np.argmax(best))
+    if best[f] == 0.0:
+        return None
+    cut = int(np.argmax(gains[f]))
+    return f, float(xt[f, block[f, cut + 1]])
+
+
+def _both_splits(xt, grad, hess, l2=1.0, mcw=1.0, rows=None):
+    """(candidate-cut split, masked reference split) of one node; ``rows``
+    picks the node's rows, whose sub-block keeps the presorted order."""
+    xt = np.asarray(xt, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    hess = np.asarray(hess, dtype=np.float64)
+    order = np.argsort(xt, axis=1, kind="stable")
+    rows = np.arange(xt.shape[1]) if rows is None else np.asarray(rows)
+    in_node = np.zeros(xt.shape[1], dtype=bool)
+    in_node[rows] = True
+    block = order[in_node[order]].reshape(len(xt), len(rows))
+    builder = _TreeBuilder(xt, order, grad, hess, 1, l2, mcw)
+    with np.errstate(all="ignore"):
+        return (builder._best_split(rows, block),
+                _reference_masked_split(xt, grad, hess, rows, block, l2, mcw))
+
+
+def test_tied_and_binary_columns():
+    rng = np.random.default_rng(7)
+    n = 40
+    binary = rng.integers(0, 2, n)
+    xt = [np.full(n, 3.0), binary, 1 - binary, rng.integers(0, 3, n), np.full(n, -1.0)]
+    grad = rng.standard_normal(n)
+    hess = rng.uniform(0.1, 1.0, n)
+    got, ref = _both_splits(xt, grad, hess, mcw=0.5)
+    assert ref is not None and got == ref
+
+
+def test_equal_gains_pick_lowest_feature_then_lowest_cut():
+    # rows with zero gradient and hessian leave every cut between them with
+    # the same gain, and the two columns are identical, so both rules matter
+    x = [0.0, 1.0, 2.0, 3.0, 4.0]
+    grad = [-2.0, 0.0, 0.0, 2.0, 2.0]
+    hess = [1.0, 0.0, 0.0, 1.0, 1.0]
+    got, ref = _both_splits([np.full(5, 9.0), x, x], grad, hess, mcw=0.0)
+    assert ref == (1, 1.0)
+    assert got == ref
+
+
+def test_node_without_candidate_cut_is_a_leaf():
+    xt = [[1.0, 1.0, 2.0, 2.0, 1.0], [0.0, 0.0, 5.0, 0.0, 0.0]]
+    grad = [1.0, -1.0, 3.0, 2.0, -4.0]
+    hess = np.full(5, 0.5)
+    got, ref = _both_splits(xt, grad, hess, mcw=0.0)
+    assert ref is not None and got == ref
+    # the node of rows 0, 1 and 4 has a single value in every column
+    assert _both_splits(xt, grad, hess, mcw=0.0, rows=[0, 1, 4]) == (None, None)
+    assert _both_splits([np.full(5, 1.0)], grad, hess, mcw=0.0) == (None, None)
+
+
+def test_min_child_weight_blocks_every_cut_of_one_feature():
+    # feature 0 isolates the one row with a large gradient, but that row's
+    # hessian is below the floor, so only feature 1 may split
+    n = 12
+    isolate = np.zeros(n)
+    isolate[5] = 1.0
+    other = np.arange(n) % 2
+    grad = np.where(np.arange(n) == 5, 10.0, np.where(other, 0.4, -0.4))
+    hess = np.where(np.arange(n) == 5, 0.1, 1.0)
+    got, ref = _both_splits([isolate, other], grad, hess, mcw=1.0)
+    assert ref == (1, 1.0)
+    assert got == ref
+    got_free, ref_free = _both_splits([isolate, other], grad, hess, mcw=0.05)
+    assert ref_free == (0, 1.0) and got_free == ref_free
+
+
+@pytest.mark.parametrize("nan_feature", [0, 1])
+def test_nan_gain_excludes_its_feature(nan_feature):
+    # in the NaN column the first sorted row has gradient 0 and hessian
+    # -l2, so its first cut computes 0/0; every other cut of that column
+    # has a larger gain than the other column's best
+    n = 8
+    grad = np.array([0.0, -3.0, -3.0, -3.0, 3.0, 3.0, 3.0, 0.5])
+    hess = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    strong = np.arange(n, dtype=np.float64)
+    weak = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+    xt = [strong, weak] if nan_feature == 0 else [weak, strong]
+    got, ref = _both_splits(xt, grad, hess, l2=1.0, mcw=-10.0)
+    assert ref is not None and ref[0] == 1 - nan_feature
+    assert got == ref
+
+
+@pytest.mark.parametrize("bad", [(np.inf,), (-np.inf,), (np.inf, -np.inf)])
+def test_infinite_gradients(bad):
+    rng = np.random.default_rng(11)
+    n = 20
+    grad = rng.standard_normal(n)
+    grad[[3, 11][:len(bad)]] = bad
+    xt = [rng.integers(0, 4, n), rng.standard_normal(n), np.arange(n) % 2]
+    for mcw in (0.0, 1.0):
+        got, ref = _both_splits(xt, grad, rng.uniform(0.1, 1.0, n), mcw=mcw)
+        assert got == ref
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_nodes_match_masked_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    levels = rng.integers(1, 6, 6)
+    xt = [rng.integers(0, k, n) for k in levels]
+    grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    hess = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6, 1)
+    l2 = float(rng.choice([0.0, 1e-9, 1.0]))
+    mcw = float(rng.choice([0.0, 1e-3, 0.5, 2.0]))
+    rows = np.flatnonzero(rng.random(n) < 0.7)
+    if len(rows) < 2:
+        rows = np.arange(n)
+    got, ref = _both_splits(xt, grad, hess, l2=l2, mcw=mcw, rows=rows)
+    assert got == ref
+
+
+def _mixed_dataset(n, seed):
+    """Six floats, an int, a bool and 40- and 12-level categoricals: most of
+    the encoded columns are one-hot levels with a single candidate cut."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 6))
+    visits = rng.integers(0, 100, n)
+    member = rng.random(n) < 0.3
+    city = rng.integers(0, 40, n)
+    channel = rng.integers(0, 12, n)
+    effect = np.random.default_rng(0).normal(0.0, 0.8, 52)
+    logit = (x[:, 0] + x[:, 1] * x[:, 2] - 0.5 * x[:, 3] ** 2 + 0.01 * (visits - 50)
+             + 0.5 * member + effect[city] + effect[40 + channel])
+    labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-1.5 * logit))).astype(np.int64)
+    columns = tuple(Column(f"x{j}", "float") for j in range(6)) + (
+        Column("visits", "int"), Column("member", "bool"),
+        Column("city", "categorical", tuple(f"city_{i:02d}" for i in range(40))),
+        Column("channel", "categorical", tuple("abcdefghijkl")),
+        Column("label", "int"))
+    return Dataset(Schema(columns, "label"),
+                   tuple(x.T) + (visits, member, city, channel),
+                   labels, np.arange(n, dtype=np.int64))
+
+
+def test_mixed_categorical_training_matches_reference():
+    ds = _mixed_dataset(1200, seed=8)
+    assert len(FeatureEncoder.fit(ds).output_names) > 55
+    spec = LearnerSpec("gbdt", {"rounds": 20, "max_depth": 3})
+    target = TrainingTarget.hard()
+    _assert_same_trees(train(spec, ds, target), _reference_train(spec, ds, target))
+
+
+def test_all_constant_features_give_single_leaf_trees():
+    n = 50
+    labels = (np.arange(n) % 3 == 0).astype(np.int64)
+    schema = Schema((Column("f", "float"), Column("i", "int"), Column("b", "bool"),
+                     Column("c", "categorical", ("only",)), Column("label", "int")),
+                    "label")
+    ds = Dataset(schema, (np.full(n, 2.5), np.full(n, 4), np.zeros(n, dtype=bool),
+                          np.zeros(n, dtype=np.int64)),
+                 labels, np.arange(n, dtype=np.int64))
+    spec = LearnerSpec("gbdt", {"rounds": 4, "max_depth": 3})
+    model = train(spec, ds, TrainingTarget.hard())
+    assert all(tree.feature.tolist() == [-1] for tree in model.trees)
+    _assert_same_trees(model, _reference_train(spec, ds, TrainingTarget.hard()))

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from tabdistill.cli import main as cli_main
-from tabdistill.ensemble import EnsembleModel, uniform_ensemble
+from tabdistill.distill import DistillConfig
+from tabdistill.ensemble import DEConfig, EnsembleModel, uniform_ensemble
+from tabdistill.errors import DataError
 from tabdistill.learners import TrainingTarget, gbdt_spec, load_model, mlp_spec, train
 from tabdistill.metrics import pearson
 from tabdistill.pipeline import (
     PipelineConfig,
     StageError,
     distill_to_deployment,
+    load_config,
     run_pipeline,
 )
 from tabdistill.tabular import SplitSpec, split_indices
@@ -352,3 +355,105 @@ class TestCli:
         assert cli_main(["evaluate", "--model", str(model_path), "--data",
                          str(path), "--label", "label"]) == 2
         assert "shape" in capsys.readouterr().err
+
+
+def _drop(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+def _put(value, *path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+class TestMalformedConfig:
+    """Every malformed pipeline config ends in exit code 2 with a one-line
+    message naming the offending entry, never a traceback."""
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: {"seed": 1}, "'data'"),
+        (_drop("data", "label_column"), "data.label_column"),
+        (_drop("data", "path"), "data.path"),
+        (_put(3, "data", "path"), "data.path"),
+        (_drop("families", "a", "learner", "kind"), "families.a.learner.kind"),
+        (_put({"kind": "gbdt", "params": [1]}, "families", "a", "learner"),
+         "families.a.learner.params"),
+        (_put({"kind": "mlp", "params": {"hidden_sizes": ["x"]}}, "families", "a",
+              "learner"), "families.a.learner"),
+        (_put({"generations": 1, "gens": 2}, "families", "a", "distill"), "gens"),
+        (_put({"generations": 1.5}, "families", "a", "distill"), "generations"),
+        (_put({"beta": "x"}, "families", "a", "distill"), "families.a.distill"),
+        (_put([1], "families", "a", "distill"), "families.a.distill"),
+        (_put({"max_iterations": 3, "iterations": 3}, "ensemble_opt"), "iterations"),
+        (_put({"max_iterations": 1.5}, "ensemble_opt"), "max_iterations"),
+        (_put({"population_size": "8"}, "ensemble_opt"), "population_size"),
+        (_put({"seed": -1}, "ensemble_opt"), "seed"),
+        (lambda doc: [doc], "JSON object"),
+        (_put("x", "split", "train_fraction"), "split.train_fraction"),
+        (_put(None, "split"), "'split'"),
+        (_put("x", "seed"), "'seed'"),
+        (_put(1.5, "seed"), "'seed'"),
+        (_put(-1, "seed"), "'seed'"),
+        (_put(-2, "split", "seed"), "split.seed"),
+        (_put(-3, "families", "a", "learner", "seed"), "families.a.learner.seed"),
+        (_put("false", "preprocess", "remove_constant_columns"),
+         "preprocess.remove_constant_columns"),
+        (_put(None, "final_distill", "learner"), "final_distill.learner"),
+        (_put([], "final_distill", "beta"), "final_distill.beta"),
+        (_put(7, "output_dir"), "output_dir"),
+    ])
+    def test_cli_names_the_bad_entry(self, tmp_path, capsys, edit, named):
+        doc = _minimal_config(tmp_path)
+        doc = edit(doc) or doc
+        path = _write_config(tmp_path, doc)
+        assert cli_main(["pipeline", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_top_level_list_with_overrides(self, tmp_path, capsys):
+        path = _write_config(tmp_path, [_minimal_config(tmp_path)])
+        assert cli_main(["pipeline", "--config", str(path), "--seed", "3",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_invalid_json_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1,')
+        assert cli_main(["pipeline", "--config", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_overrides_replace_top_level_entries(self, tmp_path):
+        doc = _minimal_config(tmp_path, seed=1)
+        path = _write_config(tmp_path, doc)
+        overridden = load_config(path, {"seed": 5, "output_dir": "elsewhere"})
+        expected = PipelineConfig.from_json_dict(
+            dict(doc, seed=5, output_dir="elsewhere"), base_dir=tmp_path)
+        assert overridden == expected
+        assert load_config(path) == PipelineConfig.from_json_dict(doc, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("make", [
+        lambda: DEConfig(max_iterations=1.5),
+        lambda: DEConfig(max_iterations=-1),
+        lambda: DEConfig(population_size=True),
+        lambda: DEConfig(population_size=2),
+        lambda: DEConfig(seed="1"),
+        lambda: DistillConfig(generations=2.0),
+        lambda: DistillConfig(generations=0),
+        lambda: DistillConfig(seed=-3),
+    ])
+    def test_integer_fields_are_checked_when_built(self, make):
+        with pytest.raises(DataError):
+            make()
+
+    def test_numpy_integers_are_accepted(self):
+        assert DEConfig(max_iterations=np.int64(3)).max_iterations == 3
+        assert DistillConfig(generations=np.int32(2)).generations == 2
