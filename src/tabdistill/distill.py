@@ -2,17 +2,18 @@
 drop rows the teacher confidently contradicts, and run multi-generation
 self-distillation with from-last or from-ensemble teachers.
 
-Per generation the loop scores the full training set with the current
-teacher, filters rows whose score-label gap reaches the threshold, blends
-teacher scores with the original labels into per-row weight pairs, and
-trains the next model on the result. Nothing aborts on a non-improving
-generation; the running ensemble is what carries the gains.
+Each generation model is scored once on test, and once on train when it
+becomes a teacher; its record keeps both rows. ``distill_step``, shared
+with deployment distillation, filters rows whose teacher-label gap reaches
+the threshold and blends teacher scores with the original labels into
+per-row weight pairs. Nothing aborts on a non-improving generation; the
+running ensemble is what carries the gains.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -74,6 +75,9 @@ class GenerationRecord:
     rows_dropped: int
     individual_auc: float
     ensemble_auc: float
+    # the model's test and (once it has taught) train predictions; the ledger omits them
+    test_preds: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    train_preds: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -122,6 +126,17 @@ def targets_to_sampled(target: TrainingTarget, seed: int) -> TrainingTarget:
     return TrainingTarget.from_sampled((u < prob).astype(np.int64))
 
 
+def _keep_mask(train_ds: Dataset, scores: np.ndarray, threshold: float) -> np.ndarray:
+    if not (0.0 < threshold <= 1.0):
+        raise DataError("threshold must lie in (0, 1]")
+    if scores.shape != (train_ds.n_rows,):
+        raise DataError("scores must align with rows")
+    keep = np.abs(scores - train_ds.labels.astype(np.float64)) < threshold
+    if not keep.any():
+        raise DataError(f"denoise threshold {threshold} dropped every row")
+    return keep
+
+
 def denoise(train_ds: Dataset, teacher_scores, threshold: float) -> tuple[Dataset, np.ndarray]:
     """Keep row i iff |f(x_i) - y_i| < threshold; returns the surviving
     dataset (row ids intact) and the dropped row ids.
@@ -129,17 +144,23 @@ def denoise(train_ds: Dataset, teacher_scores, threshold: float) -> tuple[Datase
     A threshold of 1 keeps every row. Raises when nothing survives so the
     caller can decide whether the threshold was too aggressive.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise DataError("threshold must lie in (0, 1]")
+    keep = _keep_mask(train_ds, np.asarray(teacher_scores, dtype=np.float64), threshold)
+    return train_ds.take(np.flatnonzero(keep)), train_ds.row_ids[~keep]
+
+
+def distill_step(train_ds: Dataset, teacher_scores, beta: float, threshold: float,
+                 target_mode: str = "row_weighted",
+                 sample_seed: int = 0) -> tuple[Dataset, TrainingTarget]:
+    """The rows a student trains on and their targets: denoise against the
+    labels, beta-mix the surviving scores into weight pairs, and under
+    ``label_sampled`` draw one label per row."""
     scores = np.asarray(teacher_scores, dtype=np.float64)
-    if scores.shape != (train_ds.n_rows,):
-        raise DataError("scores must align with rows")
-    gap = np.abs(scores - train_ds.labels.astype(np.float64))
-    keep = gap < threshold
-    if not keep.any():
-        raise DataError(f"denoise threshold {threshold} dropped every row")
-    dropped_ids = train_ds.row_ids[~keep]
-    return train_ds.take(np.flatnonzero(keep)), dropped_ids
+    keep = _keep_mask(train_ds, scores, threshold)
+    kept = train_ds.take(np.flatnonzero(keep))
+    target = make_targets(kept, scores[keep], beta)
+    if target_mode == "label_sampled":
+        target = targets_to_sampled(target, seed=sample_seed)
+    return kept, target
 
 
 def _append_original(distilled: Dataset, target: TrainingTarget,
@@ -167,63 +188,51 @@ def _append_original(distilled: Dataset, target: TrainingTarget,
     return combined, combined_target
 
 
-def _ensemble_scores(models: Sequence, rows: Dataset) -> np.ndarray:
-    preds = np.stack([m.predict(rows) for m in models])
-    return preds.mean(axis=0)
-
-
 def run_generations(spec: LearnerSpec, train_ds: Dataset, valid: Optional[Dataset],
-                    test: Dataset, cfg: DistillConfig,
+                    test: Dataset, cfg: Optional[DistillConfig],
                     ) -> tuple[list[GenerationRecord], list]:
     """Run the self-distillation chain: generation 0 trains on hard labels,
-    each later generation trains on denoised, beta-mixed teacher scores.
+    each later generation trains on denoised, beta-mixed teacher scores. A
+    ``cfg`` of None trains generation 0 only.
 
     Teacher scores come from the previous model (from_last) or the uniform
     average of all prior models (from_ensemble). Records carry per-
     generation individual and running-ensemble test AUC plus the denoise
     bookkeeping; record count is always generations + 1.
     """
+    generations = 0 if cfg is None else cfg.generations
+    seed = spec.seed + (0 if cfg is None else cfg.seed)
     records: list[GenerationRecord] = []
     models: list = []
-
-    def spec_for(gen: int) -> LearnerSpec:
-        return LearnerSpec(spec.kind, dict(spec.params), seed=spec.seed + cfg.seed + gen)
-
-    teacher_model = train(spec_for(0), train_ds, TrainingTarget.hard(), valid)
-    models.append(teacher_model)
-    test_preds = [teacher_model.predict(test)]
-    auc0 = float(roc_auc(test_preds[0], test.labels))
-    records.append(GenerationRecord(
-        index=0, teacher="hard_labels", rows_kept=train_ds.n_rows, rows_dropped=0,
-        individual_auc=auc0, ensemble_auc=auc0))
-
-    for gen in range(1, cfg.generations + 1):
-        if cfg.teacher_mode == "from_last":
-            teacher_desc = f"model_{gen - 1}"
-            scores = models[-1].predict(train_ds)
+    for gen in range(generations + 1):
+        if gen == 0:
+            teacher = "hard_labels"
+            kept, train_input, target = train_ds, train_ds, TrainingTarget.hard()
         else:
-            teacher_desc = f"ensemble_0..{gen - 1}"
-            scores = _ensemble_scores(models, train_ds)
+            # the previous model becomes a teacher: score it on train once
+            records[-1].train_preds = models[-1].predict(train_ds)
+            if cfg.teacher_mode == "from_last":
+                teacher, scores = f"model_{gen - 1}", records[-1].train_preds
+            else:
+                teacher = f"ensemble_0..{gen - 1}"
+                scores = np.mean([r.train_preds for r in records], axis=0)
+            kept, target = distill_step(train_ds, scores, cfg.beta, cfg.denoise_threshold,
+                                        cfg.target_mode, cfg.seed + gen)
+            train_input = kept
+            if cfg.include_original:
+                train_input, target = _append_original(kept, target, train_ds)
 
-        kept, dropped_ids = denoise(train_ds, scores, cfg.denoise_threshold)
-        kept_mask = np.isin(train_ds.row_ids, kept.row_ids)
-        target = make_targets(kept, scores[kept_mask], cfg.beta)
-        if cfg.target_mode == "label_sampled":
-            target = targets_to_sampled(target, seed=cfg.seed + gen)
-        train_input = kept
-        if cfg.include_original:
-            train_input, target = _append_original(kept, target, train_ds)
-
-        model = train(spec_for(gen), train_input, target, valid)
+        model = train(LearnerSpec(spec.kind, dict(spec.params), seed=seed + gen),
+                      train_input, target, valid)
         models.append(model)
-        test_preds.append(model.predict(test))
-        individual = float(roc_auc(test_preds[-1], test.labels))
-        running = float(roc_auc(np.mean(test_preds, axis=0), test.labels))
+        test_preds = model.predict(test)
+        individual = float(roc_auc(test_preds, test.labels))
+        running = individual if gen == 0 else float(roc_auc(
+            np.mean([r.test_preds for r in records] + [test_preds], axis=0), test.labels))
         records.append(GenerationRecord(
-            index=gen, teacher=teacher_desc, rows_kept=kept.n_rows,
-            rows_dropped=len(dropped_ids), individual_auc=individual,
-            ensemble_auc=running))
-
+            index=gen, teacher=teacher, rows_kept=kept.n_rows,
+            rows_dropped=train_ds.n_rows - kept.n_rows, individual_auc=individual,
+            ensemble_auc=running, test_preds=test_preds))
     return records, models
 
 

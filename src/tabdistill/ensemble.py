@@ -22,7 +22,7 @@ import numpy as np
 
 from tabdistill.errors import DataError, SerializationError, require_integer
 from tabdistill.learners import load_model
-from tabdistill.metrics import roc_auc
+from tabdistill.metrics import AUCLabels, roc_auc
 from tabdistill.tabular import Dataset
 
 ENSEMBLE_FORMAT = "tabdistill.ensemble/v1"
@@ -160,6 +160,9 @@ def _de_maximize(objective: Callable[[np.ndarray], float], n_dims: int,
 
 
 def _auc_objective(member_preds: np.ndarray, labels: np.ndarray) -> Callable:
+    """Validation AUC of a weight vector's blend; labels checked once."""
+    labels = AUCLabels(labels)
+
     def objective(weights: np.ndarray) -> float:
         if weights.sum() <= 0:
             return -np.inf

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from tabdistill.errors import DataError, VerificationError
+from tabdistill.metrics import PROB_EPS
 
-PROB_EPS = 1e-12
 _SIMPLEX_TOL = 1e-9
 
 

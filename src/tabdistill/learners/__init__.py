@@ -8,7 +8,6 @@ from tabdistill.learners.base import (
     gbdt_spec,
     load_model,
     mlp_spec,
-    predict,
     save_model,
     serialize_model,
     train,
@@ -25,7 +24,6 @@ __all__ = [
     "gbdt_spec",
     "load_model",
     "mlp_spec",
-    "predict",
     "save_model",
     "serialize_model",
     "train",

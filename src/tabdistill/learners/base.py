@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from tabdistill.errors import DataError, SerializationError, TrainingError
+from tabdistill.errors import DataError, SerializationError, TrainingError, require_integer
 from tabdistill.tabular import Dataset, FeatureEncoder
 
 MODEL_FORMAT = "tabdistill.model/v1"
@@ -32,6 +32,8 @@ MLP_DEFAULTS = {
     "momentum": 0.9,
 }
 
+INTEGER_PARAMS = ("rounds", "max_depth", "epochs", "batch_size", "patience")
+
 
 @dataclass(frozen=True)
 class LearnerSpec:
@@ -50,18 +52,17 @@ class LearnerSpec:
         if unknown:
             raise DataError(f"unknown {self.kind} hyperparameters: {sorted(unknown)}")
         merged = {**defaults, **self.params}
-        if self.kind == "mlp":
-            hidden = tuple(int(h) for h in merged["hidden_sizes"])
-            if not hidden:
-                raise DataError("mlp hidden_sizes must be non-empty")
-            merged["hidden_sizes"] = hidden
         for name, value in merged.items():
-            if name in ("hidden_sizes", "batch_norm"):
-                continue
-            if not (isinstance(value, (int, float)) and value > 0):
+            if name in INTEGER_PARAMS:
+                merged[name] = require_integer(value, f"hyperparameter {name!r}", low=1)
+            elif name == "hidden_sizes":
+                merged[name] = tuple(require_integer(h, "mlp hidden size", low=1)
+                                     for h in value)
+                if not merged[name]:
+                    raise DataError("mlp hidden_sizes must be non-empty")
+            elif name != "batch_norm" and not (
+                    isinstance(value, (int, float)) and value > 0):
                 raise DataError(f"hyperparameter {name!r} must be strictly positive")
-        if self.kind == "mlp" and any(h <= 0 for h in merged["hidden_sizes"]):
-            raise DataError("mlp hidden sizes must be strictly positive")
         object.__setattr__(self, "params", merged)
 
     def __getitem__(self, name: str):
@@ -202,11 +203,6 @@ def train(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,
     if spec.kind == "gbdt":
         return train_gbdt(spec, train_ds, target)
     return train_mlp(spec, train_ds, target, valid)
-
-
-def predict(model, rows) -> np.ndarray:
-    """Probabilities of the positive class, one per row."""
-    return model.predict(rows)
 
 
 def serialize_model(model) -> dict:

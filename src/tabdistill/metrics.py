@@ -3,7 +3,8 @@ and train-vs-test overfit probes. All kernels are pure functions.
 
 The ROC AUC is a rank sum over a single sort of the scores, exact under
 ties, and rejects non-finite scores with DataError; ``evaluate`` inherits
-that check."""
+that check. Its label step, ``AUCLabels``, checks and counts the labels;
+the ensemble weight search runs it once and scores every blend against it."""
 
 from __future__ import annotations
 
@@ -29,37 +30,51 @@ class EvalReport:
                 "accuracy": self.accuracy, "n_pos": self.n_pos, "n_neg": self.n_neg}
 
 
+class AUCLabels:
+    """The label step of ``roc_auc``: 0/1 labels, checked, with their positive
+    mask and class counts. ``np.asarray`` turns it back into the labels."""
+
+    def __init__(self, labels):
+        self.labels = np.asarray(labels)
+        self.pos = self.labels == 1
+        self.n_pos = np.count_nonzero(self.pos)
+        self.n_neg = np.count_nonzero(self.labels == 0)
+        if self.n_pos == 0 or self.n_neg == 0:
+            raise DataError("ROC AUC needs both classes present")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.labels, dtype=dtype, copy=copy)
+
+
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative, with
-    ties counting one half. Rank-sum formulation; exactly equal to pair
-    counting.
+    ties counting one half; exactly equal to pair counting. ``labels`` may
+    be an ``AUCLabels``, built once by a caller that scores many vectors.
 
-    One sort finds the groups of tied scores; the positives' rank sum is each
-    group's mid-rank times its count of positives. Mid-ranks are
+    One sort ranks the scores. Without ties, sorted position i has rank
+    i + 1 and the positives' rank sum is an exact integer. Otherwise each
+    tie group adds its mid-rank times its count of positives; mid-ranks are
     half-integers, so that sum is exact whatever the sort kind or the order
     within a group. Non-finite scores raise DataError."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape:
+    if scores.shape != np.shape(labels):
         raise DataError("scores and labels must have equal length")
-    pos = labels == 1
-    n_pos = np.count_nonzero(pos)
-    n_neg = np.count_nonzero(labels == 0)
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("ROC AUC needs both classes present")
+    if not isinstance(labels, AUCLabels):
+        labels = AUCLabels(labels)
+    pos, n_pos, n_neg = labels.pos, labels.n_pos, labels.n_neg
     if not np.isfinite(scores).all():
         raise DataError("ROC AUC needs finite scores")
     order = np.argsort(scores)
     sorted_scores = scores[order]
-    n = len(scores)
     # edges of the tie groups in sorted order: group k spans edges[k]..edges[k+1]
-    boundary = np.empty(n + 1, dtype=bool)
-    boundary[0] = boundary[n] = True
-    boundary[1:n] = sorted_scores[1:] != sorted_scores[:-1]
-    edges = np.flatnonzero(boundary)
-    group_rank = (edges[:-1] + edges[1:] + 1) / 2.0  # mean of ranks start+1 .. end
-    pos_per_group = np.add.reduceat(pos[order], edges[:-1], dtype=np.int64)
-    rank_sum_pos = group_rank @ pos_per_group
+    boundary = np.ones(len(scores) + 1, dtype=bool)
+    np.not_equal(sorted_scores[1:], sorted_scores[:-1], out=boundary[1:-1])
+    if boundary.all():
+        rank_sum_pos = np.flatnonzero(pos[order]).sum() + n_pos
+    else:
+        edges = np.flatnonzero(boundary)
+        group_rank = (edges[:-1] + edges[1:] + 1) / 2.0  # mean of ranks start+1 .. end
+        rank_sum_pos = group_rank @ np.add.reduceat(pos[order], edges[:-1], dtype=np.int64)
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

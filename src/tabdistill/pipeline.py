@@ -3,6 +3,11 @@ preprocess, split, per-family self-distillation, cross-family ensembling
 with weight optimization, and final distillation of the optimized ensemble
 into one deployment model.
 
+Each member model is predicted once per split: its family's chain scores
+it on test, and on train when it teaches; the pipeline adds the last
+model's train row and every member's validation row. The report and the
+deployment teacher read those rows.
+
 The test split is touched only for final reporting; every selection
 decision (early stopping, ensemble weights, best-single) uses the
 validation split. Reruns with the same config and data produce
@@ -22,24 +27,17 @@ from typing import Optional
 import numpy as np
 
 from tabdistill import __version__
-from tabdistill.distill import (
-    DistillConfig,
-    GenerationRecord,
-    denoise,
-    make_targets,
-    run_generations,
-    targets_to_sampled,
-    write_ledger_csv,
-)
+from tabdistill.distill import DistillConfig, distill_step, run_generations, write_ledger_csv
 from tabdistill.ensemble import (
     DEConfig,
     EnsembleModel,
+    blend,
     combine_families,
     save_ensemble,
     uniform_ensemble,
 )
 from tabdistill.errors import DataError, TabDistillError, require_integer
-from tabdistill.learners import LearnerSpec, TrainingTarget, save_model, train
+from tabdistill.learners import LearnerSpec, save_model, train
 from tabdistill.metrics import evaluate, roc_auc
 from tabdistill.tabular import (
     Dataset,
@@ -124,10 +122,11 @@ def _build(cls, doc: dict, path: str):
 def _learner(doc: dict, path: str, default_seed: int) -> LearnerSpec:
     section = _section(doc, path)
     params = _section(section, f"{path}.params", {})
+    kind = _entry(section, f"{path}.kind")
+    seed = _seed(section, f"{path}.seed", default_seed)
     try:
-        return LearnerSpec(kind=_entry(section, f"{path}.kind"), params=dict(params),
-                           seed=_seed(section, f"{path}.seed", default_seed))
-    except (TypeError, ValueError) as exc:
+        return LearnerSpec(kind=kind, params=dict(params), seed=seed)
+    except (TypeError, ValueError, DataError) as exc:
         raise DataError(f"pipeline config {path!r}: {exc}") from None
 
 
@@ -271,30 +270,21 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def distill_to_deployment(ens: EnsembleModel, train_ds: Dataset,
+def distill_to_deployment(ens, train_ds: Dataset,
                           target_spec: LearnerSpec, beta: float, threshold: float,
                           valid: Optional[Dataset] = None,
                           target_mode: str = "row_weighted", sample_seed: int = 0):
     """Compress an ensemble into a single model: score the training split
     with the ensemble, denoise against the original labels, beta-mix the
     scores into weight pairs, and train the deployment learner on them.
+    ``ens`` may also be the ensemble's scores on ``train_ds``.
 
     The returned model stands alone; none of the ensemble members are
     needed to use or persist it.
     """
-    scores = ens.predict(train_ds)
-    kept, _ = denoise(train_ds, scores, threshold)
-    kept_mask = np.isin(train_ds.row_ids, kept.row_ids)
-    target = make_targets(kept, scores[kept_mask], beta)
-    if target_mode == "label_sampled":
-        target = targets_to_sampled(target, seed=sample_seed)
+    scores = ens if isinstance(ens, np.ndarray) else ens.predict(train_ds)
+    kept, target = distill_step(train_ds, scores, beta, threshold, target_mode, sample_seed)
     return train(target_spec, kept, target, valid)
-
-
-def _teacher_only_records(model, test: Dataset, n_train: int) -> list[GenerationRecord]:
-    auc = float(roc_auc(model.predict(test), test.labels))
-    return [GenerationRecord(index=0, teacher="hard_labels", rows_kept=n_train,
-                             rows_dropped=0, individual_auc=auc, ensemble_auc=auc)]
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -309,9 +299,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         ds = ingest_csv(cfg.data_path, cfg.label_column)
 
         stage = "preprocess"
-        removed: list[str] = []
         if cfg.remove_constants:
-            ds, removed = remove_constant_columns(ds)
+            ds, _ = remove_constant_columns(ds)
         train_idx, valid_idx, test_idx = split_indices(ds.n_rows, cfg.split)
         if cfg.transform is not None:
             fit_ids = ds.row_ids[train_idx]
@@ -323,23 +312,22 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         test_ds = ds.take(test_idx)
 
         families: dict[str, dict] = {}
-        all_members: dict[str, list] = {}
+        all_members: dict[str, list] = {FAMILY_A: [], FAMILY_B: []}
+        member_refs = []  # (family tag, generation, file)
+        train_preds: list[np.ndarray] = []
+        test_preds: list[np.ndarray] = []
         for tag, fam in ((FAMILY_A, cfg.family_a), (FAMILY_B, cfg.family_b)):
             if fam is None:
                 continue
             stage = f"distill/{tag}"
-            if fam.distill is None:
-                model = train(fam.learner, train_ds, TrainingTarget.hard(), valid_ds)
-                records = _teacher_only_records(model, test_ds, train_ds.n_rows)
-                models = [model]
-            else:
-                records, models = run_generations(fam.learner, train_ds, valid_ds,
-                                                  test_ds, fam.distill)
+            records, models = run_generations(fam.learner, train_ds, valid_ds,
+                                              test_ds, fam.distill)
             model_files = []
             for gen, model in enumerate(models):
                 name = f"{tag}_gen{gen}.json"
                 save_model(model, models_dir / name)
                 model_files.append(f"models/{name}")
+                member_refs.append((tag, gen, model_files[-1]))
             write_ledger_csv(records, run_dir / f"ledger_{tag}.csv")
             families[tag] = {
                 "kind": fam.learner.kind,
@@ -347,26 +335,22 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 "model_files": model_files,
             }
             all_members[tag] = models
+            # the chain scores a model on train only once it has taught
+            train_preds += [r.train_preds for r in records[:-1]]
+            train_preds.append(models[-1].predict(train_ds))
+            test_preds += [r.test_preds for r in records]
 
         stage = "ensemble"
-        member_models = []
-        member_refs = []  # (family tag, generation, file)
-        for tag in (FAMILY_A, FAMILY_B):
-            if tag in all_members:
-                for gen, model in enumerate(all_members[tag]):
-                    member_models.append(model)
-                    member_refs.append((tag, gen, families[tag]["model_files"][gen]))
-
-        if cfg.ensemble_opt is not None and len(member_models) > 1:
-            fam_a_models = all_members.get(FAMILY_A, [])
-            fam_b_models = all_members.get(FAMILY_B, [])
-            optimized, audit = combine_families(fam_a_models, fam_b_models,
+        members = all_members[FAMILY_A] + all_members[FAMILY_B]
+        if cfg.ensemble_opt is not None and len(members) > 1:
+            optimized, audit = combine_families(all_members[FAMILY_A], all_members[FAMILY_B],
                                                 valid_ds, cfg.ensemble_opt)
         else:
-            optimized = uniform_ensemble(member_models)
-            member_aucs = [float(roc_auc(m.predict(valid_ds), valid_ds.labels))
-                           for m in member_models]
-            uniform_auc = float(roc_auc(optimized.predict(valid_ds), valid_ds.labels))
+            optimized = uniform_ensemble(members)
+            valid_preds = np.stack([m.predict(valid_ds) for m in members])
+            member_aucs = [float(roc_auc(p, valid_ds.labels)) for p in valid_preds]
+            uniform_auc = float(roc_auc(blend(valid_preds, optimized.weights),
+                                        valid_ds.labels))
             audit = {"pre_prune_weights": optimized.weights.tolist(),
                      "final_weights": optimized.weights.tolist(),
                      "prune_rounds": 0, "validation_auc": uniform_auc,
@@ -377,13 +361,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
         stage = "final_distill"
         final_model = distill_to_deployment(
-            optimized, train_ds, cfg.final_learner, cfg.final_beta,
-            cfg.final_threshold, valid_ds)
+            blend(np.stack(train_preds), optimized.weights), train_ds, cfg.final_learner,
+            cfg.final_beta, cfg.final_threshold, valid_ds)
         save_model(final_model, models_dir / "final.json")
 
         stage = "report"
         report = _build_report(cfg, families, member_refs, audit, optimized,
-                               all_members, final_model, valid_ds, test_ds)
+                               np.stack(test_preds), final_model, test_ds)
         _atomic_write_text(run_dir / "report.json",
                            json.dumps(report, indent=2, sort_keys=True))
         return report
@@ -404,8 +388,8 @@ def _write_weights_audit(path: Path, member_refs, audit: dict) -> None:
 
 
 def _build_report(cfg: PipelineConfig, families: dict, member_refs, audit: dict,
-                  optimized: EnsembleModel, all_members: dict, final_model,
-                  valid_ds: Dataset, test_ds: Dataset) -> dict:
+                  optimized: EnsembleModel, test_preds: np.ndarray, final_model,
+                  test_ds: Dataset) -> dict:
     # baseline teacher: generation 0 of the deployment-target family when it
     # exists, otherwise family a's teacher
     baseline_tag = FAMILY_A
@@ -413,29 +397,23 @@ def _build_report(cfg: PipelineConfig, families: dict, member_refs, audit: dict,
         if fam is not None and fam.learner.kind == cfg.final_learner.kind:
             baseline_tag = tag
             break
-    teacher_model = all_members[baseline_tag][0]
+    teacher = [ref[0] for ref in member_refs].index(baseline_tag)
 
-    # best single model is selected on validation, reported on test
-    best_ref, best_model, best_val = None, None, -np.inf
-    for (tag, gen, file), model in zip(member_refs,
-                                       [m for tag in (FAMILY_A, FAMILY_B)
-                                        for m in all_members.get(tag, [])]):
-        val_auc = float(roc_auc(model.predict(valid_ds), valid_ds.labels))
-        if val_auc > best_val:
-            best_ref, best_model, best_val = (tag, gen, file), model, val_auc
+    # best single model is selected on validation (the first of equal
+    # AUCs), reported on test
+    best = int(np.argmax(audit["member_aucs"]))
 
-    uniform = uniform_ensemble(optimized.members)
-
-    def report_on_test(model) -> dict:
-        return evaluate(model.predict(test_ds), test_ds.labels).as_dict()
+    def report_on_test(preds) -> dict:
+        return evaluate(preds, test_ds.labels).as_dict()
 
     metrics = {
-        "teacher": {"family": baseline_tag, **report_on_test(teacher_model)},
-        "best_single": {"family": best_ref[0], "generation": best_ref[1],
-                        "validation_auc": best_val, **report_on_test(best_model)},
-        "uniform_ensemble": report_on_test(uniform),
-        "optimized_ensemble": report_on_test(optimized),
-        "final_model": report_on_test(final_model),
+        "teacher": {"family": baseline_tag, **report_on_test(test_preds[teacher])},
+        "best_single": {"family": member_refs[best][0], "generation": member_refs[best][1],
+                        "validation_auc": audit["member_aucs"][best],
+                        **report_on_test(test_preds[best])},
+        "uniform_ensemble": report_on_test(blend(test_preds, np.ones(len(test_preds)))),
+        "optimized_ensemble": report_on_test(blend(test_preds, optimized.weights)),
+        "final_model": report_on_test(final_model.predict(test_ds)),
     }
     metrics["gain_over_teacher"] = (
         metrics["final_model"]["auc"] - metrics["teacher"]["auc"])

@@ -16,6 +16,7 @@ from tabdistill.kdcore import (
     verify_gradient_unbiasedness,
     weighted_loss,
 )
+from tabdistill.metrics import PROB_EPS
 
 LOSS_IDENTITY_RTOL = 1e-9
 
@@ -41,7 +42,7 @@ def _resampled_loss_stats(inst: KDInstance, resamples: int,
     qp = mixed_targets(inst)
     cdf = np.cumsum(qp, axis=1)
     cdf[:, -1] = 1.0
-    logp = np.log(np.clip(inst.student, 1e-12, 1.0 - 1e-12))
+    logp = np.log(np.clip(inst.student, PROB_EPS, 1.0 - PROB_EPS))
     u = rng.random((inst.n, resamples))
     z = (u[:, :, None] > cdf[:, None, :]).sum(axis=2)  # (n, resamples), 0-based
     losses = -np.take_along_axis(logp, z, axis=1).sum(axis=0)  # (resamples,)

@@ -11,7 +11,8 @@ import pytest
 
 import tabdistill.ensemble as ensemble
 from tabdistill.ensemble import DEConfig, _auc_objective, _de_maximize, blend
-from tabdistill.metrics import roc_auc
+from tabdistill.errors import DataError
+from tabdistill.metrics import AUCLabels, roc_auc
 
 from helpers import dataset_from_arrays
 
@@ -175,3 +176,70 @@ def test_optimize_weights_matches_reference(monkeypatch, m, population_size,
     if prune_epsilon:
         # the pruned reruns must be exercised, or this case tests nothing new
         assert audit["prune_rounds"] > 0
+
+
+def _continuous_members(m, n, seed):
+    """Labels and m member prediction vectors of distinct continuous values,
+    so that blends do not tie and roc_auc takes its untied path."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, n)
+    labels[:2] = (0, 1)
+    return rng.random((m, n)) * 0.5 + 0.5 * labels, labels
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 40, 1200])
+def test_auc_paths_match_mergesort_reference(ties, n):
+    """Both rank-sum paths of roc_auc, through roc_auc and through the
+    label-bound DE objective, against the mergesort reference bit for bit."""
+    make = _gbdt_like_members if ties else _continuous_members
+    member_preds, labels = make(4, n, seed=n)
+    if ties:  # a few levels per member, and always one repeated score
+        member_preds[:, 1] = member_preds[:, 0]
+    objective = _auc_objective(member_preds, labels)
+    rng = np.random.default_rng(n + 1)
+    for _ in range(25):
+        weights = rng.random(4) + 0.01
+        scores = blend(member_preds, weights)
+        assert (len(np.unique(scores)) < n) == ties  # the path under test runs
+        expected = _bits(_reference_roc_auc(scores, labels))
+        assert _bits(roc_auc(scores, labels)) == expected
+        assert _bits(roc_auc(scores, AUCLabels(labels))) == expected
+        assert _bits(objective(weights)) == expected
+
+
+def test_bound_labels_stand_in_for_the_label_array():
+    labels = np.array([0, 1, 1, 0, 1])
+    bound = AUCLabels(labels)
+    assert np.asarray(bound) is bound.labels
+    assert np.array_equal(np.asarray(bound, dtype=np.float64), labels.astype(np.float64))
+    assert np.array(bound) is not bound.labels
+    with pytest.raises(DataError, match="equal length"):
+        roc_auc(np.ones(4), bound)
+    with pytest.raises(DataError, match="both classes"):
+        AUCLabels(np.ones(5))
+
+
+@pytest.mark.parametrize("make", [_gbdt_like_members, _continuous_members])
+@pytest.mark.parametrize("m", [5, 7, 9, 12])
+@pytest.mark.parametrize("population_size", [0, 8])
+@pytest.mark.parametrize("prune_epsilon", [0.0, 0.05])
+def test_optimize_weights_matches_reference_objective(monkeypatch, make, m,
+                                                      population_size, prune_epsilon):
+    """The whole weight search against the reference DE loop, objective
+    and AUC, on tied (GBDT-like) and untied (MLP-like) members."""
+    member_preds, labels = make(m, 400, seed=20 + m)
+    valid = dataset_from_arrays({"a": np.zeros(len(labels))}, labels)
+    ens = ensemble.uniform_ensemble([_FixedModel(p) for p in member_preds])
+    cfg = DEConfig(population_size=population_size, max_iterations=5,
+                   prune_epsilon=prune_epsilon, seed=m)
+
+    optimized, audit = ensemble.optimize_weights_detailed(ens, valid, cfg)
+    monkeypatch.setattr(ensemble, "_de_maximize", _reference_de_maximize)
+    monkeypatch.setattr(ensemble, "_auc_objective", _reference_objective)
+    monkeypatch.setattr(ensemble, "roc_auc", _reference_roc_auc)
+    ref_optimized, ref_audit = ensemble.optimize_weights_detailed(ens, valid, cfg)
+
+    assert _bits(optimized.weights) == _bits(ref_optimized.weights)
+    assert audit == ref_audit
+    assert _bits(audit["validation_auc"]) == _bits(ref_audit["validation_auc"])

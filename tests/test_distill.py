@@ -210,6 +210,32 @@ class TestRunGenerations:
         records, models = run_generations(gbdt_spec(rounds=3), ds, None, test, cfg)
         assert len(models) == 2  # smoke: the doubled dataset trains fine
 
+    @pytest.mark.parametrize("teacher_mode", ["from_last", "from_ensemble"])
+    def test_records_keep_each_models_predictions(self, teacher_mode):
+        ds = noisy_nonlinear_dataset(200, seed=18)
+        test = noisy_nonlinear_dataset(80, seed=19)
+        cfg = DistillConfig(generations=2, teacher_mode=teacher_mode, seed=7)
+        records, models = run_generations(gbdt_spec(rounds=3), ds, None, test, cfg)
+        for rec, model in zip(records, models):
+            np.testing.assert_array_equal(rec.test_preds, model.predict(test))
+        # every model but the last taught a generation, so only those were
+        # scored on train
+        for rec, model in zip(records[:-1], models):
+            np.testing.assert_array_equal(rec.train_preds, model.predict(ds))
+        assert records[-1].train_preds is None
+        assert set(records[0].as_dict()) == {"gen", "teacher", "rows_kept", "rows_dropped",
+                                             "individual_auc", "ensemble_auc"}
+
+    def test_no_config_trains_the_teacher_only(self):
+        ds = separable_dataset(150, seed=20)
+        test = separable_dataset(60, seed=21)
+        records, models = run_generations(gbdt_spec(rounds=3, seed=9), ds, None, test, None)
+        assert len(models) == 1 and models[0].spec.seed == 9
+        assert records[0].as_dict() == {
+            "gen": 0, "teacher": "hard_labels", "rows_kept": ds.n_rows, "rows_dropped": 0,
+            "individual_auc": records[0].individual_auc,
+            "ensemble_auc": records[0].individual_auc}
+
     def test_ledger_csv_layout(self, tmp_path):
         ds = separable_dataset(200, seed=16)
         test = separable_dataset(80, seed=17)

@@ -50,6 +50,46 @@ class TestSpecValidation:
         assert spec["patience"] == 10
 
 
+class TestIntegerHyperparameters:
+    """Integer hyperparameters are checked when the spec is built, so a
+    model never trains with values other than the ones its spec echoes."""
+
+    @pytest.mark.parametrize("kind, name", [
+        ("gbdt", "rounds"), ("gbdt", "max_depth"), ("mlp", "epochs"),
+        ("mlp", "batch_size"), ("mlp", "patience")])
+    @pytest.mark.parametrize("value", [2.5, 1.9, 3.0, True, "3", None, 0, -2])
+    def test_non_integer_is_data_error(self, kind, name, value):
+        with pytest.raises(DataError, match=name):
+            LearnerSpec(kind, {name: value})
+
+    @pytest.mark.parametrize("sizes", [(8, 2.5), (1.9,), (4.0,), (8, 0), (True,), ("8",)])
+    def test_non_integer_hidden_size_is_data_error(self, sizes):
+        with pytest.raises(DataError, match="hidden size"):
+            mlp_spec(hidden_sizes=sizes)
+
+    def test_integer_spec_echo_is_unchanged(self):
+        spec = LearnerSpec("gbdt", {"rounds": 2, "max_depth": 1}, seed=4)
+        assert json.dumps(spec.to_json_dict(), sort_keys=True) == (
+            '{"kind": "gbdt", "params": {"l2_leaf_penalty": 1.0, "learning_rate": 0.3, '
+            '"max_depth": 1, "min_child_weight": 1.0, "rounds": 2}, "seed": 4}')
+        spec = mlp_spec(hidden_sizes=[8, 4], epochs=3, batch_size=16, patience=2)
+        assert spec.to_json_dict()["params"] == {
+            "hidden_sizes": [8, 4], "epochs": 3, "batch_size": 16, "learning_rate": 0.01,
+            "patience": 2, "batch_norm": False, "momentum": 0.9}
+
+    def test_numpy_integers_become_ints(self):
+        spec = mlp_spec(hidden_sizes=np.array([8, 4]), epochs=np.int64(3))
+        assert spec["hidden_sizes"] == (8, 4) and spec["epochs"] == 3
+        assert type(spec["epochs"]) is int
+        assert all(type(h) is int for h in spec["hidden_sizes"])
+
+    def test_trained_model_matches_its_spec(self):
+        model = train(gbdt_spec(rounds=2, max_depth=1), separable_dataset(60, seed=1),
+                      TrainingTarget.hard())
+        assert len(model.trees) == 2
+        assert all(len(tree.feature) <= 3 for tree in model.trees)
+
+
 class TestTrainingTargets:
     def test_weight_pair_validation(self):
         with pytest.raises(DataError):

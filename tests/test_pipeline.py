@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,16 @@ from tabdistill.cli import main as cli_main
 from tabdistill.distill import DistillConfig
 from tabdistill.ensemble import DEConfig, EnsembleModel, uniform_ensemble
 from tabdistill.errors import DataError
-from tabdistill.learners import TrainingTarget, gbdt_spec, load_model, mlp_spec, train
+from tabdistill.learners import (
+    GBDTModel,
+    MLPModel,
+    TrainingTarget,
+    gbdt_spec,
+    load_model,
+    mlp_spec,
+    serialize_model,
+    train,
+)
 from tabdistill.metrics import pearson
 from tabdistill.pipeline import (
     PipelineConfig,
@@ -163,6 +173,45 @@ class TestFullPipeline:
             run_pipeline(cfg)
 
 
+class TestPredictOnce:
+    """run_pipeline predicts each model at most once on each split; every
+    later consumer reads the stored predictions."""
+
+    @pytest.mark.parametrize("teacher_mode", ["from_last", "from_ensemble"])
+    @pytest.mark.parametrize("ensemble_opt", [None, {"max_iterations": 3}])
+    @pytest.mark.parametrize("final_kind", ["gbdt", "mlp"])
+    def test_each_model_scores_each_split_once(self, tmp_path, monkeypatch,
+                                               teacher_mode, ensemble_opt, final_kind):
+        ds = noisy_nonlinear_dataset(300, seed=13)
+        write_dataset_csv(ds, tmp_path / "data.csv")
+        doc = _minimal_config(tmp_path, rounds=3)
+        doc["families"]["a"]["distill"] = {"generations": 2, "teacher_mode": teacher_mode}
+        # family b trains its teacher only
+        doc["families"]["b"] = {"learner": {"kind": "mlp",
+                                            "params": {"epochs": 3, "hidden_sizes": [4]}},
+                                "distill": None}
+        doc["ensemble_opt"] = ensemble_opt
+        doc["final_distill"] = {"learner": {"kind": final_kind, "params": {}},
+                                "beta": 0.7, "threshold": 0.95}
+        if final_kind == "mlp":
+            doc["final_distill"]["learner"]["params"] = {"epochs": 2, "hidden_sizes": [4]}
+
+        calls, alive = Counter(), []
+        for cls in (GBDTModel, MLPModel):
+            def counted(model, rows, _predict=cls.predict):
+                alive.append((model, rows))  # keeps every counted id unique
+                calls[(id(model), id(rows))] += 1
+                return _predict(model, rows)
+            monkeypatch.setattr(cls, "predict", counted)
+
+        report = run_pipeline(PipelineConfig.from_json_dict(doc, base_dir=tmp_path))
+        members = len(report["ensemble"]["member_files"])
+        assert members == 4
+        assert max(calls.values()) == 1
+        # every member on train, valid and test, and the final model on test
+        assert len(calls) == 3 * members + 1
+
+
 class TestDeploymentDistillation:
     def test_beta_zero_is_plain_retraining(self):
         ds = separable_dataset(300, seed=7)
@@ -172,6 +221,18 @@ class TestDeploymentDistillation:
         student = distill_to_deployment(ens, ds, spec, beta=0.0, threshold=1.0)
         probe = separable_dataset(100, seed=8)
         np.testing.assert_array_equal(teacher.predict(probe), student.predict(probe))
+
+    @pytest.mark.parametrize("target_mode", ["row_weighted", "label_sampled"])
+    def test_teacher_scores_stand_in_for_the_ensemble(self, target_mode):
+        ds = noisy_nonlinear_dataset(300, seed=13)
+        gb = train(gbdt_spec(rounds=4), ds, TrainingTarget.hard())
+        nn = train(mlp_spec(epochs=3, hidden_sizes=(4,)), ds, TrainingTarget.hard())
+        ens = EnsembleModel([gb, nn], [0.3, 0.7])
+        spec = gbdt_spec(rounds=4, seed=5)
+        args = (spec, 0.7, 0.9, None, target_mode, 11)
+        from_ens = distill_to_deployment(ens, ds, *args)
+        from_scores = distill_to_deployment(ens.predict(ds), ds, *args)
+        assert serialize_model(from_ens) == serialize_model(from_scores)
 
     def test_near_self_distillation_tracks_teacher(self):
         ds = noisy_nonlinear_dataset(2000, seed=9)
@@ -439,6 +500,28 @@ class TestMalformedConfig:
             dict(doc, seed=5, output_dir="elsewhere"), base_dir=tmp_path)
         assert overridden == expected
         assert load_config(path) == PipelineConfig.from_json_dict(doc, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("params", [
+        {"rounds": 2.5, "max_depth": 1.9}, {"rounds": 2.0}, {"max_depth": "3"},
+        {"rounds": True}])
+    def test_non_integer_learner_params_exit_2(self, tmp_path, capsys, params):
+        doc = _minimal_config(tmp_path)
+        doc["families"]["a"]["learner"]["params"] = params
+        path = _write_config(tmp_path, doc)
+        assert cli_main(["pipeline", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "families.a.learner" in err
+        assert "must be an integer" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integer_cli_learner_params_exit_2(self, tmp_path, capsys):
+        ds = noisy_nonlinear_dataset(60, seed=1)
+        write_dataset_csv(ds, tmp_path / "data.csv")
+        assert cli_main(["train", "--data", str(tmp_path / "data.csv"), "--label", "label",
+                         "--kind", "mlp", "--params", '{"hidden_sizes": [4.5]}',
+                         "--out", str(tmp_path / "m.json")]) == 2
+        assert "hidden size" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("make", [
         lambda: DEConfig(max_iterations=1.5),
