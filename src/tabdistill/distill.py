@@ -44,8 +44,9 @@ class DistillConfig:
             raise DataError("beta must lie in [0, 1]")
         if not (0.0 < self.denoise_threshold <= 1.0):
             raise DataError("denoise_threshold must lie in (0, 1]")
-        require_integer(self.generations, "generations", 1)
-        require_integer(self.seed, "seed")
+        # stored as int, so a config built from numpy integers serializes
+        for name, low in (("generations", 1), ("seed", 0)):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name, low))
         if self.teacher_mode not in ("from_last", "from_ensemble"):
             raise DataError(f"unknown teacher_mode {self.teacher_mode!r}")
         if self.target_mode not in ("row_weighted", "label_sampled"):

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from tabdistill.errors import DataError, SerializationError, require_integer
-from tabdistill.learners import load_model
+from tabdistill.learners import load_model, score_models
 from tabdistill.metrics import AUCLabels, roc_auc
 from tabdistill.tabular import Dataset
 
@@ -41,7 +41,8 @@ class DEConfig:
 
     def __post_init__(self):
         for name in ("population_size", "max_iterations", "seed"):
-            require_integer(getattr(self, name), name)
+            # stored as int, so a config built from numpy integers serializes
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.population_size and self.population_size < 4:
             raise DataError("population must have at least 4 members")
         if not (0.0 < self.mutation_factor <= 2.0):
@@ -71,7 +72,8 @@ class DEConfig:
 
 
 class EnsembleModel:
-    """Member models blended by a normalized weighted mean of predictions."""
+    """Member models blended by a normalized weighted mean of predictions;
+    ``score_models`` encodes a Dataset once per distinct member encoder."""
 
     def __init__(self, members: Sequence, weights: Sequence[float]):
         if len(members) == 0:
@@ -87,8 +89,7 @@ class EnsembleModel:
         self.weights = w
 
     def predict(self, rows) -> np.ndarray:
-        preds = np.stack([m.predict(rows) for m in self.members])
-        return blend(preds, self.weights)
+        return blend(score_models(self.members, rows), self.weights)
 
     def to_json_dict(self, member_files: Sequence[str]) -> dict:
         if len(member_files) != len(self.members):
@@ -177,7 +178,7 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: DEConfig,
     labels = valid.labels
     if len(np.unique(labels)) < 2:
         raise DataError("validation set must contain both classes")
-    member_preds = np.stack([m.predict(valid) for m in ens.members])
+    member_preds = score_models(ens.members, valid)
     m = len(ens.members)
     rng = np.random.default_rng(cfg.seed)
     objective = _auc_objective(member_preds, labels)

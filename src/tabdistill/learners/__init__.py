@@ -9,6 +9,7 @@ from tabdistill.learners.base import (
     load_model,
     mlp_spec,
     save_model,
+    score_models,
     serialize_model,
     train,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "load_model",
     "mlp_spec",
     "save_model",
+    "score_models",
     "serialize_model",
     "train",
 ]

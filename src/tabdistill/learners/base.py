@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -168,13 +168,11 @@ def resolve_weight_pairs(target: TrainingTarget, labels: np.ndarray) -> tuple[np
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, split by sign so that no ``exp`` overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function folded by sign, so that no ``exp`` overflows:
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|).
+    ``minimum(x, -x)`` is -|x| that keeps a NaN's sign bit."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def encode_features(encoder: FeatureEncoder, rows) -> np.ndarray:
@@ -188,10 +186,31 @@ def encode_features(encoder: FeatureEncoder, rows) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != len(encoder.output_names):
             raise TrainingError(
                 f"raw feature rows must have {len(encoder.output_names)} columns")
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(x).all():
+        finite = np.isfinite(x).all(axis=1)
         raise DataError(f"feature row {int(np.argmin(finite))} has non-finite values")
     return x
+
+
+def score_models(models: Sequence, rows) -> np.ndarray:
+    """Every model's ``predict`` on ``rows`` as an (m x n) array, encoding a
+    Dataset once per distinct encoder. Equal encoders give identical
+    matrices, so the scores are bit-identical to predicting on ``rows``.
+    Encoding runs in model order, so an encoding error comes from the first
+    model that meets it; a model without an ``encoder`` gets ``rows``."""
+    encoded: list[tuple[FeatureEncoder, np.ndarray]] = []
+
+    def features(model):
+        encoder = getattr(model, "encoder", None)
+        if encoder is None or not isinstance(rows, Dataset):
+            return rows
+        for seen, x in encoded:
+            if seen == encoder:
+                return x
+        encoded.append((encoder, encoder.transform(rows)))
+        return encoded[-1][1]
+
+    return np.stack([m.predict(features(m)) for m in models])
 
 
 def train(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,

@@ -111,11 +111,17 @@ def loss_and_gradients(params: dict, x: np.ndarray, w_pos: np.ndarray,
     """Mean weighted cross-entropy over the batch and its parameter
     gradients. Exposed separately so the analytic gradients can be checked
     against finite differences."""
-    probs, caches = _forward(params, x, training)
+    probs, grads = _forward_backward(params, x, w_pos, w_neg, training)
     probs_c = np.clip(probs, PROB_EPS, 1 - PROB_EPS)
-    n = len(x)
     loss = float(np.mean(-w_pos * np.log(probs_c) - w_neg * np.log(1.0 - probs_c)))
+    return loss, grads
 
+
+def _forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray,
+                      w_neg: np.ndarray, training: bool = True):
+    """A batch's probabilities and its mean weighted cross-entropy gradients."""
+    probs, caches = _forward(params, x, training)
+    n = len(x)
     layers = params["layers"]
     grads = [dict() for _ in layers]
     w_sum = w_pos + w_neg
@@ -153,7 +159,7 @@ def loss_and_gradients(params: dict, x: np.ndarray, w_pos: np.ndarray,
         grads[i]["b"] = dz.sum(axis=0)
         if i > 0:
             da = dz @ layer["W"].T
-    return loss, grads
+    return probs, grads
 
 
 class MLPModel:
@@ -271,11 +277,13 @@ def train_mlp(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,
         order = rng.permutation(len(x))
         for start in range(0, len(x), batch_size):
             batch = order[start:start + batch_size]
-            _, grads = loss_and_gradients(params, x[batch], w_pos[batch], w_neg[batch])
+            _, grads = _forward_backward(params, x[batch], w_pos[batch], w_neg[batch])
             for layer, vel, grad in zip(params["layers"], velocity, grads):
                 for key in layer:
-                    vel[key] = mu * vel[key] - lr * grad[key].reshape(layer[key].shape)
-                    layer[key] += vel[key]
+                    v = vel[key]
+                    v *= mu
+                    v -= lr * grad[key].reshape(layer[key].shape)
+                    layer[key] += v
         epochs_run = epoch + 1
         if tracker is not None:
             score = roc_auc(_forward(params, x_valid, training=False)[0], valid.labels)

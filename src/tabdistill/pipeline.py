@@ -37,7 +37,7 @@ from tabdistill.ensemble import (
     uniform_ensemble,
 )
 from tabdistill.errors import DataError, TabDistillError, require_integer
-from tabdistill.learners import LearnerSpec, save_model, train
+from tabdistill.learners import LearnerSpec, save_model, score_models, train
 from tabdistill.metrics import evaluate, roc_auc
 from tabdistill.tabular import (
     Dataset,
@@ -115,7 +115,7 @@ def _build(cls, doc: dict, path: str):
         raise DataError(f"pipeline config {path!r} has unknown keys {unknown}")
     try:
         return cls(**doc)
-    except TypeError as exc:  # an ill-typed value met a comparison
+    except (TypeError, DataError) as exc:  # TypeError: an ill-typed value met a comparison
         raise DataError(f"pipeline config {path!r}: {exc}") from None
 
 
@@ -347,7 +347,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                                                 valid_ds, cfg.ensemble_opt)
         else:
             optimized = uniform_ensemble(members)
-            valid_preds = np.stack([m.predict(valid_ds) for m in members])
+            valid_preds = score_models(members, valid_ds)
             member_aucs = [float(roc_auc(p, valid_ds.labels)) for p in valid_preds]
             uniform_auc = float(roc_auc(blend(valid_preds, optimized.weights),
                                         valid_ds.labels))

@@ -149,7 +149,8 @@ class Dataset:
                 raise DataError(f"column {col.name!r} length mismatch")
         if len(self.row_ids) != n:
             raise DataError("row_ids length mismatch")
-        if len(np.unique(self.row_ids)) != n:
+        ids = np.sort(self.row_ids)
+        if (ids[1:] == ids[:-1]).any():
             raise DataError("row_ids must be unique")
         if not np.isin(self.labels, (0, 1)).all():
             raise DataError("labels must be 0 or 1")
@@ -207,11 +208,11 @@ def _cell_problem(kind: str, raw: str) -> Optional[str]:
     if kind == "bool":
         return None if raw in _BOOL_TOKENS else f"{raw!r} is not a boolean"
     if kind == "int":
-        v = _parse_int(raw)
+        v = _parse_number(int, raw)
         if v is None:
             return f"{raw!r} is not an integer"
         return None if _INT64_MIN <= v <= _INT64_MAX else f"{raw!r} is outside the int64 range"
-    v = _parse_float(raw)
+    v = _parse_number(float, raw)
     if v is None:
         return f"{raw!r} is not a number"
     return f"{raw!r} parses as NaN, a missing value" if math.isnan(v) else None
@@ -224,22 +225,11 @@ def _bad_cell(path: Path, name: str, kind: str, values: Sequence[str]) -> DataEr
     return DataError(f"{path}: row {row}, column {name!r}: {problem}")
 
 
-def _parse_int(s: str) -> Optional[int]:
-    t = s.strip()
-    if not t:
-        return None
+def _parse_number(convert, s: str):
+    """``convert`` (int or float) of the stripped cell; None when it raises,
+    as it does for a blank cell."""
     try:
-        return int(t)
-    except ValueError:
-        return None
-
-
-def _parse_float(s: str) -> Optional[float]:
-    t = s.strip()
-    if not t:
-        return None
-    try:
-        return float(t)
+        return convert(s.strip())
     except ValueError:
         return None
 
@@ -382,25 +372,18 @@ def remove_constant_columns(ds: Dataset) -> tuple[Dataset, list[str]]:
     The label column is never removed; surviving column order is preserved.
     """
     removed: list[str] = []
-    kept_cols: list[Column] = []
     kept_arrays: list[np.ndarray] = []
     for col, arr in zip(ds.schema.feature_columns, ds.feature_arrays):
         if len(np.unique(arr)) < 2:
             removed.append(col.name)
         else:
-            kept_cols.append(col)
             kept_arrays.append(arr)
     if not removed:
         return ds, []
-    new_columns = tuple(
-        c for c in ds.schema.columns
-        if c.name == ds.schema.label_column or c.name not in removed
-    )
-    # re-wrap surviving feature columns in original order
-    kept_by_name = {c.name: a for c, a in zip(kept_cols, kept_arrays)}
-    schema = Schema(new_columns, ds.schema.label_column)
-    arrays = tuple(kept_by_name[c.name] for c in schema.feature_columns)
-    return ds.with_schema(schema, arrays), removed
+    # removed holds feature names only, so the label column always survives
+    schema = Schema(tuple(c for c in ds.schema.columns if c.name not in removed),
+                    ds.schema.label_column)
+    return ds.with_schema(schema, tuple(kept_arrays)), removed
 
 
 def _midranks_against(fit_sorted: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -507,6 +490,8 @@ class FeatureEncoder:
 
     @classmethod
     def fit(cls, ds: Dataset) -> "FeatureEncoder":
+        if not ds.schema.feature_columns:
+            raise DataError("dataset has no feature columns to encode")
         kept: dict[str, tuple[str, ...]] = {}
         for col, arr in zip(ds.schema.feature_columns, ds.feature_arrays):
             if col.kind != "categorical":
@@ -531,23 +516,27 @@ class FeatureEncoder:
                 f"{list(zip(self.column_names, self.column_kinds))}")
 
     def transform(self, ds: Dataset) -> np.ndarray:
+        """The float64 matrix, allocated once: each bool or numeric column is
+        cast into its slot, each one-hot block set through a lookup table."""
         self.check_schema(ds)
-        blocks: list[np.ndarray] = []
+        width = sum(len(self.kept_categories[name]) + 1 if kind == "categorical" else 1
+                    for name, kind in zip(self.column_names, self.column_kinds))
+        out = np.zeros((ds.n_rows, width))
+        rows = np.arange(ds.n_rows)
+        j = 0  # first output column of the current feature
         for col, arr in zip(ds.schema.feature_columns, ds.feature_arrays):
-            if col.kind == "bool":
-                blocks.append(arr.astype(np.float64)[:, None])
-            elif col.kind in ("int", "float"):
-                blocks.append(arr.astype(np.float64)[:, None])
-            else:
-                kept = self.kept_categories[col.name]
-                index = {cat: j for j, cat in enumerate(kept)}
-                # output column of each of this dataset's category codes
-                lut = np.array([index.get(cat, len(kept)) for cat in col.categories],
-                               dtype=np.intp)
-                out = np.zeros((len(arr), len(kept) + 1))
-                out[np.arange(len(arr)), lut[arr]] = 1.0
-                blocks.append(out)
-        return np.hstack(blocks)
+            if col.kind != "categorical":
+                out[:, j] = arr
+                j += 1
+                continue
+            kept = self.kept_categories[col.name]
+            index = {cat: k for k, cat in enumerate(kept, j)}
+            # output column of each of this dataset's category codes
+            lut = np.array([index.get(cat, j + len(kept)) for cat in col.categories],
+                           dtype=np.intp)
+            out[rows, lut[arr]] = 1.0
+            j += len(kept) + 1
+        return out
 
     @property
     def output_names(self) -> tuple[str, ...]:

@@ -345,6 +345,17 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert "run_id" in out and "metrics" in out
 
+    def test_all_constant_features_exit_2(self, tmp_path, capsys):
+        # remove_constant_columns leaves no feature to train on
+        rows = "".join(f"1,x,{i % 2}\n" for i in range(20))
+        (tmp_path / "data.csv").write_text("a,b,label\n" + rows)
+        doc = _minimal_config(tmp_path)
+        doc["data"]["path"] = str(tmp_path / "data.csv")
+        doc["families"]["b"] = {"learner": {"kind": "mlp", "params": {"epochs": 2}}}
+        assert cli_main(["pipeline", "--config", str(_write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "no feature columns" in err and err.count("\n") == 1
+
     def test_usage_error_exit_code(self):
         assert cli_main(["train", "--data", "x.csv"]) == 1
 
@@ -540,3 +551,39 @@ class TestMalformedConfig:
     def test_numpy_integers_are_accepted(self):
         assert DEConfig(max_iterations=np.int64(3)).max_iterations == 3
         assert DistillConfig(generations=np.int32(2)).generations == 2
+
+    def test_numpy_integers_serialize_like_ints(self, tmp_path):
+        de = DEConfig(max_iterations=np.int64(3), population_size=np.int64(8),
+                      seed=np.int32(1))
+        assert json.dumps(de.to_json_dict()) == json.dumps(
+            DEConfig(max_iterations=3, population_size=8, seed=1).to_json_dict())
+        dc = DistillConfig(generations=np.int64(2), seed=np.int16(5))
+        assert type(dc.generations) is int and type(dc.seed) is int
+        json.dumps(dc.to_json_dict())
+
+        def config(ints):
+            doc = _minimal_config(tmp_path)
+            doc["families"]["a"]["distill"] = {"generations": ints(2), "seed": ints(7)}
+            doc["ensemble_opt"] = {"max_iterations": ints(4), "seed": ints(9)}
+            return PipelineConfig.from_json_dict(doc)
+
+        assert config(np.int64).run_id() == config(int).run_id()
+
+    @pytest.mark.parametrize("edit, named, message", [
+        (_put({"generations": 1.5}, "families", "a", "distill"), "families.a.distill",
+         "generations must be an integer"),
+        (_put({"max_iterations": 2.5}, "ensemble_opt"), "ensemble_opt",
+         "max_iterations must be an integer"),
+        (_put({"beta": 1.5}, "families", "a", "distill"), "families.a.distill",
+         "beta must lie in [0, 1]"),
+    ])
+    def test_config_value_errors_name_the_section(self, tmp_path, capsys, edit, named,
+                                                  message):
+        doc = _minimal_config(tmp_path)
+        edit(doc)
+        path = _write_config(tmp_path, doc)
+        assert cli_main(["pipeline", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: pipeline config {named!r}: ")
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()

@@ -176,6 +176,22 @@ class TestTransforms:
         assert out.schema.column("b").kind == "bool"
 
 
+class TestRowIds:
+    @pytest.mark.parametrize("ids", [[3, 1, 3, 0], [7, 7], [0, 5, 2, 9, 5]])
+    def test_duplicated_id_rejected(self, ids):
+        ds = dataset_from_arrays({"a": np.arange(len(ids), dtype=float)}, [0] * len(ids))
+        with pytest.raises(DataError, match="row_ids must be unique"):
+            Dataset(ds.schema, ds.feature_arrays, ds.labels, np.array(ids, dtype=np.int64))
+        with pytest.raises(DataError, match="row_ids must be unique"):
+            ds.take(np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize("ids", [[5], [9, 2, 4, 0], [-1, 0, 1, 2, 3]])
+    def test_unique_ids_accepted_in_any_order(self, ids):
+        ds = dataset_from_arrays({"a": np.arange(len(ids), dtype=float)}, [0] * len(ids))
+        out = Dataset(ds.schema, ds.feature_arrays, ds.labels, np.array(ids, dtype=np.int64))
+        np.testing.assert_array_equal(out.row_ids, ids)  # stored unsorted
+
+
 class TestSplit:
     def test_60_20_on_ten_rows(self):
         ds = dataset_from_arrays({"a": np.arange(10.0)}, [0, 1] * 5)
@@ -252,3 +268,8 @@ class TestFeatureEncoder:
         x = enc.transform(ds)
         assert x.shape[1] == 65  # 64 kept + other
         assert (x.sum(axis=1) == 1.0).all()
+
+    def test_no_feature_columns_is_data_error(self):
+        ds = dataset_from_arrays({}, [0, 1, 0])
+        with pytest.raises(DataError, match="no feature columns"):
+            FeatureEncoder.fit(ds)
