@@ -115,10 +115,6 @@ def uniform_ensemble(members: Sequence) -> EnsembleModel:
     return EnsembleModel(members, np.ones(len(members)))
 
 
-def predict_ensemble(ens: EnsembleModel, rows) -> np.ndarray:
-    return ens.predict(rows)
-
-
 def _de_maximize(objective: Callable[[np.ndarray], float], n_dims: int,
                  seeds: list[np.ndarray], cfg: DEConfig,
                  rng: np.random.Generator,
@@ -173,8 +169,13 @@ def _auc_objective(member_preds: np.ndarray, labels: np.ndarray) -> Callable:
 
 def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: DEConfig,
                               ) -> tuple[EnsembleModel, dict]:
-    """Like optimize_weights but also returns an audit dict with the
-    pre-pruning weights and the objective bookkeeping."""
+    """Search nonnegative member weights maximizing validation AUC.
+
+    Returns an ensemble whose validation objective is at least that of
+    every single member and of the uniform average; shares below
+    prune_epsilon are rounded down to zero with re-optimization over the
+    survivors. Also returns an audit dict with the pre-pruning weights and
+    the objective bookkeeping."""
     labels = valid.labels
     if len(np.unique(labels)) < 2:
         raise DataError("validation set must contain both classes")
@@ -249,29 +250,17 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: DEConfig,
     return EnsembleModel(ens.members, winner_w), audit
 
 
-def optimize_weights(ens: EnsembleModel, valid: Dataset, cfg: DEConfig) -> EnsembleModel:
-    """Search nonnegative member weights maximizing validation AUC.
-
-    Returns an ensemble whose validation objective is at least that of
-    every single member and of the uniform average; shares below
-    prune_epsilon are rounded down to zero with re-optimization over the
-    survivors.
-    """
-    optimized, _ = optimize_weights_detailed(ens, valid, cfg)
-    return optimized
-
-
-def combine_families(family_a: Sequence, family_b: Sequence, valid: Dataset,
+def combine_families(families: Sequence[Sequence], valid: Dataset,
                      cfg: DEConfig) -> tuple[EnsembleModel, dict]:
-    """Concatenate two model families (either possibly heterogeneous) and
-    optimize weights over the union; the audit records which members keep
-    nonzero weight."""
-    members = list(family_a) + list(family_b)
+    """Concatenate model families (each possibly heterogeneous, some
+    possibly empty) and optimize weights over the union; the audit records
+    each family's size and which members keep nonzero weight."""
+    members = [m for family in families for m in family]
     if not members:
         raise DataError("no members to combine")
     ens = uniform_ensemble(members)
     optimized, audit = optimize_weights_detailed(ens, valid, cfg)
-    audit["family_sizes"] = [len(family_a), len(family_b)]
+    audit["family_sizes"] = [len(f) for f in families]
     audit["surviving_members"] = [int(j) for j in np.flatnonzero(optimized.weights > 0)]
     return optimized, audit
 

@@ -183,9 +183,8 @@ def encode_features(encoder: FeatureEncoder, rows) -> np.ndarray:
         x = encoder.transform(rows)
     else:
         x = np.asarray(rows, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != len(encoder.output_names):
-            raise TrainingError(
-                f"raw feature rows must have {len(encoder.output_names)} columns")
+        if x.ndim != 2 or x.shape[1] != encoder.width:
+            raise TrainingError(f"raw feature rows must have {encoder.width} columns")
     if not np.isfinite(x).all():
         finite = np.isfinite(x).all(axis=1)
         raise DataError(f"feature row {int(np.argmin(finite))} has non-finite values")

@@ -319,7 +319,7 @@ class GBDTModel:
             raise SerializationError("gbdt model 'trees' must be a list")
         encoder = FeatureEncoder.from_json_dict(doc["encoder"])
         trees = [Tree.from_nested(t) for t in doc["trees"]]
-        width = len(encoder.output_names)
+        width = encoder.width
         if any(t.feature.max() >= width for t in trees):
             raise SerializationError(
                 f"gbdt split feature out of range for {width} encoded columns")

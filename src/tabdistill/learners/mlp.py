@@ -207,7 +207,7 @@ class MLPModel:
         SerializationError."""
         spec = LearnerSpec.from_json_dict(doc["spec"])
         encoder = FeatureEncoder.from_json_dict(doc["encoder"])
-        sizes = [len(encoder.output_names), *spec["hidden_sizes"], 1]
+        sizes = [encoder.width, *spec["hidden_sizes"], 1]
         n_layers = len(sizes) - 1
         if len(doc["layers"]) != n_layers:
             raise SerializationError(

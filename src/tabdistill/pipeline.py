@@ -48,17 +48,14 @@ from tabdistill.tabular import (
     split_indices,
 )
 
+# the model families in pipeline order: "a" is required, "b" optional
+FAMILY_TAGS = ("a", "b")
+
 # seed offsets keep the pipeline's component seeds distinct but fully
-# derived from the one seed in the config
-_SEED_LEARNER_A = 1000
-_SEED_DISTILL_A = 2000
-_SEED_LEARNER_B = 3000
-_SEED_DISTILL_B = 4000
+# derived from the one seed in the config; the family at position i learns
+# with seed + 1000 + 2000 * i and distils with seed + 2000 + 2000 * i
 _SEED_DE = 5000
 _SEED_FINAL = 6000
-
-FAMILY_A = "a"
-FAMILY_B = "b"
 
 
 class StageError(TabDistillError):
@@ -135,6 +132,18 @@ class FamilyConfig:
     learner: LearnerSpec
     distill: Optional[DistillConfig]  # None: train the teacher only
 
+    def to_json_dict(self) -> dict:
+        return {"learner": self.learner.to_json_dict(),
+                "distill": None if self.distill is None else self.distill.to_json_dict()}
+
+
+def _family(fam: dict, path: str, learner_seed: int, distill_seed: int) -> FamilyConfig:
+    learner = _learner(fam, f"{path}.learner", learner_seed)
+    distill_doc = _section(fam, f"{path}.distill", None, nullable=True)
+    distill = None if distill_doc is None else _build(
+        DistillConfig, {"seed": distill_seed, **distill_doc}, f"{path}.distill")
+    return FamilyConfig(learner=learner, distill=distill)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -143,8 +152,7 @@ class PipelineConfig:
     split: SplitSpec
     remove_constants: bool
     transform: Optional[str]
-    family_a: FamilyConfig
-    family_b: Optional[FamilyConfig]
+    families: tuple[tuple[str, FamilyConfig], ...]  # (tag, family) per configured tag
     ensemble_opt: Optional[DEConfig]
     final_learner: LearnerSpec
     final_beta: float
@@ -167,33 +175,22 @@ class PipelineConfig:
             seed=_seed(split_doc, "split.seed", seed),
         )
         pre = _section(doc, "preprocess", {})
-        families = _section(doc, "families", {})
-
-        def family(tag: str, learner_seed: int, distill_seed: int) -> Optional[FamilyConfig]:
-            path = f"families.{tag}"
-            fam = _section(families, path, None, nullable=True)
-            if fam is None:
-                return None
-            learner = _learner(fam, f"{path}.learner", seed + learner_seed)
-            distill_doc = _section(fam, f"{path}.distill", None, nullable=True)
-            distill = None
-            if distill_doc is not None:
-                distill_doc = dict(distill_doc)
-                distill_doc.setdefault("seed", seed + distill_seed)
-                distill = _build(DistillConfig, distill_doc, f"{path}.distill")
-            return FamilyConfig(learner=learner, distill=distill)
-
-        fam_a = family(FAMILY_A, _SEED_LEARNER_A, _SEED_DISTILL_A)
-        if fam_a is None:
-            raise DataError('pipeline config needs families["a"]')
-        fam_b = family(FAMILY_B, _SEED_LEARNER_B, _SEED_DISTILL_B)
+        families_doc = _section(doc, "families", {})
+        families = []
+        for i, tag in enumerate(FAMILY_TAGS):
+            fam = _section(families_doc, f"families.{tag}", None, nullable=True)
+            if fam is not None:
+                families.append((tag, _family(fam, f"families.{tag}",
+                                              seed + 1000 + 2000 * i, seed + 2000 + 2000 * i)))
+            elif i == 0:
+                raise DataError(f'pipeline config needs families["{tag}"]')
+        unknown = sorted(set(families_doc) - set(FAMILY_TAGS))
+        if unknown:
+            raise DataError(f"pipeline config 'families' has unknown keys {unknown}")
 
         de_doc = _section(doc, "ensemble_opt", None, nullable=True)
-        de_cfg = None
-        if de_doc is not None:
-            de_doc = dict(de_doc)
-            de_doc.setdefault("seed", seed + _SEED_DE)
-            de_cfg = _build(DEConfig, de_doc, "ensemble_opt")
+        de_cfg = None if de_doc is None else _build(
+            DEConfig, {"seed": seed + _SEED_DE, **de_doc}, "ensemble_opt")
 
         final = _section(doc, "final_distill", {})
         final_learner = _learner(
@@ -210,8 +207,7 @@ class PipelineConfig:
             split=split,
             remove_constants=_typed(bool, pre, "preprocess.remove_constant_columns", True),
             transform=pre.get("transform"),
-            family_a=fam_a,
-            family_b=fam_b,
+            families=tuple(families),
             ensemble_opt=de_cfg,
             final_learner=final_learner,
             final_beta=_convert(float, final, "final_distill.beta", 0.7),
@@ -223,11 +219,6 @@ class PipelineConfig:
     def echo(self) -> dict:
         """Canonical config echo embedded in the report; identical configs
         hash to identical run ids."""
-        def fam(f: Optional[FamilyConfig]):
-            if f is None:
-                return None
-            return {"learner": f.learner.to_json_dict(),
-                    "distill": None if f.distill is None else f.distill.to_json_dict()}
         return {
             "data": {"path": self.data_path, "label_column": self.label_column},
             "split": {"train_fraction": self.split.train_fraction,
@@ -235,7 +226,8 @@ class PipelineConfig:
                       "seed": self.split.seed},
             "preprocess": {"remove_constant_columns": self.remove_constants,
                            "transform": self.transform},
-            "families": {FAMILY_A: fam(self.family_a), FAMILY_B: fam(self.family_b)},
+            "families": dict.fromkeys(FAMILY_TAGS)
+                        | {tag: fam.to_json_dict() for tag, fam in self.families},
             "ensemble_opt": None if self.ensemble_opt is None
             else self.ensemble_opt.to_json_dict(),
             "final_distill": {"learner": self.final_learner.to_json_dict(),
@@ -312,13 +304,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         test_ds = ds.take(test_idx)
 
         families: dict[str, dict] = {}
-        all_members: dict[str, list] = {FAMILY_A: [], FAMILY_B: []}
+        member_groups = dict.fromkeys(FAMILY_TAGS, [])  # an absent family stays empty
         member_refs = []  # (family tag, generation, file)
         train_preds: list[np.ndarray] = []
         test_preds: list[np.ndarray] = []
-        for tag, fam in ((FAMILY_A, cfg.family_a), (FAMILY_B, cfg.family_b)):
-            if fam is None:
-                continue
+        # FAMILY_TAGS order is the order of the members, their files and weights
+        for tag, fam in sorted(cfg.families, key=lambda pair: FAMILY_TAGS.index(pair[0])):
             stage = f"distill/{tag}"
             records, models = run_generations(fam.learner, train_ds, valid_ds,
                                               test_ds, fam.distill)
@@ -334,17 +325,17 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 "ledger": [r.as_dict() for r in records],
                 "model_files": model_files,
             }
-            all_members[tag] = models
+            member_groups[tag] = models
             # the chain scores a model on train only once it has taught
             train_preds += [r.train_preds for r in records[:-1]]
             train_preds.append(models[-1].predict(train_ds))
             test_preds += [r.test_preds for r in records]
 
         stage = "ensemble"
-        members = all_members[FAMILY_A] + all_members[FAMILY_B]
+        members = [m for group in member_groups.values() for m in group]
         if cfg.ensemble_opt is not None and len(members) > 1:
-            optimized, audit = combine_families(all_members[FAMILY_A], all_members[FAMILY_B],
-                                                valid_ds, cfg.ensemble_opt)
+            optimized, audit = combine_families(list(member_groups.values()), valid_ds,
+                                                cfg.ensemble_opt)
         else:
             optimized = uniform_ensemble(members)
             valid_preds = score_models(members, valid_ds)
@@ -390,13 +381,10 @@ def _write_weights_audit(path: Path, member_refs, audit: dict) -> None:
 def _build_report(cfg: PipelineConfig, families: dict, member_refs, audit: dict,
                   optimized: EnsembleModel, test_preds: np.ndarray, final_model,
                   test_ds: Dataset) -> dict:
-    # baseline teacher: generation 0 of the deployment-target family when it
-    # exists, otherwise family a's teacher
-    baseline_tag = FAMILY_A
-    for tag, fam in ((FAMILY_A, cfg.family_a), (FAMILY_B, cfg.family_b)):
-        if fam is not None and fam.learner.kind == cfg.final_learner.kind:
-            baseline_tag = tag
-            break
+    # baseline teacher: generation 0 of the first family of the deployment
+    # learner's kind when there is one, otherwise of the first family
+    baseline_tag = next((tag for tag, fam in families.items()
+                         if fam["kind"] == cfg.final_learner.kind), next(iter(families)))
     teacher = [ref[0] for ref in member_refs].index(baseline_tag)
 
     # best single model is selected on validation (the first of equal

@@ -1,15 +1,15 @@
 """Dataset representation: CSV ingestion, schema inference, feature
-transforms, constant-column pruning, deterministic splitting and sampling.
+transforms, constant-column pruning, deterministic splitting and feature
+encoding.
 
 Datasets are immutable after construction. Every operation returns a new
 Dataset; row ids are assigned at ingestion and preserved through filtering
-and sampling so dropped rows stay traceable.
+and splitting so dropped rows stay traceable.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -149,9 +149,11 @@ class Dataset:
                 raise DataError(f"column {col.name!r} length mismatch")
         if len(self.row_ids) != n:
             raise DataError("row_ids length mismatch")
-        ids = np.sort(self.row_ids)
-        if (ids[1:] == ids[:-1]).any():
-            raise DataError("row_ids must be unique")
+        ids = self.row_ids  # ascending in every Dataset the program builds
+        if not (ids[1:] > ids[:-1]).all():
+            ids = np.sort(ids)
+            if (ids[1:] == ids[:-1]).any():
+                raise DataError("row_ids must be unique")
         if not np.isin(self.labels, (0, 1)).all():
             raise DataError("labels must be 0 or 1")
 
@@ -464,14 +466,6 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     return ds.take(tr), ds.take(va), ds.take(te)
 
 
-def sample_rows(ds: Dataset, n: int, seed: int) -> Dataset:
-    """Uniform sample of n rows without replacement, deterministic per seed."""
-    if not (1 <= n <= ds.n_rows):
-        raise DataError(f"sample size {n} out of range [1, {ds.n_rows}]")
-    idx = np.random.default_rng(seed).choice(ds.n_rows, size=n, replace=False)
-    return ds.take(np.sort(idx))
-
-
 @dataclass(frozen=True)
 class FeatureEncoder:
     """Maps a Dataset onto the float feature matrix learners consume.
@@ -519,9 +513,7 @@ class FeatureEncoder:
         """The float64 matrix, allocated once: each bool or numeric column is
         cast into its slot, each one-hot block set through a lookup table."""
         self.check_schema(ds)
-        width = sum(len(self.kept_categories[name]) + 1 if kind == "categorical" else 1
-                    for name, kind in zip(self.column_names, self.column_kinds))
-        out = np.zeros((ds.n_rows, width))
+        out = np.zeros((ds.n_rows, self.width))
         rows = np.arange(ds.n_rows)
         j = 0  # first output column of the current feature
         for col, arr in zip(ds.schema.feature_columns, ds.feature_arrays):
@@ -537,6 +529,12 @@ class FeatureEncoder:
             out[rows, lut[arr]] = 1.0
             j += len(kept) + 1
         return out
+
+    @property
+    def width(self) -> int:
+        """``len(output_names)`` without formatting the names."""
+        return sum(len(self.kept_categories[name]) + 1 if kind == "categorical" else 1
+                   for name, kind in zip(self.column_names, self.column_kinds))
 
     @property
     def output_names(self) -> tuple[str, ...]:
@@ -563,11 +561,3 @@ class FeatureEncoder:
             column_kinds=tuple(doc["column_kinds"]),
             kept_categories={k: tuple(v) for k, v in doc["kept_categories"].items()},
         )
-
-
-def save_schema(schema: Schema, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schema.to_json_dict(), indent=2, sort_keys=True))
-
-
-def load_schema(path: str | Path) -> Schema:
-    return Schema.from_json_dict(json.loads(Path(path).read_text()))

@@ -84,6 +84,26 @@ def noisy_nonlinear_dataset(n: int, seed: int, d_signal: int = 4,
     return dataset_from_arrays(features, labels)
 
 
+def mixed_type_dataset(n: int, seed: int, levels: int = 12, codes=None) -> Dataset:
+    """bool, categorical, int, float and categorical feature columns, in
+    that order; ``shop`` has ``levels`` categories, ``colour`` three."""
+    rng = np.random.default_rng(seed)
+    cats = tuple(f"c{i:03d}" for i in range(levels))
+    if codes is None:
+        codes = np.minimum(rng.geometric(0.08, n) - 1, levels - 1)
+    colour = rng.integers(0, 3, n)
+    x = rng.standard_normal(n)
+    logit = x + 0.3 * (codes % 5) - 0.5 * colour
+    labels = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(np.int64)
+    schema = Schema((Column("flag", "bool"), Column("shop", "categorical", cats),
+                     Column("count", "int"), Column("x", "float"),
+                     Column("colour", "categorical", ("red", "green", "blue")),
+                     Column("label", "int")), "label")
+    arrays = (rng.random(n) < 0.4, np.asarray(codes, dtype=np.int64),
+              rng.integers(-50, 50, n).astype(np.int64), x, colour.astype(np.int64))
+    return Dataset(schema, arrays, labels, np.arange(n, dtype=np.int64))
+
+
 def pair_counting_auc(scores, labels) -> float:
     """O(P*N) oracle: wins + half-ties over all positive-negative pairs."""
     scores = np.asarray(scores, dtype=np.float64)

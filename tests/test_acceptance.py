@@ -287,7 +287,7 @@ def test_criterion_13_deployment_distillation():
                                        te, cfg)
         _, mlp_models = run_generations(
             mlp_spec(seed=seed, epochs=30, hidden_sizes=(32, 16)), tr, va, te, cfg)
-        ens, _ = combine_families(gb_models, mlp_models, va,
+        ens, _ = combine_families([gb_models, mlp_models], va,
                                   DEConfig(max_iterations=40, seed=seed))
         ens_auc = roc_auc(ens.predict(te), te.labels)
         final = distill_to_deployment(ens, tr, gbdt_spec(seed=seed + 99, rounds=80),

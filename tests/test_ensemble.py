@@ -10,9 +10,7 @@ from tabdistill.ensemble import (
     blend,
     combine_families,
     load_ensemble,
-    optimize_weights,
     optimize_weights_detailed,
-    predict_ensemble,
     save_ensemble,
     uniform_ensemble,
 )
@@ -41,18 +39,18 @@ class TestUniformEnsemble:
     def test_single_member_identity(self):
         m = _FixedModel([0.2, 0.7, 0.4])
         ens = uniform_ensemble([m])
-        np.testing.assert_array_equal(predict_ensemble(ens, None), m.predict(None))
+        np.testing.assert_array_equal(ens.predict(None), m.predict(None))
 
     def test_constant_members_average(self):
         ens = uniform_ensemble([_FixedModel([0.2, 0.2]), _FixedModel([0.8, 0.8])])
-        np.testing.assert_allclose(predict_ensemble(ens, None), [0.5, 0.5])
+        np.testing.assert_allclose(ens.predict(None), [0.5, 0.5])
 
     def test_member_order_symmetry(self):
         a = _FixedModel([0.1, 0.9])
         b = _FixedModel([0.4, 0.6])
         np.testing.assert_array_equal(
-            predict_ensemble(uniform_ensemble([a, b]), None),
-            predict_ensemble(uniform_ensemble([b, a]), None))
+            uniform_ensemble([a, b]).predict(None),
+            uniform_ensemble([b, a]).predict(None))
 
     def test_empty_member_list(self):
         with pytest.raises(DataError):
@@ -116,7 +114,7 @@ class TestOptimizeWeights:
         valid = _valid_set(40, seed=3)
         rng = np.random.default_rng(4)
         member = _FixedModel(rng.random(40))
-        out = optimize_weights(uniform_ensemble([member]), valid, DEConfig(seed=0))
+        out = optimize_weights_detailed(uniform_ensemble([member]), valid, DEConfig(seed=0))[0]
         np.testing.assert_array_equal(out.weights, [1.0])
 
     def test_dominating_member_prunes_the_noise(self):
@@ -127,7 +125,7 @@ class TestOptimizeWeights:
         noise = rng.random(60)
         valid = dataset_from_arrays({"a": np.zeros(60)}, labels)
         ens = uniform_ensemble([_FixedModel(perfect), _FixedModel(noise)])
-        out = optimize_weights(ens, valid, DEConfig(max_iterations=30, seed=1))
+        out = optimize_weights_detailed(ens, valid, DEConfig(max_iterations=30, seed=1))[0]
         assert out.weights[1] == 0.0
         assert out.weights[0] > 0.0
         np.testing.assert_array_equal(out.predict(None), perfect)
@@ -153,8 +151,8 @@ class TestOptimizeWeights:
         rng = np.random.default_rng(8)
         members = [_FixedModel(rng.random(50)) for _ in range(3)]
         cfg = DEConfig(max_iterations=15, seed=9)
-        a = optimize_weights(uniform_ensemble(members), valid, cfg)
-        b = optimize_weights(uniform_ensemble(members), valid, cfg)
+        a = optimize_weights_detailed(uniform_ensemble(members), valid, cfg)[0]
+        b = optimize_weights_detailed(uniform_ensemble(members), valid, cfg)[0]
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_prune_epsilon_above_every_share_keeps_the_weights(self):
@@ -172,8 +170,8 @@ class TestOptimizeWeights:
     def test_single_class_validation_rejected(self):
         ds = dataset_from_arrays({"a": [0.1, 0.2]}, [1, 1])
         with pytest.raises(DataError):
-            optimize_weights(uniform_ensemble([_FixedModel([0.5, 0.5])]), ds,
-                             DEConfig())
+            optimize_weights_detailed(uniform_ensemble([_FixedModel([0.5, 0.5])]), ds,
+                                      DEConfig())
 
 
 class TestCombineFamilies:
@@ -181,12 +179,24 @@ class TestCombineFamilies:
         valid = _valid_set(40, seed=10)
         rng = np.random.default_rng(11)
         members = [_FixedModel(rng.random(40)) for _ in range(2)]
-        combined, audit = combine_families(members, [], valid,
+        combined, audit = combine_families([members, []], valid,
                                            DEConfig(max_iterations=10, seed=2))
-        direct = optimize_weights(uniform_ensemble(members), valid,
-                                  DEConfig(max_iterations=10, seed=2))
+        direct, _ = optimize_weights_detailed(uniform_ensemble(members), valid,
+                                              DEConfig(max_iterations=10, seed=2))
         np.testing.assert_array_equal(combined.weights, direct.weights)
         assert audit["family_sizes"] == [2, 0]
+
+    def test_any_number_of_families(self):
+        valid = _valid_set(50, seed=16)
+        rng = np.random.default_rng(17)
+        families = [[_FixedModel(rng.random(50)) for _ in range(2)], [],
+                    [_FixedModel(rng.random(50))]]
+        cfg = DEConfig(max_iterations=10, seed=5)
+        combined, audit = combine_families(families, valid, cfg)
+        direct, _ = optimize_weights_detailed(
+            uniform_ensemble(families[0] + families[2]), valid, cfg)
+        assert audit["family_sizes"] == [2, 0, 1]
+        np.testing.assert_array_equal(combined.weights, direct.weights)
 
     def test_duplicate_member_same_predictions_as_dedup(self):
         valid = _valid_set(50, seed=12)
@@ -195,9 +205,9 @@ class TestCombineFamilies:
         dup = _FixedModel(scores)
         other = _FixedModel(rng.random(50))
         cfg = DEConfig(max_iterations=20, seed=3)
-        with_dup, _ = combine_families([dup, other], [dup], valid, cfg)
+        with_dup, _ = combine_families([[dup, other], [dup]], valid, cfg)
         auc_dup = roc_auc(with_dup.predict(None), valid.labels)
-        dedup, _ = combine_families([dup, other], [], valid, cfg)
+        dedup, _ = combine_families([[dup, other], []], valid, cfg)
         auc_dedup = roc_auc(dedup.predict(None), valid.labels)
         # weight mass is fungible across identical members: same reachable
         # blends, same guaranteed incumbents, so neither run can fall behind
@@ -211,10 +221,10 @@ class TestCombineFamilies:
         mlp_fam = [train(mlp_spec(epochs=8, hidden_sizes=(8,), seed=s), train_ds,
                          TrainingTarget.hard()) for s in (0, 1)]
         cfg = DEConfig(max_iterations=15, seed=4)
-        combined, audit = combine_families(gbdt_fam, mlp_fam, valid_ds, cfg)
+        combined, audit = combine_families([gbdt_fam, mlp_fam], valid_ds, cfg)
         combined_auc = roc_auc(combined.predict(valid_ds), valid_ds.labels)
         for family in (gbdt_fam, mlp_fam):
-            own, _ = combine_families(family, [], valid_ds, cfg)
+            own, _ = combine_families([family, []], valid_ds, cfg)
             own_auc = roc_auc(own.predict(valid_ds), valid_ds.labels)
             assert combined_auc >= own_auc - 1e-9
 

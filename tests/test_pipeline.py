@@ -129,6 +129,18 @@ class TestFullPipeline:
         audit = report["ensemble"]["audit"]
         assert audit["validation_auc"] >= max(audit["member_aucs"]) - 1e-9
         assert audit["validation_auc"] >= audit["uniform_auc"] - 1e-9
+        assert audit["family_sizes"] == [3, 3]
+        # the baseline teacher is the first family of the final learner's kind
+        assert report["metrics"]["teacher"]["family"] == "a"
+
+    def test_one_family_audit_keeps_an_empty_b(self, tmp_path):
+        write_dataset_csv(noisy_nonlinear_dataset(300, seed=6), tmp_path / "data.csv")
+        doc = _minimal_config(tmp_path, rounds=3)
+        doc["families"]["a"]["distill"] = {"generations": 2}
+        doc["ensemble_opt"] = {"max_iterations": 3}
+        report = run_pipeline(PipelineConfig.from_json_dict(doc, base_dir=tmp_path))
+        assert report["ensemble"]["audit"]["family_sizes"] == [3, 0]
+        assert report["config"]["families"]["b"] is None
 
     def test_no_test_leakage(self, tmp_path):
         base = noisy_nonlinear_dataset(300, seed=4)
@@ -480,6 +492,9 @@ class TestMalformedConfig:
         (_put(None, "final_distill", "learner"), "final_distill.learner"),
         (_put([], "final_distill", "beta"), "final_distill.beta"),
         (_put(7, "output_dir"), "output_dir"),
+        (_put({"learner": {"kind": "gbdt"}}, "families", "c"),
+         "pipeline config 'families' has unknown keys ['c']"),
+        (_drop("families", "a"), 'pipeline config needs families["a"]'),
     ])
     def test_cli_names_the_bad_entry(self, tmp_path, capsys, edit, named):
         doc = _minimal_config(tmp_path)
@@ -587,3 +602,66 @@ class TestMalformedConfig:
         assert err.startswith(f"error: pipeline config {named!r}: ")
         assert message in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+_GBDT_PARAMS = {"max_depth": 6, "learning_rate": 0.3, "l2_leaf_penalty": 1.0,
+                "min_child_weight": 1.0}
+
+
+class TestConfigEcho:
+    """The echo is what the run id hashes: these literal dicts pin it, and
+    with it the seed each family derives from its position."""
+
+    def test_one_family_echoes_b_as_null(self):
+        doc = {"data": {"path": "d.csv", "label_column": "y"},
+               "families": {"a": {"learner": {"kind": "gbdt", "params": {"rounds": 3}},
+                                  "distill": {"generations": 2}}}}
+        cfg = PipelineConfig.from_json_dict(doc)
+        assert cfg.echo() == {
+            "data": {"path": "d.csv", "label_column": "y"},
+            "split": {"train_fraction": 0.6, "valid_fraction": 0.2, "seed": 0},
+            "preprocess": {"remove_constant_columns": True, "transform": None},
+            "families": {
+                "a": {"learner": {"kind": "gbdt", "params": {"rounds": 3, **_GBDT_PARAMS},
+                                  "seed": 1000},
+                      "distill": {"beta": 0.7, "denoise_threshold": 0.99,
+                                  "generations": 2, "teacher_mode": "from_last",
+                                  "target_mode": "row_weighted",
+                                  "include_original": False, "seed": 2000}},
+                "b": None},
+            "ensemble_opt": None,
+            "final_distill": {"learner": {"kind": "gbdt",
+                                          "params": {"rounds": 100, **_GBDT_PARAMS},
+                                          "seed": 6000},
+                              "beta": 0.7, "threshold": 0.99},
+            "output_dir": "out",
+            "seed": 0,
+        }
+        assert cfg.run_id() == "71bb9d862b77"
+
+    def test_two_families_written_b_first(self):
+        doc = {"data": {"path": "d.csv", "label_column": "y"},
+               "families": {
+                   "b": {"learner": {"kind": "mlp",
+                                     "params": {"hidden_sizes": [4], "epochs": 2}},
+                         "distill": {"beta": 0.5}},
+                   "a": {"learner": {"kind": "gbdt", "params": {"rounds": 3}},
+                         "distill": {"generations": 2}}}}
+        cfg = PipelineConfig.from_json_dict(doc)
+        assert cfg.echo()["families"] == {
+            "a": {"learner": {"kind": "gbdt", "params": {"rounds": 3, **_GBDT_PARAMS},
+                              "seed": 1000},
+                  "distill": {"beta": 0.7, "denoise_threshold": 0.99, "generations": 2,
+                              "teacher_mode": "from_last", "target_mode": "row_weighted",
+                              "include_original": False, "seed": 2000}},
+            "b": {"learner": {"kind": "mlp",
+                              "params": {"hidden_sizes": [4], "epochs": 2,
+                                         "batch_size": 256, "learning_rate": 0.01,
+                                         "patience": 10, "batch_norm": False,
+                                         "momentum": 0.9},
+                              "seed": 3000},
+                  "distill": {"beta": 0.5, "denoise_threshold": 0.99, "generations": 5,
+                              "teacher_mode": "from_last", "target_mode": "row_weighted",
+                              "include_original": False, "seed": 4000}},
+        }
+        assert cfg.run_id() == "f1dd249e1bc2"

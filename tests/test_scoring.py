@@ -30,15 +30,9 @@ from tabdistill.learners.mlp import (
     loss_and_gradients,
 )
 from tabdistill.metrics import roc_auc
-from tabdistill.tabular import (
-    MAX_ONE_HOT,
-    Column,
-    Dataset,
-    FeatureEncoder,
-    Schema,
-)
+from tabdistill.tabular import MAX_ONE_HOT, Dataset, FeatureEncoder
 
-from helpers import dataset_from_arrays
+from helpers import dataset_from_arrays, mixed_type_dataset as _mixed
 
 
 def _bits(a) -> bytes:
@@ -72,26 +66,6 @@ def _reference_sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def _mixed(n: int, seed: int, levels: int = 12, codes=None) -> Dataset:
-    """bool, categorical, int, float and categorical feature columns, in
-    that order; ``shop`` has ``levels`` categories, ``colour`` three."""
-    rng = np.random.default_rng(seed)
-    cats = tuple(f"c{i:03d}" for i in range(levels))
-    if codes is None:
-        codes = np.minimum(rng.geometric(0.08, n) - 1, levels - 1)
-    colour = rng.integers(0, 3, n)
-    x = rng.standard_normal(n)
-    logit = x + 0.3 * (codes % 5) - 0.5 * colour
-    labels = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(np.int64)
-    schema = Schema((Column("flag", "bool"), Column("shop", "categorical", cats),
-                     Column("count", "int"), Column("x", "float"),
-                     Column("colour", "categorical", ("red", "green", "blue")),
-                     Column("label", "int")), "label")
-    arrays = (rng.random(n) < 0.4, np.asarray(codes, dtype=np.int64),
-              rng.integers(-50, 50, n).astype(np.int64), x, colour.astype(np.int64))
-    return Dataset(schema, arrays, labels, np.arange(n, dtype=np.int64))
 
 
 def _other_schema(n: int) -> Dataset:

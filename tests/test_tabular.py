@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from tabdistill.cli import main as cli_main
 from tabdistill.errors import DataError
 from tabdistill.tabular import (
+    MAX_ONE_HOT,
     Column,
     Dataset,
     FeatureEncoder,
@@ -10,15 +14,12 @@ from tabdistill.tabular import (
     SplitSpec,
     apply_transform,
     ingest_csv,
-    load_schema,
     remove_constant_columns,
-    sample_rows,
-    save_schema,
     split,
     write_csv,
 )
 
-from helpers import dataset_from_arrays
+from helpers import dataset_from_arrays, mixed_type_dataset
 
 
 def _write(tmp_path, name, text):
@@ -78,11 +79,13 @@ class TestIngest:
         for a, b in zip(ds.feature_arrays, ds2.feature_arrays):
             np.testing.assert_array_equal(a, b)
 
-    def test_schema_persistence_roundtrip(self, tmp_path):
+    def test_schema_persistence_roundtrip(self, tmp_path, capsys):
         p = _write(tmp_path, "a.csv", "c,label\na,0\nb,1\n")
         ds = ingest_csv(p, "label")
-        save_schema(ds.schema, tmp_path / "schema.json")
-        assert load_schema(tmp_path / "schema.json") == ds.schema
+        out = tmp_path / "schema.json"
+        assert cli_main(["ingest", "--data", str(p), "--label", "label",
+                         "--schema-out", str(out)]) == 0
+        assert Schema.from_json_dict(json.loads(out.read_text())) == ds.schema
 
 
 class TestRemoveConstantColumns:
@@ -191,6 +194,13 @@ class TestRowIds:
         out = Dataset(ds.schema, ds.feature_arrays, ds.labels, np.array(ids, dtype=np.int64))
         np.testing.assert_array_equal(out.row_ids, ids)  # stored unsorted
 
+    def test_take_by_permutation_builds(self):
+        ds = dataset_from_arrays({"a": np.arange(6.0)}, [0, 1] * 3)
+        perm = np.array([4, 0, 5, 2, 1, 3])
+        out = ds.take(perm)
+        np.testing.assert_array_equal(out.row_ids, perm)
+        np.testing.assert_array_equal(out.feature_arrays[0], perm.astype(float))
+
 
 class TestSplit:
     def test_60_20_on_ten_rows(self):
@@ -221,30 +231,6 @@ class TestSplit:
             split(ds, SplitSpec(0.9, 0.05, seed=0))
 
 
-class TestSampleRows:
-    def test_full_sample_is_identity_on_ids(self):
-        ds = dataset_from_arrays({"a": np.arange(7.0)}, [0, 1, 0, 1, 0, 1, 0])
-        out = sample_rows(ds, 7, seed=3)
-        assert set(out.row_ids) == set(ds.row_ids)
-
-    def test_single_row_comes_from_original(self):
-        ds = dataset_from_arrays({"a": np.arange(7.0)}, [0, 1, 0, 1, 0, 1, 0])
-        out = sample_rows(ds, 1, seed=4)
-        assert out.n_rows == 1
-        assert out.row_ids[0] in ds.row_ids
-
-    def test_deterministic_per_seed(self):
-        ds = dataset_from_arrays({"a": np.arange(50.0)}, np.tile([0, 1], 25))
-        a = sample_rows(ds, 20, seed=8)
-        b = sample_rows(ds, 20, seed=8)
-        np.testing.assert_array_equal(a.row_ids, b.row_ids)
-
-    def test_out_of_range(self):
-        ds = dataset_from_arrays({"a": [1.0, 2.0]}, [0, 1])
-        with pytest.raises(DataError):
-            sample_rows(ds, 3, seed=0)
-
-
 class TestFeatureEncoder:
     def test_one_hot_layout_with_other_bucket(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -268,6 +254,13 @@ class TestFeatureEncoder:
         x = enc.transform(ds)
         assert x.shape[1] == 65  # 64 kept + other
         assert (x.sum(axis=1) == 1.0).all()
+
+    def test_width_counts_output_columns(self):
+        ds = mixed_type_dataset(500, seed=1, levels=MAX_ONE_HOT + 9,
+                                codes=np.arange(500) % (MAX_ONE_HOT + 9))
+        enc = FeatureEncoder.fit(ds)
+        assert enc.width == len(enc.output_names) == 3 + (MAX_ONE_HOT + 1) + (3 + 1)
+        assert enc.transform(ds).shape == (500, enc.width)
 
     def test_no_feature_columns_is_data_error(self):
         ds = dataset_from_arrays({}, [0, 1, 0])
