@@ -152,7 +152,7 @@ class PipelineConfig:
     split: SplitSpec
     remove_constants: bool
     transform: Optional[str]
-    families: tuple[tuple[str, FamilyConfig], ...]  # (tag, family) per configured tag
+    families: tuple[Optional[FamilyConfig], ...]  # one per FAMILY_TAGS entry, None if absent
     ensemble_opt: Optional[DEConfig]
     final_learner: LearnerSpec
     final_beta: float
@@ -179,11 +179,10 @@ class PipelineConfig:
         families = []
         for i, tag in enumerate(FAMILY_TAGS):
             fam = _section(families_doc, f"families.{tag}", None, nullable=True)
-            if fam is not None:
-                families.append((tag, _family(fam, f"families.{tag}",
-                                              seed + 1000 + 2000 * i, seed + 2000 + 2000 * i)))
-            elif i == 0:
+            if fam is None and i == 0:
                 raise DataError(f'pipeline config needs families["{tag}"]')
+            families.append(None if fam is None else _family(
+                fam, f"families.{tag}", seed + 1000 + 2000 * i, seed + 2000 + 2000 * i))
         unknown = sorted(set(families_doc) - set(FAMILY_TAGS))
         if unknown:
             raise DataError(f"pipeline config 'families' has unknown keys {unknown}")
@@ -226,8 +225,8 @@ class PipelineConfig:
                       "seed": self.split.seed},
             "preprocess": {"remove_constant_columns": self.remove_constants,
                            "transform": self.transform},
-            "families": dict.fromkeys(FAMILY_TAGS)
-                        | {tag: fam.to_json_dict() for tag, fam in self.families},
+            "families": {tag: None if fam is None else fam.to_json_dict()
+                         for tag, fam in zip(FAMILY_TAGS, self.families)},
             "ensemble_opt": None if self.ensemble_opt is None
             else self.ensemble_opt.to_json_dict(),
             "final_distill": {"learner": self.final_learner.to_json_dict(),
@@ -304,12 +303,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         test_ds = ds.take(test_idx)
 
         families: dict[str, dict] = {}
-        member_groups = dict.fromkeys(FAMILY_TAGS, [])  # an absent family stays empty
+        member_groups = []  # one list of members per tag, empty for an absent family
         member_refs = []  # (family tag, generation, file)
         train_preds: list[np.ndarray] = []
         test_preds: list[np.ndarray] = []
-        # FAMILY_TAGS order is the order of the members, their files and weights
-        for tag, fam in sorted(cfg.families, key=lambda pair: FAMILY_TAGS.index(pair[0])):
+        for tag, fam in zip(FAMILY_TAGS, cfg.families):
+            if fam is None:
+                member_groups.append([])
+                continue
             stage = f"distill/{tag}"
             records, models = run_generations(fam.learner, train_ds, valid_ds,
                                               test_ds, fam.distill)
@@ -325,17 +326,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 "ledger": [r.as_dict() for r in records],
                 "model_files": model_files,
             }
-            member_groups[tag] = models
+            member_groups.append(models)
             # the chain scores a model on train only once it has taught
             train_preds += [r.train_preds for r in records[:-1]]
             train_preds.append(models[-1].predict(train_ds))
             test_preds += [r.test_preds for r in records]
 
         stage = "ensemble"
-        members = [m for group in member_groups.values() for m in group]
+        members = [m for group in member_groups for m in group]
         if cfg.ensemble_opt is not None and len(members) > 1:
-            optimized, audit = combine_families(list(member_groups.values()), valid_ds,
-                                                cfg.ensemble_opt)
+            optimized, audit = combine_families(member_groups, valid_ds, cfg.ensemble_opt)
         else:
             optimized = uniform_ensemble(members)
             valid_preds = score_models(members, valid_ds)

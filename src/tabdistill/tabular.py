@@ -149,11 +149,9 @@ class Dataset:
                 raise DataError(f"column {col.name!r} length mismatch")
         if len(self.row_ids) != n:
             raise DataError("row_ids length mismatch")
-        ids = self.row_ids  # ascending in every Dataset the program builds
-        if not (ids[1:] > ids[:-1]).all():
-            ids = np.sort(ids)
-            if (ids[1:] == ids[:-1]).any():
-                raise DataError("row_ids must be unique")
+        ids = np.sort(self.row_ids)
+        if (ids[1:] == ids[:-1]).any():
+            raise DataError("row_ids must be unique")
         if not np.isin(self.labels, (0, 1)).all():
             raise DataError("labels must be 0 or 1")
 

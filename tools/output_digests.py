@@ -18,14 +18,10 @@ come from the working tree both times, so only the package differs:
     PYTHONPATH=src python3 tools/output_digests.py > change.txt
     diff parent.txt change.txt && sha256sum change.txt
     git worktree remove ../parent
-
-``--keep DIR`` writes the runs to DIR (which must not exist) instead of a
-temporary directory, so differing files can be inspected.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import json
@@ -125,16 +121,9 @@ def manifest(root: Path) -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--keep", help="write the runs here instead of a temporary directory")
-    args = parser.parse_args(argv)
-    with contextlib.ExitStack() as stack:
-        if args.keep:
-            root = Path(args.keep).resolve()
-            root.mkdir(parents=True)
-        else:
-            root = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
         cwd = os.getcwd()
         os.chdir(root)
         try:
