@@ -66,10 +66,6 @@ class DEConfig:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DEConfig":
-        return cls(**doc)
-
 
 class EnsembleModel:
     """Member models blended by a normalized weighted mean of predictions;

@@ -7,24 +7,48 @@ strictly increasing per-feature transform maps a fitted tree onto the tree
 fitted on transformed data, leaving predictions bit-identical. Ties in gain
 break toward the lower feature index, then the lower threshold.
 
-Each training call sorts every feature once, stably, into a (features x
-rows) block of native-width (``np.intp``) row indices, so no gather pays an
+Each training call sorts the encoded columns into three groups once, by how
+many distinct training values each holds. A column with one value can never
+be cut, so the search leaves it out.
+
+A column with three or more values is sorted once, stably, into a (columns
+x rows) block of native-width (``np.intp``) row indices, so no gather pays an
 index cast: the column-block layout of exact greedy XGBoost (Chen & Guestrin
 2016, section 4.1). A node owns the sub-block of its rows, and a split
-partitions every feature's list with one stable gather per side, so each list
+partitions every column's list with one stable gather per side, so each list
 stays sorted by value with ties in ascending row order. That is the order a
-stable per-node sort of the node's rows would give, so the per-feature
+stable per-node sort of the node's rows would give, so the per-column
 gradient and hessian cumsums add the same numbers in the same order and the
 gains are bit-identical to a search that sorts at every node. The search
-scans all features of a node in one 2-D pass; ``cumsum`` along a row is
+scans all columns of a node in one 2-D pass; ``cumsum`` along a row is
 sequential, exactly like a 1-D ``cumsum``. Gains are evaluated only between
-distinct sorted values: the candidate cuts of all features are gathered into
+distinct sorted values: the candidate cuts of all columns are gathered into
 one vector, so the gain arithmetic follows the number of cuts, not the
-number of rows; a one-hot column of a node has at most one cut. Node and
-leaf sums run over the node's rows in ascending row order, as numpy's
-pairwise summation needs for bit-identical totals. The builder hands back
-each training row's leaf value, so boosting updates its scores without
-predicting on the training matrix.
+number of rows. Children at ``max_depth`` are leaves, so their sub-blocks are
+never built.
+
+A column with exactly two values, such as a one-hot level or a bool, has at
+most one cut per node, and its threshold is always its high value. These
+columns are one (rows x columns) boolean matrix that marks the rows holding
+each column's low value, 1 byte per cell where a presorted row costs 8. At a
+node, one masked pass gives every such column's left sums: the mask rows of
+the node's rows, times each row's (gradient, hessian), fill a C-ordered
+(rows x 2 x columns) array that is summed over axis 0. numpy reduces that
+axis row after row, so each sum adds the node's low rows in ascending row
+order, exactly as the cumsum over a presorted list would; a masked row adds a
+zero, which leaves the sum unchanged. A (rows x 1) array would be summed
+pairwise instead and differ in the last bits, which decide exact ties; the
+middle axis of length 2 keeps one column sequential too. Each column's cut
+joins the candidate vector at its feature's place, so the tie rule holds
+across both groups.
+
+Gradient and hessian travel as one ``complex128`` vector, gradient + 1j *
+hessian, so one gather and one ``cumsum`` give both prefix sums: complex
+addition adds the real parts and the imaginary parts separately, each in the
+order a real ``cumsum`` would. Node and leaf sums run over the node's rows in
+ascending row order, as numpy's pairwise summation needs for bit-identical
+totals. The builder hands back each training row's leaf value, so boosting
+updates its scores without predicting on the training matrix.
 
 Prediction descends a fixed ``depth`` steps per tree; a leaf's children are
 the leaf itself, so rows that reach a leaf early stay there.
@@ -152,22 +176,51 @@ class Tree:
                    np.array(value, dtype=np.float64))
 
 
-class _TreeBuilder:
-    """Grows one tree on the presorted column blocks of a training call.
+class _Columns:
+    """The encoded training columns of one call, grouped by how many distinct
+    values each holds.
 
-    ``xt`` is the encoded training matrix as (features x rows) and ``order``
-    the ``np.intp`` block of row indices that sorts each of its rows stably.
+    ``xt`` is the whole matrix as (features x rows). Columns with three or
+    more values are ``features``, presorted stably into the ``np.intp`` block
+    ``order``; ``offset`` turns a block of row indices into positions in
+    ``xt.ravel()``. Two-valued columns are ``two_features``: ``low`` marks, as
+    (rows x columns), the rows that hold a column's low value, and ``high`` is
+    each column's high value. A column with one value is never cut and is in
+    neither group.
     """
 
-    def __init__(self, xt, order, grad, hess, max_depth, l2, min_child_weight):
-        self.xt = xt
-        self.order = order
+    def __init__(self, x: np.ndarray):
+        n = len(x)
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        varies = lo < hi
+        # each value equals the low one or is bit-identical to the high one,
+        # so every node's threshold is the same high value (a -0.0 among
+        # 0.0 highs would make it depend on the node's first high row)
+        two = varies & ((x == lo) | ((x == hi) & (np.signbit(x) == np.signbit(hi)))).all(axis=0)
+        self.xt = np.ascontiguousarray(x.T)
+        self.features = np.flatnonzero(varies & ~two)
+        self.offset = self.features[:, None] * n
+        self.order = np.argsort(self.xt[self.features], axis=1, kind="stable")
+        self.two_features = np.flatnonzero(two)
+        self.high = hi[two]
+        self.low = x[:, two] < self.high
+
+
+class _TreeBuilder:
+    """Grows one tree on the column groups of a training call."""
+
+    def __init__(self, columns: _Columns, grad, hess, max_depth, l2, min_child_weight):
+        self.cols = columns
         self.grad = grad
         self.hess = hess
+        # one gather and one cumsum give both prefix sums: complex addition
+        # adds the real and the imaginary parts separately
+        self.gh = np.empty(len(grad), dtype=np.complex128)
+        self.gh.real = grad
+        self.gh.imag = hess
         self.max_depth = max_depth
         self.l2 = l2
         self.mcw = min_child_weight
-        self.columns = np.arange(len(xt))[:, None]
         self.row_value = np.empty(len(grad))
         self.feature: list[int] = []
         self.threshold: list[float] = []
@@ -183,32 +236,64 @@ class _TreeBuilder:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _best_split(self, rows: np.ndarray, block: np.ndarray):
-        """Best (feature, threshold) over every feature of the node, or None.
-
-        Gains are computed only at candidate cuts: positions whose sorted
-        value differs from the next one, taken in row-major (feature, cut)
-        order. Each expression below runs the same float operations, in the
-        same order, as ``0.5 * (gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent)`` on
-        one feature's sorted rows, but in place on the candidates.
-        """
-        g_total = self.grad[rows].sum()
-        h_total = self.hess[rows].sum()
-        parent = g_total * g_total / (h_total + self.l2)
-        sv = self.xt[self.columns, block]
+    def _sorted_cuts(self, block: np.ndarray):
+        """The candidate cuts of the presorted columns, in (feature, cut)
+        order: the positions in the block whose sorted value differs from the
+        next one, and the left gradient + 1j * hessian sum at each."""
+        sv = self.cols.xt.ravel().take(block + self.cols.offset)
         differs = np.empty(block.shape, dtype=bool)  # equal neighbours cannot be cut apart
         np.not_equal(sv[:, :-1], sv[:, 1:], out=differs[:, :-1])
         differs[:, -1] = False
         del sv
         cand = np.flatnonzero(differs)
-        if not cand.size:
+        left = self.gh.take(block)
+        np.cumsum(left, axis=1, out=left)
+        return cand, left.take(cand)
+
+    def _two_valued_cuts(self, rows: np.ndarray):
+        """The two-valued columns whose low and high values both occur in the
+        node, as positions in that group, and the left sum of each one's cut,
+        from one masked pass over the node's rows."""
+        if not self.cols.high.size:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.complex128)
+        low = self.cols.low[rows].astype(np.float64)
+        n_low = low.sum(axis=0)  # whole numbers below 2**53: exact
+        cut = np.flatnonzero((n_low > 0) & (n_low < len(rows)))
+        # a sum over axis 0 of a C-ordered (rows x 2 x columns) array adds
+        # row after row, as cumsum does; a masked row adds a zero
+        pairs = self.gh[rows].view(np.float64).reshape(-1, 2, 1)
+        sums = np.multiply(low[:, None, :], pairs).sum(axis=0)
+        left = np.empty(len(cut), dtype=np.complex128)
+        left.real = sums[0, cut]
+        left.imag = sums[1, cut]
+        return cut, left
+
+    def _best_split(self, rows: np.ndarray, block: np.ndarray):
+        """Best (feature, threshold) over every feature of the node, or None.
+
+        Gains are computed only at candidate cuts, taken in (feature, cut)
+        order. Each expression below runs the same float operations, in the
+        same order, as ``0.5 * (gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent)`` on
+        one feature's sorted rows, but in place on the candidates.
+        """
+        cols = self.cols
+        g_total = self.grad[rows].sum()
+        h_total = self.hess[rows].sum()
+        parent = g_total * g_total / (h_total + self.l2)
+        width = block.shape[1]
+        cand, left = self._sorted_cuts(block)
+        two, two_left = self._two_valued_cuts(rows)
+        # a two-valued cut goes in after the cuts of every presorted column
+        # of lower feature index; ``slots`` are its places in the merged order
+        before = np.searchsorted(
+            cand, np.searchsorted(cols.features, cols.two_features[two]) * width)
+        slots = before + np.arange(len(two))
+        if len(two):
+            left = np.insert(left, before, two_left)
+        if not left.size:
             return None
-        gl = self.grad[block]
-        np.cumsum(gl, axis=1, out=gl)
-        gl = gl.take(cand)
-        hl = self.hess[block]
-        np.cumsum(hl, axis=1, out=hl)
-        hl = hl.take(cand)
+        gl = left.real.copy()
+        hl = left.imag.copy()
         blocked = hl < self.mcw
         hr = h_total - hl  # from hl itself: (hl + l2) - l2 is not hl
         blocked |= hr < self.mcw
@@ -228,22 +313,24 @@ class _TreeBuilder:
         # 0.0 strictly, and a feature with a NaN gain never wins. argmax
         # returns the first NaN when there is one, so only then are the
         # features holding a NaN dropped and the search repeated.
-        width = block.shape[1]
         k = int(np.argmax(gains))
         if np.isnan(gains[k]):
-            feature = cand // width
+            feature = np.insert(cols.features[cand // width], before, cols.two_features[two])
             gains[np.isin(feature, feature[np.isnan(gains)])] = -np.inf
             k = int(np.argmax(gains))
         if not gains[k] > 0.0:
             return None
-        f = int(cand[k] // width)
-        return f, float(self.xt[f, block.ravel()[cand[k] + 1]])
+        j = int(np.searchsorted(slots, k))
+        if j < len(slots) and slots[j] == k:
+            return int(cols.two_features[two[j]]), float(cols.high[two[j]])
+        position = cand[k - j]
+        f = int(cols.features[position // width])
+        return f, float(cols.xt[f, block.ravel()[position + 1]])
 
     def build(self) -> tuple[Tree, np.ndarray]:
         """The tree and each training row's leaf value."""
-        n_features = len(self.order)
         root = self._new_node()
-        stack = [(root, np.arange(len(self.grad)), self.order, 0)]
+        stack = [(root, np.arange(len(self.grad)), self.cols.order, 0)]
         while stack:
             node, rows, block, depth = stack.pop()
             split = None
@@ -256,15 +343,17 @@ class _TreeBuilder:
                 self.row_value[rows] = self.value[node]
                 continue
             f, thr = split
-            go_left_all = self.xt[f] < thr
+            go_left_all = self.cols.xt[f] < thr
             go_left = go_left_all[rows]
-            # a stable gather, so every list stays sorted; taking positions
-            # from flatnonzero is faster than indexing with the boolean mask
-            in_left = go_left_all[block].ravel()
             left_rows, right_rows = rows[go_left], rows[~go_left]
-            flat = block.ravel()
-            left_block = flat.take(np.flatnonzero(in_left)).reshape(n_features, len(left_rows))
-            right_block = flat.take(np.flatnonzero(~in_left)).reshape(n_features, len(right_rows))
+            left_block = right_block = None  # children at max_depth are leaves
+            if depth + 1 < self.max_depth:
+                # a stable gather, so every list stays sorted; taking positions
+                # from flatnonzero is faster than indexing with the boolean mask
+                in_left = go_left_all[block].ravel()
+                flat = block.ravel()
+                left_block = flat.take(np.flatnonzero(in_left)).reshape(len(block), len(left_rows))
+                right_block = flat.take(np.flatnonzero(~in_left)).reshape(len(block), len(right_rows))
             left_node = self._new_node()
             right_node = self._new_node()
             self.feature[node] = f
@@ -344,8 +433,7 @@ def train_gbdt(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget) -> 
         raise TrainingError("training features contain non-finite values")
     w_pos, w_neg = resolve_weight_pairs(target, train_ds.labels)
     w_sum = w_pos + w_neg
-    xt = np.ascontiguousarray(x.T)
-    order = np.argsort(xt, axis=1, kind="stable")
+    columns = _Columns(x)
 
     score = np.zeros(len(x))
     trees: list[Tree] = []
@@ -355,7 +443,7 @@ def train_gbdt(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget) -> 
         grad = w_sum * p - w_pos
         hess = w_sum * p * (1.0 - p)
         tree, row_value = _TreeBuilder(
-            xt, order, grad, hess, int(spec["max_depth"]),
+            columns, grad, hess, int(spec["max_depth"]),
             spec["l2_leaf_penalty"], spec["min_child_weight"]).build()
         trees.append(tree)
         score += lr * row_value

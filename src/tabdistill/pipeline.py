@@ -40,6 +40,7 @@ from tabdistill.errors import DataError, TabDistillError, require_integer
 from tabdistill.learners import LearnerSpec, save_model, score_models, train
 from tabdistill.metrics import evaluate, roc_auc
 from tabdistill.tabular import (
+    TRANSFORM_KINDS,
     Dataset,
     SplitSpec,
     apply_transform,
@@ -175,6 +176,10 @@ class PipelineConfig:
             seed=_seed(split_doc, "split.seed", seed),
         )
         pre = _section(doc, "preprocess", {})
+        transform = pre.get("transform")
+        if transform is not None and transform not in TRANSFORM_KINDS:
+            raise DataError("pipeline config 'preprocess.transform' must be null or one of "
+                            f"{list(TRANSFORM_KINDS)}, got {transform!r}")
         families_doc = _section(doc, "families", {})
         families = []
         for i, tag in enumerate(FAMILY_TAGS):
@@ -205,7 +210,7 @@ class PipelineConfig:
             label_column=_typed(str, data, "data.label_column"),
             split=split,
             remove_constants=_typed(bool, pre, "preprocess.remove_constant_columns", True),
-            transform=pre.get("transform"),
+            transform=transform,
             families=tuple(families),
             ensemble_opt=de_cfg,
             final_learner=final_learner,

@@ -27,6 +27,9 @@ SCHEMA_FORMAT = "tabdistill.schema/v1"
 # everything else lands in a shared "other" bucket
 MAX_ONE_HOT = 64
 
+# the feature transforms apply_transform knows
+TRANSFORM_KINDS = ("standardize", "quantile")
+
 _BOOL_TOKENS = {"true": True, "false": False, "True": True, "False": False,
                 "TRUE": True, "FALSE": False}
 # label cells after stripping: 0/1 or a bool token
@@ -401,7 +404,7 @@ def apply_transform(ds: Dataset, kind: str, fit_rows: Iterable[int]) -> Dataset:
     quantile: mid-rank empirical CDF r / (n + 1) over the fit values,
     mapping every value into (0, 1).
     """
-    if kind not in ("standardize", "quantile"):
+    if kind not in TRANSFORM_KINDS:
         raise DataError(f"unknown transform kind {kind!r}")
     fit_ids = np.asarray(sorted(set(int(r) for r in fit_rows)), dtype=np.int64)
     if len(fit_ids) == 0:

@@ -1,0 +1,63 @@
+"""The BENCH_<pr>.json collation of tools/bench_pairs.py, on canned run
+outputs; no benchmark is started."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = {
+    "run_s": {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+    "final_test_auc": {"name": "final_test_auc", "unit": "auc", "better": "higher",
+                       "bound": 0.15},
+}
+
+
+def _result(run_s, auc, failed=0, digest="aa"):
+    return {"correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                        "final_test_auc": {"value": auc, "unit": "auc"}},
+            "record": {"report_sha256": [digest]}}
+
+
+def _rounds():
+    # run_s: the change is faster in rounds 1 and 3, slower in round 2 and
+    # ties in round 4; the AUC is the same everywhere
+    parent = [1.0, 2.0, 3.0, 4.0]
+    change = [0.5, 2.5, 2.0, 4.0]
+    return [{"first_side": side, "parent": _result(p, 0.7), "change": _result(c, 0.7, digest="bb")}
+            for side, p, c in zip(["parent", "change"] * 2, parent, change)]
+
+
+def test_collate_counts_pairs_by_direction():
+    out = bench_pairs.collate(_rounds(), END_TO_END)
+    run_s = out["metrics"]["run_s"]
+    assert (run_s["other_better_pairs"], run_s["other_worse_pairs"]) == (2, 1)
+    auc = out["metrics"]["final_test_auc"]
+    assert (auc["other_better_pairs"], auc["other_worse_pairs"]) == (0, 0)
+    assert auc["median_change"] == 0.0 and auc["base_iqr"] == 0.0
+
+
+def test_collate_spreads_and_change():
+    run_s = bench_pairs.collate(_rounds(), END_TO_END)["metrics"]["run_s"]
+    assert run_s["base"] == {"runs": [1.0, 2.0, 3.0, 4.0], "median": 2.5,
+                             "p25": 1.75, "p75": 3.25}
+    assert run_s["other"]["median"] == 2.25
+    assert run_s["base_iqr"] == 1.5
+    assert run_s["median_change"] == pytest.approx(2.25 / 2.5 - 1.0)
+    assert (run_s["unit"], run_s["better"], run_s["bound"]) == ("s", "lower", 0.25)
+
+
+def test_collate_keeps_round_order_failures_and_digests():
+    rounds = _rounds()
+    rounds[2]["change"] = _result(2.0, 0.7, failed=1, digest="bb")
+    out = bench_pairs.collate(rounds, END_TO_END)
+    assert out["first_side"] == ["parent", "change", "parent", "change"]
+    assert out["failed"] == {"parent": [0, 0, 0, 0], "change": [0, 0, 1, 0]}
+    assert out["attempted"]["change"] == [10] * 4
+    assert out["report_sha256"] == {"parent": ["aa"], "change": ["bb"]}

@@ -11,7 +11,7 @@ import pytest
 
 from tabdistill.learners import LearnerSpec, TrainingTarget, train
 from tabdistill.learners.base import resolve_weight_pairs
-from tabdistill.learners.gbdt import _sigmoid, _TreeBuilder
+from tabdistill.learners.gbdt import _Columns, _sigmoid, _TreeBuilder
 from tabdistill.tabular import Column, Dataset, FeatureEncoder, Schema
 
 
@@ -229,9 +229,11 @@ def _both_splits(xt, grad, hess, l2=1.0, mcw=1.0, rows=None):
     in_node = np.zeros(xt.shape[1], dtype=bool)
     in_node[rows] = True
     block = order[in_node[order]].reshape(len(xt), len(rows))
-    builder = _TreeBuilder(xt, order, grad, hess, 1, l2, mcw)
+    columns = _Columns(xt.T)
+    sub_block = columns.order[in_node[columns.order]].reshape(len(columns.order), len(rows))
+    builder = _TreeBuilder(columns, grad, hess, 1, l2, mcw)
     with np.errstate(all="ignore"):
-        return (builder._best_split(rows, block),
+        return (builder._best_split(rows, sub_block),
                 _reference_masked_split(xt, grad, hess, rows, block, l2, mcw))
 
 
@@ -327,6 +329,109 @@ def test_random_nodes_match_masked_search(seed):
         rows = np.arange(n)
     got, ref = _both_splits(xt, grad, hess, l2=l2, mcw=mcw, rows=rows)
     assert got == ref
+
+
+def _tie_partner(low_rows, rng):
+    """A two-valued column and a three-valued one that cuts the same rows
+    away from the rest: both sum the same left rows in the same order, so
+    their gains tie exactly and the lower feature index must win."""
+    z = np.where(low_rows, 0.0, 1.0)
+    z[~low_rows & (rng.random(len(z)) < 0.5)] = 2.0
+    return np.where(low_rows, 0.0, 1.0), z
+
+
+@pytest.mark.parametrize("case", ["low_value_missing", "two_valued_first",
+                                  "two_valued_second", "high_value_not_one",
+                                  "signed_zero_high"])
+def test_two_valued_nodes_match_masked_search(case):
+    rng = np.random.default_rng(21)
+    n = 40
+    low = rng.random(n) < 0.5
+    grad = rng.standard_normal(n) + np.where(low, -1.5, 1.5)
+    hess = rng.uniform(0.1, 1.0, n)
+    flag, partner = _tie_partner(low, rng)
+    if case == "low_value_missing":
+        # the node's rows all hold the flag's high value, so only the
+        # continuous column can be cut
+        rows = np.flatnonzero(~low)
+        got, ref = _both_splits([flag, rng.standard_normal(n)], grad, hess,
+                                mcw=0.0, rows=rows)
+        assert ref is not None and ref[0] == 1
+    elif case == "two_valued_first":
+        got, ref = _both_splits([flag, partner], grad, hess, mcw=0.0)
+        assert ref == (0, 1.0)
+    elif case == "two_valued_second":
+        got, ref = _both_splits([partner, flag], grad, hess, mcw=0.0)
+        assert ref == (0, 1.0)
+    elif case == "high_value_not_one":
+        got, ref = _both_splits([np.where(low, -2.5, 7.0)], grad, hess, mcw=0.0)
+        assert ref == (0, 7.0)
+    else:
+        # -0.0 == 0.0, so the high rows hold one value, but the threshold is
+        # the node's first high row's, and its sign reaches the model JSON
+        column = np.where(low, -1.0, np.where(np.arange(n) < n // 2, -0.0, 0.0))
+        got, ref = _both_splits([column], grad, hess, mcw=0.0)
+        assert repr(got) == repr(ref) == "(0, -0.0)"
+        got, ref = _both_splits([column], grad, hess, mcw=0.0, rows=np.arange(n // 2, n))
+        assert ref == (0, 0.0) and not np.signbit(ref[1])
+    assert repr(got) == repr(ref)
+
+
+def _two_valued_dataset(n, seed, kinds):
+    """Columns named by ``kinds``: "flag" (bool), "pair" (float, -2.5 or
+    7.0), "side" (two-level categorical, two complementary one-hot columns),
+    "partner" (int whose 0 rows are the flag's False rows), "odd" (int, 3 or
+    5) and "cont" (continuous float)."""
+    rng = np.random.default_rng(seed)
+    flag = rng.random(n) < 0.4
+    pair = np.where(rng.random(n) < 0.6, -2.5, 7.0)
+    side = rng.integers(0, 2, n)
+    partner = _tie_partner(~flag, rng)[1].astype(np.int64)
+    odd = np.where(rng.random(n) < 0.3, 3, 5)
+    cont = np.round(rng.standard_normal(n), 1)
+    logit = 1.2 * flag - 0.3 * pair + 0.8 * side + 0.4 * (odd == 3) + cont
+    labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.int64)
+    table = {"flag": (Column("flag", "bool"), flag),
+             "pair": (Column("pair", "float"), pair),
+             "side": (Column("side", "categorical", ("l", "r")), side),
+             "partner": (Column("partner", "int"), partner),
+             "odd": (Column("odd", "int"), odd),
+             "cont": (Column("cont", "float"), cont)}
+    columns = [table[k] for k in kinds]
+    schema = Schema(tuple(c for c, _ in columns) + (Column("label", "int"),), "label")
+    return Dataset(schema, tuple(v for _, v in columns), labels,
+                   np.arange(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("kinds, two_valued", [
+    (("cont", "partner", "flag"), 1),
+    (("flag", "pair", "side", "odd"), 5),
+    (("pair", "cont"), 1),
+])
+def test_two_valued_columns_match_reference(kinds, two_valued):
+    ds = _two_valued_dataset(600, seed=9, kinds=kinds)
+    x = FeatureEncoder.fit(ds).transform(ds)
+    assert len(_Columns(x).two_features) == two_valued
+    spec = LearnerSpec("gbdt", {"rounds": 6, "max_depth": 4})
+    model = train(spec, ds, TrainingTarget.hard())
+    _assert_same_trees(model, _reference_train(spec, ds, TrainingTarget.hard()))
+    if "pair" in kinds:
+        # the -2.5/7.0 column is cut at its high value, never its low one
+        f = kinds.index("pair")
+        thresholds = {float(t.threshold[i]) for t in model.trees
+                      for i in np.flatnonzero(t.feature == f)}
+        assert thresholds == {7.0}
+
+
+@pytest.mark.parametrize("k", [1, 55])
+def test_axis0_sum_of_row_pairs_adds_row_after_row(k):
+    # the two-valued search takes each left sum from ``sum(axis=0)`` of a
+    # C-ordered (rows x 2 x columns) array; it must equal cumsum's last row
+    # bit for bit, as numpy's pairwise summation along one axis would not
+    rng = np.random.default_rng(k)
+    for n in (2, 8, 9, 100, 1000, 5000):
+        a = rng.standard_normal((n, 2, k)) * 10.0 ** rng.uniform(-6, 6, (n, 2, k))
+        np.testing.assert_array_equal(a.sum(axis=0), np.cumsum(a, axis=0)[-1])
 
 
 def _mixed_dataset(n, seed):

@@ -495,6 +495,8 @@ class TestMalformedConfig:
         (_put({"learner": {"kind": "gbdt"}}, "families", "c"),
          "pipeline config 'families' has unknown keys ['c']"),
         (_drop("families", "a"), 'pipeline config needs families["a"]'),
+        (_put("log", "preprocess", "transform"), "preprocess.transform"),
+        (_put(3, "preprocess", "transform"), "preprocess.transform"),
     ])
     def test_cli_names_the_bad_entry(self, tmp_path, capsys, edit, named):
         doc = _minimal_config(tmp_path)
