@@ -3,7 +3,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload score_batch --workload pipeline_gbdt \\
-        --seed 83 --pairs 10 --seconds 30 --out BENCH_9.json
+        --seed 91 --pairs 10 --seconds 30 --out BENCH_9.json
 
 Each round runs ``benchmarks/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, alternating which side goes first, and
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
-    comparisons, machine = {}, None
+    comparisons = {}
     for workload in args.workload:
         rounds = []
         for i in range(args.pairs):
@@ -104,9 +104,7 @@ def main(argv=None) -> int:
                 for side in order})
             print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
         comparisons[f"{workload}: parent -> change"] = collate(rounds, end_to_end)
-        prov = rounds[0]["change"]["record"]["provenance"]
-        machine = {k: prov[k] for k in ("cpu_model", "nproc", "numpy", "python")}
-        parent_commit = rounds[0]["parent"]["record"]["provenance"]["git_commit"]
+    provenance = {side: rounds[0][side]["record"]["provenance"] for side in SIDES}
 
     args.out.write_text(json.dumps({
         "what": (f"Rounds of the repository benchmark on the parent commit and on the change, "
@@ -116,8 +114,8 @@ def main(argv=None) -> int:
                  f"percentiles) are over runs; 'median_change' is the change's median over the "
                  f"parent's minus 1; 'other_better_pairs' counts rounds where the change read "
                  f"better than the parent, ties counting for neither."),
-        "machine": machine,
-        "parent_commit": parent_commit,
+        "machine": {k: provenance["change"][k] for k in ("cpu_model", "nproc", "numpy", "python")},
+        "parent_commit": provenance["parent"]["git_commit"],
         "comparisons": comparisons,
     }, indent=2, sort_keys=True) + "\n")
     return 0
