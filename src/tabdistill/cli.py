@@ -110,7 +110,7 @@ def _cmd_ensemble_opt(args) -> int:
 def _cmd_deploy_distill(args) -> int:
     ens = load_ensemble(args.ensemble)
     ds = ingest_csv(args.data, args.label)
-    model = distill_to_deployment(ens, ds, _learner_spec(args), args.beta,
+    model = distill_to_deployment(ens.predict(ds), ds, _learner_spec(args), args.beta,
                                   args.threshold)
     save_model(model, args.out)
     print(json.dumps({"model": args.out}, indent=2, sort_keys=True))

@@ -13,7 +13,7 @@ running ensemble is what carries the gains.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -53,19 +53,7 @@ class DistillConfig:
             raise DataError(f"unknown target_mode {self.target_mode!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "denoise_threshold": self.denoise_threshold,
-            "generations": self.generations,
-            "teacher_mode": self.teacher_mode,
-            "target_mode": self.target_mode,
-            "include_original": self.include_original,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DistillConfig":
-        return cls(**doc)
+        return asdict(self)
 
 
 @dataclass
@@ -127,36 +115,21 @@ def targets_to_sampled(target: TrainingTarget, seed: int) -> TrainingTarget:
     return TrainingTarget.from_sampled((u < prob).astype(np.int64))
 
 
-def _keep_mask(train_ds: Dataset, scores: np.ndarray, threshold: float) -> np.ndarray:
+def distill_step(train_ds: Dataset, teacher_scores, beta: float, threshold: float,
+                 target_mode: str = "row_weighted",
+                 sample_seed: int = 0) -> tuple[Dataset, TrainingTarget]:
+    """The rows a student trains on and their targets: keep row i iff
+    |f(x_i) - y_i| < threshold (1 keeps every row; keeping none raises),
+    beta-mix the kept scores into weight pairs, and under ``label_sampled``
+    draw one label per row. Kept rows keep their row ids."""
     if not (0.0 < threshold <= 1.0):
         raise DataError("threshold must lie in (0, 1]")
+    scores = np.asarray(teacher_scores, dtype=np.float64)
     if scores.shape != (train_ds.n_rows,):
         raise DataError("scores must align with rows")
     keep = np.abs(scores - train_ds.labels.astype(np.float64)) < threshold
     if not keep.any():
         raise DataError(f"denoise threshold {threshold} dropped every row")
-    return keep
-
-
-def denoise(train_ds: Dataset, teacher_scores, threshold: float) -> tuple[Dataset, np.ndarray]:
-    """Keep row i iff |f(x_i) - y_i| < threshold; returns the surviving
-    dataset (row ids intact) and the dropped row ids.
-
-    A threshold of 1 keeps every row. Raises when nothing survives so the
-    caller can decide whether the threshold was too aggressive.
-    """
-    keep = _keep_mask(train_ds, np.asarray(teacher_scores, dtype=np.float64), threshold)
-    return train_ds.take(np.flatnonzero(keep)), train_ds.row_ids[~keep]
-
-
-def distill_step(train_ds: Dataset, teacher_scores, beta: float, threshold: float,
-                 target_mode: str = "row_weighted",
-                 sample_seed: int = 0) -> tuple[Dataset, TrainingTarget]:
-    """The rows a student trains on and their targets: denoise against the
-    labels, beta-mix the surviving scores into weight pairs, and under
-    ``label_sampled`` draw one label per row."""
-    scores = np.asarray(teacher_scores, dtype=np.float64)
-    keep = _keep_mask(train_ds, scores, threshold)
     kept = train_ds.take(np.flatnonzero(keep))
     target = make_targets(kept, scores[keep], beta)
     if target_mode == "label_sampled":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -55,16 +55,7 @@ class DEConfig:
             raise DataError("bounds must satisfy lower < upper")
 
     def to_json_dict(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "mutation_factor": self.mutation_factor,
-            "crossover_rate": self.crossover_rate,
-            "max_iterations": self.max_iterations,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "prune_epsilon": self.prune_epsilon,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 class EnsembleModel:
@@ -163,7 +154,7 @@ def _auc_objective(member_preds: np.ndarray, labels: np.ndarray) -> Callable:
     return objective
 
 
-def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: DEConfig,
+def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: Optional[DEConfig],
                               ) -> tuple[EnsembleModel, dict]:
     """Search nonnegative member weights maximizing validation AUC.
 
@@ -171,21 +162,23 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: DEConfig,
     every single member and of the uniform average; shares below
     prune_epsilon are rounded down to zero with re-optimization over the
     survivors. Also returns an audit dict with the pre-pruning weights and
-    the objective bookkeeping."""
+    the objective bookkeeping. A ``cfg`` of None, or a single member, skips
+    the search and weights every member 1, with the same audit."""
     labels = valid.labels
     if len(np.unique(labels)) < 2:
         raise DataError("validation set must contain both classes")
     member_preds = score_models(ens.members, valid)
     m = len(ens.members)
-    rng = np.random.default_rng(cfg.seed)
     objective = _auc_objective(member_preds, labels)
+    uniform = np.ones(m)
+    uniform_fit = float(objective(uniform))
+    audit = {"pre_prune_weights": uniform.tolist(), "final_weights": uniform.tolist(),
+             "prune_rounds": 0, "validation_auc": uniform_fit, "uniform_auc": uniform_fit,
+             "member_aucs": [float(roc_auc(p, labels)) for p in member_preds]}
+    if cfg is None or m == 1:
+        return EnsembleModel(ens.members, uniform), audit
 
-    if m == 1:
-        auc = float(roc_auc(member_preds[0], labels))
-        audit = {"pre_prune_weights": [1.0], "final_weights": [1.0],
-                 "prune_rounds": 0, "validation_auc": auc,
-                 "uniform_auc": auc, "member_aucs": [auc]}
-        return EnsembleModel(ens.members, [1.0]), audit
+    rng = np.random.default_rng(cfg.seed)
 
     def incumbent_seeds(active: np.ndarray) -> list[np.ndarray]:
         seeds = [np.where(active, 1.0, 0.0)]  # uniform over active members
@@ -223,9 +216,7 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: DEConfig,
 
     # the guarantee incumbents are prune-clean by construction; never return
     # anything below them
-    final_candidates = [(best_w, best_fit)]
-    uniform = np.ones(m)
-    final_candidates.append((uniform, objective(uniform)))
+    final_candidates = [(best_w, best_fit), (uniform, uniform_fit)]
     for j in range(m):
         one_hot = np.zeros(m)
         one_hot[j] = 1.0
@@ -235,14 +226,8 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: DEConfig,
         if fit > winner_fit:
             winner_w, winner_fit = w, fit
 
-    audit = {
-        "pre_prune_weights": pre_prune.tolist(),
-        "final_weights": winner_w.tolist(),
-        "prune_rounds": prune_rounds,
-        "validation_auc": winner_fit,
-        "uniform_auc": float(objective(np.ones(m))),
-        "member_aucs": [float(roc_auc(member_preds[j], labels)) for j in range(m)],
-    }
+    audit.update(pre_prune_weights=pre_prune.tolist(), final_weights=winner_w.tolist(),
+                 prune_rounds=prune_rounds, validation_auc=winner_fit)
     return EnsembleModel(ens.members, winner_w), audit
 
 

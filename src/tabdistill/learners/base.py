@@ -117,6 +117,8 @@ class TrainingTarget:
             object.__setattr__(self, "w_neg", wn)
             if wp.shape != wn.shape or wp.ndim != 1:
                 raise DataError("weight vectors must be equal-length 1-d arrays")
+            if not (np.isfinite(wp).all() and np.isfinite(wn).all()):
+                raise DataError("target weights must be finite")
             if (wp < 0).any() or (wn < 0).any():
                 raise DataError("target weights must be nonnegative")
             if ((wp + wn) <= 0).any():

@@ -269,7 +269,7 @@ def train_mlp(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,
     lr = spec["learning_rate"]
     mu = spec["momentum"]
     tracker = EarlyStopTracker(int(spec["patience"])) if valid is not None else None
-    x_valid = encoder.transform(valid) if valid is not None else None
+    x_valid = encode_features(encoder, valid) if valid is not None else None
     best_params = None
     epochs_run = 0
 

@@ -1,5 +1,5 @@
-"""Evaluation kernels: ROC AUC, log loss, accuracy, prediction correlation,
-and train-vs-test overfit probes. All kernels are pure functions.
+"""Evaluation kernels: ROC AUC, log loss, accuracy and prediction
+correlation. All kernels are pure functions.
 
 The ROC AUC is a rank sum over a single sort of the scores, exact under
 ties, and rejects non-finite scores with DataError; ``evaluate`` inherits
@@ -135,11 +135,3 @@ def generation_correlation_matrix(models, rows) -> np.ndarray:
             mat[i, j] = r
             mat[j, i] = r
     return mat
-
-
-def overfit_probe(model, train, test) -> tuple[EvalReport, EvalReport]:
-    """Paired train/test reports for one model; the train-minus-test AUC gap
-    is reported, never asserted."""
-    train_report = evaluate(model.predict(train), train.labels)
-    test_report = evaluate(model.predict(test), test.labels)
-    return train_report, test_report

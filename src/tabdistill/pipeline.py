@@ -33,12 +33,15 @@ from tabdistill.ensemble import (
     EnsembleModel,
     blend,
     combine_families,
+    optimize_weights_detailed,
     save_ensemble,
     uniform_ensemble,
 )
 from tabdistill.errors import DataError, TabDistillError, require_integer
-from tabdistill.learners import LearnerSpec, save_model, score_models, train
-from tabdistill.metrics import evaluate, roc_auc
+from tabdistill.learners import LearnerSpec, save_model, train
+# benchmarks/tracer.py looks up and wraps roc_auc in this module, so it stays
+# imported although nothing here calls it
+from tabdistill.metrics import evaluate, roc_auc  # noqa: F401
 from tabdistill.tabular import (
     TRANSFORM_KINDS,
     Dataset,
@@ -81,10 +84,21 @@ def _entry(doc: dict, path: str, default=_REQUIRED):
     return default
 
 
-def _section(doc: dict, path: str, default=_REQUIRED, nullable: bool = False):
+def _known(doc: dict, path: str, keys) -> None:
+    """Raise DataError naming the keys of ``doc`` outside ``keys``."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        where = f" {path!r}" if path else ""
+        raise DataError(f"pipeline config{where} has unknown keys {unknown}")
+
+
+def _section(doc: dict, path: str, default=_REQUIRED, nullable: bool = False, keys=None):
+    """An object entry; with ``keys``, any other key in it raises DataError."""
     value = _entry(doc, path, default)
     if not (isinstance(value, dict) or (nullable and value is None)):
         raise DataError(f"pipeline config {path!r} must be an object")
+    if keys is not None and value is not None:
+        _known(value, path, keys)
     return value
 
 
@@ -108,9 +122,7 @@ def _seed(doc: dict, path: str, default: int) -> int:
 
 def _build(cls, doc: dict, path: str):
     """A config dataclass from its section; unknown keys raise DataError."""
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-    if unknown:
-        raise DataError(f"pipeline config {path!r} has unknown keys {unknown}")
+    _known(doc, path, [f.name for f in fields(cls)])
     try:
         return cls(**doc)
     except (TypeError, DataError) as exc:  # TypeError: an ill-typed value met a comparison
@@ -118,7 +130,7 @@ def _build(cls, doc: dict, path: str):
 
 
 def _learner(doc: dict, path: str, default_seed: int) -> LearnerSpec:
-    section = _section(doc, path)
+    section = _section(doc, path, keys=("kind", "params", "seed"))
     params = _section(section, f"{path}.params", {})
     kind = _entry(section, f"{path}.kind")
     seed = _seed(section, f"{path}.seed", default_seed)
@@ -167,36 +179,37 @@ class PipelineConfig:
         raises DataError naming its dotted path."""
         if not isinstance(doc, dict):
             raise DataError("pipeline config must be a JSON object")
+        _known(doc, "", ("data", "split", "preprocess", "families", "ensemble_opt",
+                         "final_distill", "output_dir", "seed"))
         seed = _seed(doc, "seed", 0)
-        data = _section(doc, "data")
-        split_doc = _section(doc, "split", {})
+        data = _section(doc, "data", keys=("path", "label_column"))
+        split_doc = _section(doc, "split", {},
+                             keys=("train_fraction", "valid_fraction", "seed"))
         split = SplitSpec(
             train_fraction=_convert(float, split_doc, "split.train_fraction", 0.6),
             valid_fraction=_convert(float, split_doc, "split.valid_fraction", 0.2),
             seed=_seed(split_doc, "split.seed", seed),
         )
-        pre = _section(doc, "preprocess", {})
+        pre = _section(doc, "preprocess", {}, keys=("remove_constant_columns", "transform"))
         transform = pre.get("transform")
         if transform is not None and transform not in TRANSFORM_KINDS:
             raise DataError("pipeline config 'preprocess.transform' must be null or one of "
                             f"{list(TRANSFORM_KINDS)}, got {transform!r}")
-        families_doc = _section(doc, "families", {})
+        families_doc = _section(doc, "families", {}, keys=FAMILY_TAGS)
         families = []
         for i, tag in enumerate(FAMILY_TAGS):
-            fam = _section(families_doc, f"families.{tag}", None, nullable=True)
+            fam = _section(families_doc, f"families.{tag}", None, nullable=True,
+                           keys=("learner", "distill"))
             if fam is None and i == 0:
                 raise DataError(f'pipeline config needs families["{tag}"]')
             families.append(None if fam is None else _family(
                 fam, f"families.{tag}", seed + 1000 + 2000 * i, seed + 2000 + 2000 * i))
-        unknown = sorted(set(families_doc) - set(FAMILY_TAGS))
-        if unknown:
-            raise DataError(f"pipeline config 'families' has unknown keys {unknown}")
 
         de_doc = _section(doc, "ensemble_opt", None, nullable=True)
         de_cfg = None if de_doc is None else _build(
             DEConfig, {"seed": seed + _SEED_DE, **de_doc}, "ensemble_opt")
 
-        final = _section(doc, "final_distill", {})
+        final = _section(doc, "final_distill", {}, keys=("learner", "beta", "threshold"))
         final_learner = _learner(
             {"learner": {"kind": "gbdt", "params": {}}, **final},
             "final_distill.learner", seed + _SEED_FINAL)
@@ -266,19 +279,18 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def distill_to_deployment(ens, train_ds: Dataset,
+def distill_to_deployment(scores, train_ds: Dataset,
                           target_spec: LearnerSpec, beta: float, threshold: float,
                           valid: Optional[Dataset] = None,
                           target_mode: str = "row_weighted", sample_seed: int = 0):
-    """Compress an ensemble into a single model: score the training split
-    with the ensemble, denoise against the original labels, beta-mix the
-    scores into weight pairs, and train the deployment learner on them.
-    ``ens`` may also be the ensemble's scores on ``train_ds``.
+    """Compress an ensemble into a single model: from the ensemble's
+    ``scores`` on ``train_ds``, denoise against the original labels,
+    beta-mix the scores into weight pairs, and train the deployment learner
+    on them.
 
     The returned model stands alone; none of the ensemble members are
     needed to use or persist it.
     """
-    scores = ens if isinstance(ens, np.ndarray) else ens.predict(train_ds)
     kept, target = distill_step(train_ds, scores, beta, threshold, target_mode, sample_seed)
     return train(target_spec, kept, target, valid)
 
@@ -299,8 +311,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             ds, _ = remove_constant_columns(ds)
         train_idx, valid_idx, test_idx = split_indices(ds.n_rows, cfg.split)
         if cfg.transform is not None:
-            fit_ids = ds.row_ids[train_idx]
-            ds = apply_transform(ds, cfg.transform, fit_ids)
+            ds = apply_transform(ds, cfg.transform, train_idx)
 
         stage = "split"
         train_ds = ds.take(train_idx)
@@ -342,15 +353,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         if cfg.ensemble_opt is not None and len(members) > 1:
             optimized, audit = combine_families(member_groups, valid_ds, cfg.ensemble_opt)
         else:
-            optimized = uniform_ensemble(members)
-            valid_preds = score_models(members, valid_ds)
-            member_aucs = [float(roc_auc(p, valid_ds.labels)) for p in valid_preds]
-            uniform_auc = float(roc_auc(blend(valid_preds, optimized.weights),
-                                        valid_ds.labels))
-            audit = {"pre_prune_weights": optimized.weights.tolist(),
-                     "final_weights": optimized.weights.tolist(),
-                     "prune_rounds": 0, "validation_auc": uniform_auc,
-                     "uniform_auc": uniform_auc, "member_aucs": member_aucs}
+            optimized, audit = optimize_weights_detailed(
+                uniform_ensemble(members), valid_ds, None)
         save_ensemble(optimized, [ref[2] for ref in member_refs],
                       run_dir / "ensemble.json")
         _write_weights_audit(run_dir / "weights_audit.csv", member_refs, audit)

@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -396,9 +396,9 @@ def _midranks_against(fit_sorted: np.ndarray, values: np.ndarray) -> np.ndarray:
     return lo + (hi - lo + 1) / 2.0
 
 
-def apply_transform(ds: Dataset, kind: str, fit_rows: Iterable[int]) -> Dataset:
+def apply_transform(ds: Dataset, kind: str, fit_rows: Sequence[int]) -> Dataset:
     """Transform all int/float feature columns, fitting statistics on the
-    rows whose ids are in ``fit_rows`` and applying them to every row.
+    rows at positions ``fit_rows`` and applying them to every row.
 
     standardize: (x - mean) / std with population std, std=0 replaced by 1.
     quantile: mid-rank empirical CDF r / (n + 1) over the fit values,
@@ -406,43 +406,34 @@ def apply_transform(ds: Dataset, kind: str, fit_rows: Iterable[int]) -> Dataset:
     """
     if kind not in TRANSFORM_KINDS:
         raise DataError(f"unknown transform kind {kind!r}")
-    fit_ids = np.asarray(sorted(set(int(r) for r in fit_rows)), dtype=np.int64)
-    if len(fit_ids) == 0:
-        raise DataError("fit_rows must not be empty")
-    fit_mask = np.isin(ds.row_ids, fit_ids)
-    if not fit_mask.any():
-        raise DataError("fit_rows do not match any dataset row ids")
+    fit_rows = np.asarray(fit_rows, dtype=np.intp)
+    if len(fit_rows) == 0 or fit_rows.min() < 0 or fit_rows.max() >= ds.n_rows:
+        raise DataError(f"fit_rows must be a non-empty list of positions below {ds.n_rows}")
 
-    new_cols: list[Column] = []
+    arrays = iter(ds.feature_arrays)
+    columns: list[Column] = []
     new_arrays: list[np.ndarray] = []
-    for col, arr in zip(ds.schema.feature_columns, ds.feature_arrays):
-        if col.kind not in ("int", "float"):
-            new_cols.append(col)
-            new_arrays.append(arr)
+    for col in ds.schema.columns:
+        if col.name == ds.schema.label_column:
+            columns.append(col)
             continue
-        x = arr.astype(np.float64)
-        fit = x[fit_mask]
-        if kind == "standardize":
-            mean = fit.mean()
-            std = fit.std()  # population std
-            if std == 0.0:
-                std = 1.0
-            out = (x - mean) / std
-        else:
-            fit_sorted = np.sort(fit)
-            n = len(fit_sorted)
-            out = _midranks_against(fit_sorted, x) / (n + 1)
-        new_cols.append(Column(col.name, "float"))
-        new_arrays.append(out)
-
-    columns = tuple(
-        next(c for c in new_cols if c.name == orig.name)
-        if orig.name != ds.schema.label_column else orig
-        for orig in ds.schema.columns
-    )
-    schema = Schema(columns, ds.schema.label_column)
-    arrays = tuple(a for c, a in zip(new_cols, new_arrays))
-    return ds.with_schema(schema, arrays)
+        arr = next(arrays)
+        if col.kind in ("int", "float"):
+            x = arr.astype(np.float64)
+            fit = x[fit_rows]
+            if kind == "standardize":
+                mean = fit.mean()
+                std = fit.std()  # population std
+                if std == 0.0:
+                    std = 1.0
+                arr = (x - mean) / std
+            else:
+                fit_sorted = np.sort(fit)
+                arr = _midranks_against(fit_sorted, x) / (len(fit_sorted) + 1)
+            col = Column(col.name, "float")
+        columns.append(col)
+        new_arrays.append(arr)
+    return ds.with_schema(Schema(tuple(columns), ds.schema.label_column), tuple(new_arrays))
 
 
 def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from tabdistill.distill import DistillConfig, denoise, make_targets, run_generations
+from tabdistill.distill import DistillConfig, distill_step, make_targets, run_generations
 from tabdistill.ensemble import DEConfig, combine_families, optimize_weights_detailed, uniform_ensemble
 from tabdistill.errors import DataError
 from tabdistill.learners import TrainingTarget, gbdt_spec, mlp_spec, train
@@ -111,12 +111,13 @@ def test_criterion_06_denoise_boundary_and_monotonicity():
         ds = dataset_from_arrays({"a": rng.standard_normal(n)},
                                  rng.integers(0, 2, n))
         scores = rng.random(n)
-        kept_full, dropped_full = denoise(ds, scores, threshold=1.0)
+        kept_full, _ = distill_step(ds, scores, 0.7, threshold=1.0)
+        dropped_full = np.setdiff1d(ds.row_ids, kept_full.row_ids)
         all_kept &= kept_full.n_rows == n and len(dropped_full) == 0
         previous: set = set()
         for threshold in np.linspace(0.05, 1.0, 12):
             try:
-                kept, _ = denoise(ds, scores, float(threshold))
+                kept, _ = distill_step(ds, scores, 0.7, float(threshold))
                 ids = set(kept.row_ids.tolist())
             except DataError:
                 ids = set()
@@ -193,9 +194,7 @@ def test_criterion_09_denoising_trend():
         teacher = train(gbdt_spec(seed=seed, rounds=40), tr, TrainingTarget.hard())
         teacher_auc = roc_auc(teacher.predict(te), te.labels)
         scores = teacher.predict(tr)
-        kept, _ = denoise(tr, scores, threshold=0.99)
-        mask = np.isin(tr.row_ids, kept.row_ids)
-        target = make_targets(kept, scores[mask], beta=0.7)
+        kept, target = distill_step(tr, scores, 0.7, 0.99)
         student = train(gbdt_spec(seed=seed + 100, rounds=40), kept, target)
         student_auc = roc_auc(student.predict(te), te.labels)
         wins += student_auc > teacher_auc
@@ -290,7 +289,7 @@ def test_criterion_13_deployment_distillation():
         ens, _ = combine_families([gb_models, mlp_models], va,
                                   DEConfig(max_iterations=40, seed=seed))
         ens_auc = roc_auc(ens.predict(te), te.labels)
-        final = distill_to_deployment(ens, tr, gbdt_spec(seed=seed + 99, rounds=80),
+        final = distill_to_deployment(ens.predict(tr), tr, gbdt_spec(seed=seed + 99, rounds=80),
                                       beta=0.9, threshold=0.99)
         final_auc = roc_auc(final.predict(te), te.labels)
         diffs.append(final_auc - ens_auc)

@@ -3,7 +3,7 @@ import pytest
 
 from tabdistill.distill import (
     DistillConfig,
-    denoise,
+    distill_step,
     make_targets,
     run_generations,
     targets_to_sampled,
@@ -114,12 +114,18 @@ class TestTargetsToSampled:
         assert mc_mean == pytest.approx(weighted, rel=0.01)
 
 
+def _kept_and_dropped(ds, scores, threshold):
+    """The rows distill_step keeps and the ids of the rows it drops."""
+    kept, _ = distill_step(ds, scores, 0.7, threshold)
+    return kept, np.setdiff1d(ds.row_ids, kept.row_ids)
+
+
 class TestDenoise:
     def test_threshold_one_keeps_all_rows(self):
         rng = np.random.default_rng(3)
         ds = dataset_from_arrays({"a": rng.standard_normal(50)},
                                  rng.integers(0, 2, 50))
-        kept, dropped = denoise(ds, rng.random(50), threshold=1.0)
+        kept, dropped = _kept_and_dropped(ds, rng.random(50), threshold=1.0)
         assert kept.n_rows == 50
         assert len(dropped) == 0
 
@@ -127,16 +133,16 @@ class TestDenoise:
         ds = dataset_from_arrays({"a": [0.0]}, [1])
         kept_err = pytest.raises(DataError)
         with kept_err:
-            denoise(ds, [0.005], threshold=0.99)  # only row dropped -> error
+            distill_step(ds, [0.005], 0.7, threshold=0.99)  # only row dropped -> error
 
     def test_gap_below_threshold_kept(self):
         ds = dataset_from_arrays({"a": [0.0, 1.0]}, [0, 1])
-        kept, dropped = denoise(ds, [0.2, 0.9], threshold=0.5)
+        kept, dropped = _kept_and_dropped(ds, [0.2, 0.9], threshold=0.5)
         assert kept.n_rows == 2
 
     def test_boundary_gap_equal_threshold_dropped(self):
         ds = dataset_from_arrays({"a": [0.0, 1.0]}, [1, 1])
-        kept, dropped = denoise(ds, [0.5, 0.9], threshold=0.5)
+        kept, dropped = _kept_and_dropped(ds, [0.5, 0.9], threshold=0.5)
         assert list(kept.row_ids) == [1]
         assert list(dropped) == [0]
 
@@ -148,7 +154,7 @@ class TestDenoise:
         previous: set = set()
         for threshold in (0.2, 0.4, 0.6, 0.8, 1.0):
             try:
-                kept, _ = denoise(ds, scores, threshold)
+                kept, _ = _kept_and_dropped(ds, scores, threshold)
                 ids = set(kept.row_ids.tolist())
             except DataError:
                 ids = set()
@@ -157,7 +163,7 @@ class TestDenoise:
 
     def test_row_ids_preserved(self):
         ds = dataset_from_arrays({"a": [0.0, 1.0, 2.0]}, [1, 0, 1])
-        kept, dropped = denoise(ds, [0.95, 0.96, 0.5], threshold=0.9)
+        kept, dropped = _kept_and_dropped(ds, [0.95, 0.96, 0.5], threshold=0.9)
         assert list(kept.row_ids) == [0, 2]
         assert list(dropped) == [1]
 
@@ -261,4 +267,4 @@ class TestConfigValidation:
 
     def test_roundtrip(self):
         cfg = DistillConfig(beta=0.5, generations=2, teacher_mode="from_ensemble")
-        assert DistillConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        assert DistillConfig(**cfg.to_json_dict()) == cfg

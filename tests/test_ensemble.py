@@ -167,6 +167,21 @@ class TestOptimizeWeights:
         np.testing.assert_array_equal(out.weights, np.ones(12))
         assert audit["validation_auc"] == roc_auc(member.predict(None), valid.labels)
 
+    def test_no_search_weights_every_member_one(self):
+        valid = _valid_set(50, seed=14)
+        rng = np.random.default_rng(15)
+        members = [_FixedModel(rng.random(50)) for _ in range(3)]
+        out, audit = optimize_weights_detailed(uniform_ensemble(members), valid, None)
+        _, searched = optimize_weights_detailed(uniform_ensemble(members), valid,
+                                                DEConfig(max_iterations=5, seed=0))
+        np.testing.assert_array_equal(out.weights, np.ones(3))
+        assert list(audit) == list(searched)
+        assert audit["pre_prune_weights"] == audit["final_weights"] == [1.0, 1.0, 1.0]
+        assert audit["prune_rounds"] == 0
+        assert audit["validation_auc"] == audit["uniform_auc"] == searched["uniform_auc"]
+        assert audit["member_aucs"] == searched["member_aucs"] == [
+            roc_auc(m.predict(None), valid.labels) for m in members]
+
     def test_single_class_validation_rejected(self):
         ds = dataset_from_arrays({"a": [0.1, 0.2]}, [1, 1])
         with pytest.raises(DataError):

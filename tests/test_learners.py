@@ -96,6 +96,11 @@ class TestTrainingTargets:
             TrainingTarget.weighted([0.5, -0.1], [0.5, 0.5])
         with pytest.raises(DataError):
             TrainingTarget.weighted([0.0, 0.5], [0.0, 0.5])
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DataError, match="finite"):
+                TrainingTarget.weighted([0.5, bad], [0.5, 0.5])
+            with pytest.raises(DataError, match="finite"):
+                TrainingTarget.weighted([0.5, 0.5], [bad, 0.5])
 
     def test_resolve_hard_labels(self):
         labels = np.array([1, 0, 1])
@@ -494,6 +499,13 @@ class TestNonFiniteFeaturesAtPredict:
         for model in models:
             with pytest.raises(DataError, match="non-finite"):
                 model.predict(ds)
+
+    def test_mlp_validation_rows_rejected(self):
+        ds = separable_dataset(120, seed=24)
+        valid = dataset_from_arrays({"f1": [0.5, np.inf, 0.2], "f2": [0.1, 0.2, 0.3]},
+                                    [0, 1, 1])
+        with pytest.raises(DataError, match="row 1"):
+            train(mlp_spec(epochs=2, hidden_sizes=(4,)), ds, TrainingTarget.hard(), valid)
 
     def test_wrong_width_is_still_a_training_error(self, models):
         for model in models:

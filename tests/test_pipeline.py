@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tabdistill.cli import main as cli_main
-from tabdistill.distill import DistillConfig
+from tabdistill.distill import DistillConfig, distill_step
 from tabdistill.ensemble import DEConfig, EnsembleModel, uniform_ensemble
 from tabdistill.errors import DataError
 from tabdistill.learners import (
@@ -230,7 +230,7 @@ class TestDeploymentDistillation:
         spec = gbdt_spec(rounds=5, seed=3)
         teacher = train(spec, ds, TrainingTarget.hard())
         ens = uniform_ensemble([teacher])
-        student = distill_to_deployment(ens, ds, spec, beta=0.0, threshold=1.0)
+        student = distill_to_deployment(ens.predict(ds), ds, spec, beta=0.0, threshold=1.0)
         probe = separable_dataset(100, seed=8)
         np.testing.assert_array_equal(teacher.predict(probe), student.predict(probe))
 
@@ -239,19 +239,18 @@ class TestDeploymentDistillation:
         ds = noisy_nonlinear_dataset(300, seed=13)
         gb = train(gbdt_spec(rounds=4), ds, TrainingTarget.hard())
         nn = train(mlp_spec(epochs=3, hidden_sizes=(4,)), ds, TrainingTarget.hard())
-        ens = EnsembleModel([gb, nn], [0.3, 0.7])
+        scores = EnsembleModel([gb, nn], [0.3, 0.7]).predict(ds)
         spec = gbdt_spec(rounds=4, seed=5)
-        args = (spec, 0.7, 0.9, None, target_mode, 11)
-        from_ens = distill_to_deployment(ens, ds, *args)
-        from_scores = distill_to_deployment(ens.predict(ds), ds, *args)
-        assert serialize_model(from_ens) == serialize_model(from_scores)
+        deployed = distill_to_deployment(scores, ds, spec, 0.7, 0.9, None, target_mode, 11)
+        direct = train(spec, *distill_step(ds, scores, 0.7, 0.9, target_mode, 11))
+        assert serialize_model(deployed) == serialize_model(direct)
 
     def test_near_self_distillation_tracks_teacher(self):
         ds = noisy_nonlinear_dataset(2000, seed=9)
         test = noisy_nonlinear_dataset(600, seed=10)
         spec = gbdt_spec(rounds=40, seed=4)
         teacher = train(spec, ds, TrainingTarget.hard())
-        student = distill_to_deployment(uniform_ensemble([teacher]), ds, spec,
+        student = distill_to_deployment(uniform_ensemble([teacher]).predict(ds), ds, spec,
                                         beta=1.0, threshold=1.0)
         corr = pearson(teacher.predict(test), student.predict(test))
         assert corr >= 0.95
@@ -261,7 +260,7 @@ class TestDeploymentDistillation:
         gb = train(gbdt_spec(rounds=5), ds, TrainingTarget.hard())
         nn = train(mlp_spec(epochs=5, hidden_sizes=(8,)), ds, TrainingTarget.hard())
         ens = EnsembleModel([gb, nn], [1.0, 1.0])
-        student = distill_to_deployment(ens, ds, gbdt_spec(rounds=5), beta=0.7,
+        student = distill_to_deployment(ens.predict(ds), ds, gbdt_spec(rounds=5), beta=0.7,
                                         threshold=0.99)
         assert student.kind == "gbdt"
         from tabdistill.learners import save_model
@@ -497,6 +496,22 @@ class TestMalformedConfig:
         (_drop("families", "a"), 'pipeline config needs families["a"]'),
         (_put("log", "preprocess", "transform"), "preprocess.transform"),
         (_put(3, "preprocess", "transform"), "preprocess.transform"),
+        (_put({}, "final_distil"), "pipeline config has unknown keys ['final_distil']"),
+        (_put({"max_iterations": 3}, "ensemble"),
+         "pipeline config has unknown keys ['ensemble']"),
+        (_put("y", "data", "label"), "pipeline config 'data' has unknown keys ['label']"),
+        (_put(0.5, "split", "train_frac"),
+         "pipeline config 'split' has unknown keys ['train_frac']"),
+        (_put("quantile", "preprocess", "transfrom"),
+         "pipeline config 'preprocess' has unknown keys ['transfrom']"),
+        (_put({"generations": 1}, "families", "a", "distil"),
+         "pipeline config 'families.a' has unknown keys ['distil']"),
+        (_put(1, "families", "a", "learner", "sead"),
+         "pipeline config 'families.a.learner' has unknown keys ['sead']"),
+        (_put(0.5, "final_distill", "treshold"),
+         "pipeline config 'final_distill' has unknown keys ['treshold']"),
+        (_put(1, "final_distill", "learner", "sead"),
+         "pipeline config 'final_distill.learner' has unknown keys ['sead']"),
     ])
     def test_cli_names_the_bad_entry(self, tmp_path, capsys, edit, named):
         doc = _minimal_config(tmp_path)

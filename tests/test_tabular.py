@@ -123,7 +123,7 @@ class TestRemoveConstantColumns:
 class TestTransforms:
     def test_standardize_hand_computed(self):
         ds = dataset_from_arrays({"a": [1.0, 2.0, 3.0]}, [0, 1, 0])
-        out = apply_transform(ds, "standardize", fit_rows=ds.row_ids)
+        out = apply_transform(ds, "standardize", fit_rows=np.arange(ds.n_rows))
         # population std of {1,2,3} is sqrt(2/3)
         expected = (np.array([1.0, 2.0, 3.0]) - 2.0) / np.sqrt(2.0 / 3.0)
         np.testing.assert_allclose(out.column_values("a"), expected, atol=1e-6)
@@ -132,17 +132,17 @@ class TestTransforms:
 
     def test_standardize_constant_column_guard(self):
         ds = dataset_from_arrays({"a": [4.0, 4.0, 4.0]}, [0, 1, 0])
-        out = apply_transform(ds, "standardize", fit_rows=ds.row_ids)
+        out = apply_transform(ds, "standardize", fit_rows=np.arange(ds.n_rows))
         np.testing.assert_array_equal(out.column_values("a"), [0.0, 0.0, 0.0])
 
     def test_quantile_midrank(self):
         ds = dataset_from_arrays({"a": [10.0, 20.0, 30.0]}, [0, 1, 0])
-        out = apply_transform(ds, "quantile", fit_rows=ds.row_ids)
+        out = apply_transform(ds, "quantile", fit_rows=np.arange(ds.n_rows))
         np.testing.assert_allclose(out.column_values("a"), [0.25, 0.5, 0.75])
 
     def test_quantile_ties_share_midrank(self):
         ds = dataset_from_arrays({"a": [1.0, 1.0, 2.0, 3.0]}, [0, 1, 0, 1])
-        out = apply_transform(ds, "quantile", fit_rows=ds.row_ids)
+        out = apply_transform(ds, "quantile", fit_rows=np.arange(ds.n_rows))
         vals = out.column_values("a")
         assert vals[0] == vals[1]
         np.testing.assert_allclose(vals, [1.5 / 5, 1.5 / 5, 3 / 5, 4 / 5])
@@ -153,28 +153,39 @@ class TestTransforms:
         # mean 0.5, std 0.5 from the two fit rows
         np.testing.assert_allclose(out.column_values("a"), [-1.0, 1.0, 199.0])
 
+    def test_fit_rows_are_positions_not_row_ids(self):
+        base = dataset_from_arrays({"a": [0.0, 1.0, 2.0, 3.0, 40.0]}, [0, 1, 0, 1, 0])
+        ds = base.take(np.array([4, 2, 0, 3, 1]))  # ids 4, 2, 0, 3, 1 at positions 0..4
+        out = apply_transform(ds, "standardize", fit_rows=[1, 2])
+        # positions 1 and 2 hold 2.0 and 0.0: mean 1, std 1
+        np.testing.assert_array_equal(out.column_values("a"), [39.0, 1.0, -1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(out.row_ids, ds.row_ids)
+
     def test_standardize_preserves_order(self):
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(60)
         ds = dataset_from_arrays({"a": vals}, rng.integers(0, 2, 60))
-        out = apply_transform(ds, "standardize", fit_rows=ds.row_ids)
+        out = apply_transform(ds, "standardize", fit_rows=np.arange(ds.n_rows))
         assert (np.argsort(out.column_values("a")) == np.argsort(vals)).all()
 
     def test_empty_fit_rows(self):
         ds = dataset_from_arrays({"a": [1.0, 2.0]}, [0, 1])
         with pytest.raises(DataError):
             apply_transform(ds, "standardize", fit_rows=[])
+        for outside in ([-1], [0, 2]):
+            with pytest.raises(DataError, match="positions below 2"):
+                apply_transform(ds, "standardize", fit_rows=outside)
 
     def test_int_column_becomes_float(self):
         ds = dataset_from_arrays({"i": np.array([1, 2, 3])}, [0, 1, 0])
         assert ds.schema.column("i").kind == "int"
-        out = apply_transform(ds, "standardize", fit_rows=ds.row_ids)
+        out = apply_transform(ds, "standardize", fit_rows=np.arange(ds.n_rows))
         assert out.schema.column("i").kind == "float"
 
     def test_bool_and_categorical_untouched(self):
         ds = dataset_from_arrays({"b": np.array([True, False, True]),
                                   "x": [1.0, 2.0, 3.0]}, [0, 1, 0])
-        out = apply_transform(ds, "quantile", fit_rows=ds.row_ids)
+        out = apply_transform(ds, "quantile", fit_rows=np.arange(ds.n_rows))
         np.testing.assert_array_equal(out.column_values("b"), [True, False, True])
         assert out.schema.column("b").kind == "bool"
 

@@ -5,8 +5,10 @@ The script writes seeded numeric and mixed-type CSVs with the generators in
 ``tests/helpers.py`` and runs ``tabdistill pipeline`` on a fixed set of
 configs, each with and without ``ensemble_opt``. It then runs
 ``tabdistill deploy-distill`` and ``tabdistill ensemble-opt`` on one of the
-ensembles. Every command's stdout is kept as a file too. The manifest,
-``sha256  relative-path`` per file in sorted path order, goes to stdout.
+ensembles, and ``ensemble-opt`` once more on its first member alone. Every
+command's stdout is kept as a file too. The manifest, one
+``sha256  relative-path`` line per file in sorted path order, goes to
+stdout.
 
 A change that must keep every output byte-identical prints the same
 manifest as its parent. To compare, check the parent out next to the repo
@@ -69,6 +71,9 @@ PIPELINES = {
     "quantile": ("mixed.csv", {"a": {"learner": GBDT, "distill": DISTILL},
                                "b": {"learner": MLP, "distill": DISTILL}},
                  "quantile", GBDT),
+    "standardize": ("numeric.csv", {"a": {"learner": MLP, "distill": DISTILL},
+                                    "b": {"learner": GBDT, "distill": DISTILL}},
+                    "standardize", GBDT),
 }
 ENSEMBLE_OPT = {"max_iterations": 8, "prune_epsilon": 0.05}
 # the pipeline whose ensemble deploy-distill and ensemble-opt start from
@@ -111,6 +116,9 @@ def write_outputs() -> None:
     _run(["ensemble-opt", "--models", *(str(run_dir / m) for m in members),
           "--valid", "mixed_valid.csv", "--label", "label",
           "--out", "ensemble_opt.json", "--seed", "4"], "ensemble_opt.stdout")
+    _run(["ensemble-opt", "--models", str(run_dir / members[0]),
+          "--valid", "mixed_valid.csv", "--label", "label",
+          "--out", "ensemble_opt_one.json", "--seed", "4"], "ensemble_opt_one.stdout")
 
 
 def manifest(root: Path) -> list[str]:
