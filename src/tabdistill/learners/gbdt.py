@@ -14,18 +14,21 @@ be cut, so the search leaves it out.
 A column with three or more values is sorted once, stably, into a (columns
 x rows) block of native-width (``np.intp``) row indices, so no gather pays an
 index cast: the column-block layout of exact greedy XGBoost (Chen & Guestrin
-2016, section 4.1). A node owns the sub-block of its rows, and a split
-partitions every column's list with one stable gather per side, so each list
-stays sorted by value with ties in ascending row order. That is the order a
-stable per-node sort of the node's rows would give, so the per-column
-gradient and hessian cumsums add the same numbers in the same order and the
-gains are bit-identical to a search that sorts at every node. The search
-scans all columns of a node in one 2-D pass; ``cumsum`` along a row is
-sequential, exactly like a 1-D ``cumsum``. Gains are evaluated only between
-distinct sorted values: the candidate cuts of all columns are gathered into
-one vector, so the gain arithmetic follows the number of cuts, not the
-number of rows. Children at ``max_depth`` are leaves, so their sub-blocks are
-never built.
+2016, section 4.1). Only these columns keep their values, as one (columns x
+rows) copy; the encoded matrix is dropped once the groups are built. A node
+owns the sub-block of its rows, and a split partitions every column's list
+with one stable gather per side, so each list stays sorted by value with ties
+in ascending row order. That is the order a stable per-node sort of the
+node's rows would give, so the per-column gradient and hessian cumsums add
+the same numbers in the same order and the gains are bit-identical to a
+search that sorts at every node. The search scans all columns of a node in
+one 2-D pass; ``cumsum`` along a row is sequential, exactly like a 1-D
+``cumsum``. Gains are evaluated only between distinct sorted values: the
+candidate cuts of all columns are gathered into one vector, so the gain
+arithmetic follows the number of cuts, not the number of rows. Children at ``max_depth`` are leaves, so their sub-blocks are
+never built. A split compares only the node's rows of its column with the
+threshold, and writes their sides into one row mask that the node's block
+reads, so routing costs the node's rows, not the training set's.
 
 A column with exactly two values, such as a one-hot level or a bool, has at
 most one cut per node, and its threshold is always its high value. These
@@ -45,9 +48,19 @@ across both groups.
 Gradient and hessian travel as one ``complex128`` vector, gradient + 1j *
 hessian, so one gather and one ``cumsum`` give both prefix sums: complex
 addition adds the real parts and the imaginary parts separately, each in the
-order a real ``cumsum`` would. Node and leaf sums run over the node's rows in
-ascending row order, as numpy's pairwise summation needs for bit-identical
-totals. The builder hands back each training row's leaf value, so boosting
+order a real ``cumsum`` would. A node's gradient and hessian totals are
+summed once, over the real and imaginary parts of one gather of its rows in
+ascending row order: numpy sums a strided part in the same pairwise order as
+a contiguous copy, so the totals are bit-identical to summing the gradient
+and the hessian vectors, and they serve both the search and the leaf value.
+
+A node whose hessian total ``h`` has ``h - min_child_weight <
+min_child_weight`` in floating point is a leaf without a search. The rule is
+exact: a cut with ``hl >= min_child_weight`` leaves ``hr = h - hl <= h -
+min_child_weight`` (rounding is monotone), below the floor, so every cut
+would be blocked or, with a NaN ``hl``, have a NaN gain, which never wins.
+
+The builder hands back each training row's leaf value, so boosting
 updates its scores without predicting on the training matrix.
 
 Prediction descends a fixed ``depth`` steps per tree; a leaf's children are
@@ -176,17 +189,23 @@ class Tree:
                    np.array(value, dtype=np.float64))
 
 
+_NO_CUTS = np.empty(0, dtype=np.intp)
+
+
 class _Columns:
     """The encoded training columns of one call, grouped by how many distinct
     values each holds.
 
-    ``xt`` is the whole matrix as (features x rows). Columns with three or
-    more values are ``features``, presorted stably into the ``np.intp`` block
-    ``order``; ``offset`` turns a block of row indices into positions in
-    ``xt.ravel()``. Two-valued columns are ``two_features``: ``low`` marks, as
-    (rows x columns), the rows that hold a column's low value, and ``high`` is
-    each column's high value. A column with one value is never cut and is in
-    neither group.
+    Columns with three or more values are ``features``. ``xt`` holds them
+    alone, as (columns x rows), and ``order`` is their stable argsort, an
+    ``np.intp`` block whose row k sorts ``xt[k]``, the values of
+    ``features[k]``; ``offset`` turns a block of row indices into positions
+    in ``xt.ravel()``. Two-valued columns are ``two_features``: ``low``
+    marks, as (rows x columns), the rows that hold a column's low value, so
+    ``low[:, j]`` is the split ``x[:, two_features[j]] < high[j]``, and
+    ``high`` is each column's high value. ``two_place`` is each two-valued
+    column's place among the presorted ones, where its cut joins theirs. A
+    column with one value is never cut and is in neither group.
     """
 
     def __init__(self, x: np.ndarray):
@@ -197,11 +216,12 @@ class _Columns:
         # so every node's threshold is the same high value (a -0.0 among
         # 0.0 highs would make it depend on the node's first high row)
         two = varies & ((x == lo) | ((x == hi) & (np.signbit(x) == np.signbit(hi)))).all(axis=0)
-        self.xt = np.ascontiguousarray(x.T)
         self.features = np.flatnonzero(varies & ~two)
-        self.offset = self.features[:, None] * n
-        self.order = np.argsort(self.xt[self.features], axis=1, kind="stable")
+        self.xt = np.ascontiguousarray(x.T[self.features])
+        self.offset = np.arange(len(self.features))[:, None] * n
+        self.order = np.argsort(self.xt, axis=1, kind="stable")
         self.two_features = np.flatnonzero(two)
+        self.two_place = np.searchsorted(self.features, self.two_features)
         self.high = hi[two]
         self.low = x[:, two] < self.high
 
@@ -211,8 +231,6 @@ class _TreeBuilder:
 
     def __init__(self, columns: _Columns, grad, hess, max_depth, l2, min_child_weight):
         self.cols = columns
-        self.grad = grad
-        self.hess = hess
         # one gather and one cumsum give both prefix sums: complex addition
         # adds the real and the imaginary parts separately
         self.gh = np.empty(len(grad), dtype=np.complex128)
@@ -221,6 +239,9 @@ class _TreeBuilder:
         self.max_depth = max_depth
         self.l2 = l2
         self.mcw = min_child_weight
+        # a split writes its side for the node's rows only, and the node's
+        # block reads only those rows, so one mask serves every node
+        self.in_left = np.empty(len(grad), dtype=bool)
         self.row_value = np.empty(len(grad))
         self.feature: list[int] = []
         self.threshold: list[float] = []
@@ -236,6 +257,13 @@ class _TreeBuilder:
         self.value.append(0.0)
         return len(self.feature) - 1
 
+    def _sums(self, rows: np.ndarray):
+        """The node's gradient + 1j * hessian per row, in ascending row
+        order, and its gradient and hessian totals. A sum over a strided
+        part adds in the same pairwise order as over a contiguous copy."""
+        gh = self.gh[rows]
+        return gh, np.add.reduce(gh.real), np.add.reduce(gh.imag)
+
     def _sorted_cuts(self, block: np.ndarray):
         """The candidate cuts of the presorted columns, in (feature, cut)
         order: the positions in the block whose sorted value differs from the
@@ -245,53 +273,56 @@ class _TreeBuilder:
         np.not_equal(sv[:, :-1], sv[:, 1:], out=differs[:, :-1])
         differs[:, -1] = False
         del sv
-        cand = np.flatnonzero(differs)
+        cand = differs.ravel().nonzero()[0]
         left = self.gh.take(block)
-        np.cumsum(left, axis=1, out=left)
+        left.cumsum(axis=1, out=left)
         return cand, left.take(cand)
 
-    def _two_valued_cuts(self, rows: np.ndarray):
+    def _two_valued_cuts(self, rows: np.ndarray, gh: np.ndarray):
         """The two-valued columns whose low and high values both occur in the
         node, as positions in that group, and the left sum of each one's cut,
         from one masked pass over the node's rows."""
-        if not self.cols.high.size:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.complex128)
-        low = self.cols.low[rows].astype(np.float64)
-        n_low = low.sum(axis=0)  # whole numbers below 2**53: exact
-        cut = np.flatnonzero((n_low > 0) & (n_low < len(rows)))
+        low = self.cols.low[rows]
+        n_low = np.add.reduce(low, axis=0)
+        cut = ((n_low > 0) & (n_low < len(rows))).nonzero()[0]
         # a sum over axis 0 of a C-ordered (rows x 2 x columns) array adds
-        # row after row, as cumsum does; a masked row adds a zero
-        pairs = self.gh[rows].view(np.float64).reshape(-1, 2, 1)
-        sums = np.multiply(low[:, None, :], pairs).sum(axis=0)
+        # row after row, as cumsum does; a masked row adds a zero (the
+        # product casts each mark to 1.0 or 0.0)
+        pairs = gh.view(np.float64).reshape(-1, 2, 1)
+        sums = np.add.reduce(np.multiply(low[:, None, :], pairs), axis=0)
         left = np.empty(len(cut), dtype=np.complex128)
         left.real = sums[0, cut]
         left.imag = sums[1, cut]
         return cut, left
 
-    def _best_split(self, rows: np.ndarray, block: np.ndarray):
-        """Best (feature, threshold) over every feature of the node, or None.
+    def _best_split(self, rows: np.ndarray, block: np.ndarray, gh: np.ndarray,
+                    g_total, h_total):
+        """Best (feature, threshold, go_left) of the node, or None, from its
+        rows, its sub-block and ``_sums(rows)``; ``go_left`` marks the rows
+        the split sends left.
 
         Gains are computed only at candidate cuts, taken in (feature, cut)
         order. Each expression below runs the same float operations, in the
         same order, as ``0.5 * (gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent)`` on
         one feature's sorted rows, but in place on the candidates.
         """
+        if h_total - self.mcw < self.mcw:
+            return None  # no cut can pass the weight floor (module docstring)
         cols = self.cols
-        g_total = self.grad[rows].sum()
-        h_total = self.hess[rows].sum()
-        parent = g_total * g_total / (h_total + self.l2)
         width = block.shape[1]
         cand, left = self._sorted_cuts(block)
-        two, two_left = self._two_valued_cuts(rows)
-        # a two-valued cut goes in after the cuts of every presorted column
-        # of lower feature index; ``slots`` are its places in the merged order
-        before = np.searchsorted(
-            cand, np.searchsorted(cols.features, cols.two_features[two]) * width)
-        slots = before + np.arange(len(two))
-        if len(two):
+        two = before = slots = _NO_CUTS
+        if cols.high.size:
+            two, two_left = self._two_valued_cuts(rows, gh)
+            # a two-valued cut goes in after the cuts of every presorted
+            # column of lower feature index; ``slots`` are its places in the
+            # merged order
+            before = cand.searchsorted(cols.two_place[two] * width)
+            slots = before + np.arange(len(two))
             left = np.insert(left, before, two_left)
         if not left.size:
             return None
+        # contiguous copies: a pass over a strided part of ``left`` is slower
         gl = left.real.copy()
         hl = left.imag.copy()
         blocked = hl < self.mcw
@@ -305,7 +336,7 @@ class _TreeBuilder:
         gl *= gl
         gl /= hl  # gl*gl/(hl+l2)
         gl += right
-        gl -= parent
+        gl -= g_total * g_total / (h_total + self.l2)
         gl *= 0.5
         gains = gl
         gains[blocked] = -np.inf
@@ -313,47 +344,47 @@ class _TreeBuilder:
         # 0.0 strictly, and a feature with a NaN gain never wins. argmax
         # returns the first NaN when there is one, so only then are the
         # features holding a NaN dropped and the search repeated.
-        k = int(np.argmax(gains))
-        if np.isnan(gains[k]):
+        k = int(gains.argmax())
+        if math.isnan(gains[k]):
             feature = np.insert(cols.features[cand // width], before, cols.two_features[two])
             gains[np.isin(feature, feature[np.isnan(gains)])] = -np.inf
-            k = int(np.argmax(gains))
+            k = int(gains.argmax())
         if not gains[k] > 0.0:
             return None
-        j = int(np.searchsorted(slots, k))
+        j = int(slots.searchsorted(k))
         if j < len(slots) and slots[j] == k:
-            return int(cols.two_features[two[j]]), float(cols.high[two[j]])
+            t = two[j]
+            return int(cols.two_features[t]), float(cols.high[t]), cols.low[rows, t]
         position = cand[k - j]
-        f = int(cols.features[position // width])
-        return f, float(cols.xt[f, block.ravel()[position + 1]])
+        row = position // width
+        thr = cols.xt[row, block.ravel()[position + 1]]
+        return int(cols.features[row]), float(thr), cols.xt[row, rows] < thr
 
     def build(self) -> tuple[Tree, np.ndarray]:
         """The tree and each training row's leaf value."""
         root = self._new_node()
-        stack = [(root, np.arange(len(self.grad)), self.cols.order, 0)]
+        stack = [(root, np.arange(len(self.gh)), self.cols.order, 0)]
         while stack:
             node, rows, block, depth = stack.pop()
+            gh, g_total, h_total = self._sums(rows)
             split = None
             if depth < self.max_depth and len(rows) >= 2:
-                split = self._best_split(rows, block)
+                split = self._best_split(rows, block, gh, g_total, h_total)
             if split is None:
-                g = self.grad[rows].sum()
-                h = self.hess[rows].sum()
-                self.value[node] = float(-g / (h + self.l2))
+                self.value[node] = float(-g_total / (h_total + self.l2))
                 self.row_value[rows] = self.value[node]
                 continue
-            f, thr = split
-            go_left_all = self.cols.xt[f] < thr
-            go_left = go_left_all[rows]
+            f, thr, go_left = split
             left_rows, right_rows = rows[go_left], rows[~go_left]
             left_block = right_block = None  # children at max_depth are leaves
             if depth + 1 < self.max_depth:
                 # a stable gather, so every list stays sorted; taking positions
-                # from flatnonzero is faster than indexing with the boolean mask
-                in_left = go_left_all[block].ravel()
+                # from nonzero is faster than indexing with the boolean mask
+                self.in_left[rows] = go_left
                 flat = block.ravel()
-                left_block = flat.take(np.flatnonzero(in_left)).reshape(len(block), len(left_rows))
-                right_block = flat.take(np.flatnonzero(~in_left)).reshape(len(block), len(right_rows))
+                in_left = self.in_left.take(flat)
+                left_block = flat.take(in_left.nonzero()[0]).reshape(len(block), len(left_rows))
+                right_block = flat.take((~in_left).nonzero()[0]).reshape(len(block), len(right_rows))
             left_node = self._new_node()
             right_node = self._new_node()
             self.feature[node] = f
@@ -434,8 +465,9 @@ def train_gbdt(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget) -> 
     w_pos, w_neg = resolve_weight_pairs(target, train_ds.labels)
     w_sum = w_pos + w_neg
     columns = _Columns(x)
+    del x  # the search reads only the column groups
 
-    score = np.zeros(len(x))
+    score = np.zeros(train_ds.n_rows)
     trees: list[Tree] = []
     lr = spec["learning_rate"]
     for _ in range(int(spec["rounds"])):

@@ -233,8 +233,14 @@ def _both_splits(xt, grad, hess, l2=1.0, mcw=1.0, rows=None):
     sub_block = columns.order[in_node[columns.order]].reshape(len(columns.order), len(rows))
     builder = _TreeBuilder(columns, grad, hess, 1, l2, mcw)
     with np.errstate(all="ignore"):
-        return (builder._best_split(rows, sub_block),
-                _reference_masked_split(xt, grad, hess, rows, block, l2, mcw))
+        got = builder._best_split(rows, sub_block, *builder._sums(rows))
+        ref = _reference_masked_split(xt, grad, hess, rows, block, l2, mcw)
+    if got is None:
+        return None, ref
+    f, thr, go_left = got
+    # the split routes the node's rows as the rule x < threshold does
+    np.testing.assert_array_equal(go_left, xt[f, rows] < thr)
+    return (f, thr), ref
 
 
 def test_tied_and_binary_columns():
@@ -284,6 +290,33 @@ def test_min_child_weight_blocks_every_cut_of_one_feature():
     assert got == ref
     got_free, ref_free = _both_splits([isolate, other], grad, hess, mcw=0.05)
     assert ref_free == (0, 1.0) and got_free == ref_free
+
+
+@pytest.mark.parametrize("mcw", [1.0, 0.1, 3e-300])
+@pytest.mark.parametrize("step, splits", [(0, True), (1, True), (-1, False)])
+def test_node_hessian_total_at_twice_the_weight_floor(mcw, step, splits):
+    # the node's hessian total is 2 * mcw, or one ulp above or below it. The
+    # one cut that can pass the floor leaves exactly mcw on the left, so it
+    # is allowed at 2 * mcw and above; below, the node is a leaf without a
+    # search. The two-valued column cuts the same rows and ties.
+    total = float(np.nextafter(2.0 * mcw, step * np.inf)) if step else 2.0 * mcw
+    hess = np.array([mcw, total - mcw, 0.0])
+    assert hess.sum() == total and hess[0] + hess[1] == total
+    xt = [[0.0, 1.0, 2.0], [0.0, 1.0, 1.0]]
+    got, ref = _both_splits(xt, [-1.0, 1.0, 1.0], hess, l2=1.0, mcw=mcw)
+    assert got == ref
+    assert (ref == (0, 1.0)) if splits else ref is None
+
+
+@pytest.mark.parametrize("mcw, splits", [(0.0, False), (-2.0, True)])
+def test_negative_node_hessian_total(mcw, splits):
+    # a negative total is below any nonnegative floor; a negative floor
+    # still lets the node search
+    hess = [-1.0, -0.5, 0.2]
+    assert sum(hess) < 0.0
+    got, ref = _both_splits([[0.0, 1.0, 2.0]], [-1.0, 1.0, 1.0], hess, l2=5.0, mcw=mcw)
+    assert got == ref
+    assert (ref is not None) == splits
 
 
 @pytest.mark.parametrize("nan_feature", [0, 1])
@@ -421,6 +454,43 @@ def test_two_valued_columns_match_reference(kinds, two_valued):
         thresholds = {float(t.threshold[i]) for t in model.trees
                       for i in np.flatnonzero(t.feature == f)}
         assert thresholds == {7.0}
+
+
+def test_column_store_keeps_presorted_columns_only():
+    # encoded: flag, cont, pair, side=l, side=r, side=<other> (all zero,
+    # never cut), partner, odd; cont and partner hold three or more values
+    ds = _two_valued_dataset(300, seed=9, kinds=("flag", "cont", "pair", "side",
+                                                 "partner", "odd"))
+    x = FeatureEncoder.fit(ds).transform(ds)
+    cols = _Columns(x)
+    np.testing.assert_array_equal(cols.features, [1, 6])
+    np.testing.assert_array_equal(cols.xt, x[:, cols.features].T)
+    assert cols.xt.flags.c_contiguous and cols.order.shape == cols.xt.shape
+    np.testing.assert_array_equal(cols.two_features, [0, 2, 3, 4, 7])
+    np.testing.assert_array_equal(cols.low, x[:, cols.two_features] < cols.high)
+    # every split, of either group, routes the training rows as the rule
+    # x < threshold does: the builder's leaf value of each row is the
+    # value the fitted tree predicts for it
+    rng = np.random.default_rng(10)
+    grad = rng.standard_normal(len(x))
+    hess = rng.uniform(0.05, 0.25, len(x))
+    tree, row_value = _TreeBuilder(cols, grad, hess, 5, 1.0, 1.0).build()
+    assert set(tree.feature[tree.feature >= 0].tolist()) & set(cols.two_features.tolist())
+    np.testing.assert_array_equal(row_value, tree.predict_value(x))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 9000])
+def test_node_totals_from_complex_parts_match_real_sums(n):
+    # the builder sums each node's gradient and hessian over the strided
+    # real and imaginary parts of one gather; the pairwise order must be that
+    # of the contiguous real vectors, which decide exact ties downstream
+    rng = np.random.default_rng(n)
+    grad = rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-8, 8, 2 * n)
+    hess = rng.uniform(0.0, 1.0, 2 * n) * 10.0 ** rng.uniform(-8, 8, 2 * n)
+    rows = np.sort(rng.choice(2 * n, n, replace=False))
+    columns = _Columns(np.arange(2.0 * n)[:, None])
+    _, g_total, h_total = _TreeBuilder(columns, grad, hess, 1, 1.0, 1.0)._sums(rows)
+    assert g_total == grad[rows].sum() and h_total == hess[rows].sum()
 
 
 @pytest.mark.parametrize("k", [1, 55])
