@@ -17,6 +17,7 @@ from tabdistill.ensemble import (
     DEConfig,
     load_ensemble,
     optimize_weights_detailed,
+    save_ensemble,
     uniform_ensemble,
 )
 from tabdistill.errors import (
@@ -52,12 +53,10 @@ def _learner_spec(args) -> LearnerSpec:
 
 def _cmd_ingest(args) -> int:
     ds = ingest_csv(args.data, args.label)
-    doc = ds.schema.to_json_dict()
-    doc["rows"] = ds.n_rows
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    schema = ds.schema.to_json_dict()
+    print(json.dumps({**schema, "rows": ds.n_rows}, indent=2, sort_keys=True))
     if args.schema_out:
-        Path(args.schema_out).write_text(json.dumps(ds.schema.to_json_dict(),
-                                                    indent=2, sort_keys=True))
+        Path(args.schema_out).write_text(json.dumps(schema, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -90,17 +89,12 @@ def _cmd_distill(args) -> int:
     return EXIT_OK
 
 
-def _load_members(paths) -> list:
-    return [load_model(p) for p in paths]
-
-
 def _cmd_ensemble_opt(args) -> int:
-    members = _load_members(args.models)
+    members = [load_model(p) for p in args.models]
     valid = ingest_csv(args.valid, args.label)
-    cfg = DEConfig(seed=args.seed)
-    optimized, audit = optimize_weights_detailed(uniform_ensemble(members), valid, cfg)
-    doc = optimized.to_json_dict(list(args.models))
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True))
+    optimized, audit = optimize_weights_detailed(uniform_ensemble(members), valid,
+                                                 DEConfig(seed=args.seed))
+    save_ensemble(optimized, args.models, args.out)
     print(json.dumps({"ensemble": args.out, "weights": optimized.weights.tolist(),
                       "validation_auc": audit["validation_auc"]},
                      indent=2, sort_keys=True))

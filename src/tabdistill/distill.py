@@ -29,6 +29,20 @@ DEFAULT_DENOISE_THRESHOLD = 0.99
 DEFAULT_GENERATIONS = 5
 
 
+def check_beta(beta: float) -> float:
+    """The teacher's weight ``beta`` if it lies in [0, 1], else DataError."""
+    if not (0.0 <= beta <= 1.0):
+        raise DataError("beta must lie in [0, 1]")
+    return beta
+
+
+def check_threshold(threshold: float) -> float:
+    """The denoise ``threshold`` if it lies in (0, 1], else DataError."""
+    if not (0.0 < threshold <= 1.0):
+        raise DataError("denoise threshold must lie in (0, 1]")
+    return threshold
+
+
 @dataclass(frozen=True)
 class DistillConfig:
     beta: float = DEFAULT_BETA
@@ -40,10 +54,8 @@ class DistillConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.beta <= 1.0):
-            raise DataError("beta must lie in [0, 1]")
-        if not (0.0 < self.denoise_threshold <= 1.0):
-            raise DataError("denoise_threshold must lie in (0, 1]")
+        check_beta(self.beta)
+        check_threshold(self.denoise_threshold)
         # stored as int, so a config built from numpy integers serializes
         for name, low in (("generations", 1), ("seed", 0)):
             object.__setattr__(self, name, require_integer(getattr(self, name), name, low))
@@ -92,8 +104,7 @@ def make_targets(train_ds: Dataset, teacher_scores, beta: float) -> TrainingTarg
                         f"for {train_ds.n_rows} rows")
     if (scores < 0).any() or (scores > 1).any():
         raise DataError("teacher scores must lie in [0, 1]")
-    if not (0.0 <= beta <= 1.0):
-        raise DataError("beta must lie in [0, 1]")
+    check_beta(beta)
     y = train_ds.labels.astype(np.float64)
     w_pos = beta * scores + (1.0 - beta) * y
     # the pair sums to 1 by construction; computing w_neg as the complement
@@ -103,16 +114,14 @@ def make_targets(train_ds: Dataset, teacher_scores, beta: float) -> TrainingTarg
 
 
 def targets_to_sampled(target: TrainingTarget, seed: int) -> TrainingTarget:
-    """Replace weight pairs by one Bernoulli(w_pos / (w_pos + w_neg)) draw
-    per row; deterministic per seed."""
-    if target.mode != "row_weighted":
-        raise DataError("only row_weighted targets can be sampled")
-    total = target.w_pos + target.w_neg
-    if (total <= 0).any():
-        raise DataError("every row needs w_pos + w_neg > 0")
-    prob = target.w_pos / total
+    """Replace weight pairs by one Bernoulli(w_pos / (w_pos + w_neg)) draw z
+    per row, the pair (z, 1 - z); deterministic per seed."""
+    if target.w_pos is None:
+        raise DataError("a hard-label target cannot be sampled")
+    prob = target.w_pos / (target.w_pos + target.w_neg)
     u = np.random.default_rng(seed).random(len(prob))
-    return TrainingTarget.from_sampled((u < prob).astype(np.int64))
+    z = (u < prob).astype(np.float64)
+    return TrainingTarget.weighted(z, 1.0 - z)
 
 
 def distill_step(train_ds: Dataset, teacher_scores, beta: float, threshold: float,
@@ -122,8 +131,7 @@ def distill_step(train_ds: Dataset, teacher_scores, beta: float, threshold: floa
     |f(x_i) - y_i| < threshold (1 keeps every row; keeping none raises),
     beta-mix the kept scores into weight pairs, and under ``label_sampled``
     draw one label per row. Kept rows keep their row ids."""
-    if not (0.0 < threshold <= 1.0):
-        raise DataError("threshold must lie in (0, 1]")
+    check_threshold(threshold)
     scores = np.asarray(teacher_scores, dtype=np.float64)
     if scores.shape != (train_ds.n_rows,):
         raise DataError("scores must align with rows")
@@ -150,16 +158,9 @@ def _append_original(distilled: Dataset, target: TrainingTarget,
         labels=np.concatenate([distilled.labels, original.labels]),
         row_ids=np.concatenate([distilled.row_ids, original.row_ids + offset]),
     )
-    w_pos, w_neg = target.w_pos, target.w_neg
     y = original.labels.astype(np.float64)
-    if target.mode == "label_sampled":
-        z = target.sampled
-        combined_target = TrainingTarget.from_sampled(
-            np.concatenate([z, original.labels]))
-    else:
-        combined_target = TrainingTarget.weighted(
-            np.concatenate([w_pos, y]), np.concatenate([w_neg, 1.0 - y]))
-    return combined, combined_target
+    return combined, TrainingTarget.weighted(np.concatenate([target.w_pos, y]),
+                                             np.concatenate([target.w_neg, 1.0 - y]))
 
 
 def run_generations(spec: LearnerSpec, train_ds: Dataset, valid: Optional[Dataset],

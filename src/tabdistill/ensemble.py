@@ -179,14 +179,11 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: Optional[
         return EnsembleModel(ens.members, uniform), audit
 
     rng = np.random.default_rng(cfg.seed)
+    one_hots = np.eye(m)
 
     def incumbent_seeds(active: np.ndarray) -> list[np.ndarray]:
-        seeds = [np.where(active, 1.0, 0.0)]  # uniform over active members
-        for j in np.flatnonzero(active):
-            one_hot = np.zeros(m)
-            one_hot[j] = 1.0
-            seeds.append(one_hot)
-        return seeds
+        # uniform over active members, then each active member alone
+        return [np.where(active, 1.0, 0.0), *one_hots[active]]
 
     def run(active: np.ndarray, extra_seeds: list[np.ndarray]) -> tuple[np.ndarray, float]:
         # inactive members are frozen at weight zero by searching only the
@@ -215,12 +212,11 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: Optional[
         best_w, best_fit = run(active, [np.where(active, best_w, 0.0)])
 
     # the guarantee incumbents are prune-clean by construction; never return
-    # anything below them
-    final_candidates = [(best_w, best_fit), (uniform, uniform_fit)]
-    for j in range(m):
-        one_hot = np.zeros(m)
-        one_hot[j] = 1.0
-        final_candidates.append((one_hot, objective(one_hot)))
+    # anything below them. A one-hot blend is its member's scores exactly
+    # (adding 0.0 and dividing by 1.0 are exact), so its fitness is the
+    # member's AUC
+    final_candidates = [(best_w, best_fit), (uniform, uniform_fit),
+                        *zip(one_hots, audit["member_aucs"])]
     winner_w, winner_fit = final_candidates[0]
     for w, fit in final_candidates[1:]:
         if fit > winner_fit:

@@ -6,8 +6,10 @@ cross-entropy), the weighted-dataset loss over k virtual pairs per row, and
 the sampled-label loss whose expectation recovers the first two. Class
 indices are 1-based (1..k) throughout this module.
 
-Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] inside every log so
-the identities stay well defined and testable at the simplex boundary.
+Every log of a student probability goes through ``_log_student``, which
+clamps with ``metrics.clamp_prob`` so the identities stay well defined and
+testable at the simplex boundary; every categorical draw goes through
+``draw_classes``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tabdistill.errors import DataError, VerificationError
-from tabdistill.metrics import PROB_EPS
+from tabdistill.metrics import clamp_prob
 
 _SIMPLEX_TOL = 1e-9
 
@@ -96,8 +98,7 @@ def cross_entropy(q: SoftDistribution, p: SoftDistribution) -> float:
     """-sum_j q_j log p_j with p clamped away from zero."""
     if q.k != p.k:
         raise DataError(f"dimension mismatch: {q.k} vs {p.k}")
-    logp = np.log(np.clip(p.q, PROB_EPS, 1.0 - PROB_EPS))
-    return float(-(q.q * logp).sum())
+    return float(-(q.q * _log_student(p.q)).sum())
 
 
 def smooth_label(y: int, k: int, epsilon: float) -> SoftDistribution:
@@ -128,13 +129,14 @@ def mixed_targets(inst: KDInstance) -> np.ndarray:
     return inst.alpha * inst.teacher + (1.0 - inst.alpha) * _one_hot(inst.labels, inst.k)
 
 
-def _log_student(inst: KDInstance) -> np.ndarray:
-    return np.log(np.clip(inst.student, PROB_EPS, 1.0 - PROB_EPS))
+def _log_student(student: np.ndarray) -> np.ndarray:
+    """log of the clamped student probabilities."""
+    return np.log(clamp_prob(student))
 
 
 def kd_loss(inst: KDInstance) -> float:
     """sum_i [alpha * CE(q_i, p_i) + (1 - alpha) * CE(one_hot(y_i), p_i)]."""
-    logp = _log_student(inst)
+    logp = _log_student(inst.student)
     teacher_term = -(inst.teacher * logp).sum(axis=1)
     hard_term = -logp[np.arange(inst.n), inst.labels - 1]
     return float((inst.alpha * teacher_term + (1.0 - inst.alpha) * hard_term).sum())
@@ -143,8 +145,18 @@ def kd_loss(inst: KDInstance) -> float:
 def weighted_loss(inst: KDInstance) -> float:
     """Loss of the weighted dataset: each row expands into k pairs (x_i, j)
     carrying weight q'_i(j); identical to kd_loss by construction."""
-    logp = _log_student(inst)
+    logp = _log_student(inst.student)
     return float(-(mixed_targets(inst) * logp).sum())
+
+
+def draw_classes(qp: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from categorical rows ``qp`` (..., k), one per
+    uniform in ``u``: the 0-based class j with cdf_{j-1} < u <= cdf_j. The
+    leading axes of ``u`` broadcast against those of ``qp``."""
+    cdf = np.cumsum(qp, axis=-1)
+    # guard against cumulative rounding: the last cdf entry is forced to 1
+    cdf[..., -1] = 1.0
+    return (u[..., None] > cdf).sum(axis=-1)
 
 
 def sample_labels(inst: KDInstance, seed: int) -> np.ndarray:
@@ -152,13 +164,8 @@ def sample_labels(inst: KDInstance, seed: int) -> np.ndarray:
 
     Deterministic per seed; returned labels are 1-based.
     """
-    qp = mixed_targets(inst)
-    cdf = np.cumsum(qp, axis=1)
     u = np.random.default_rng(seed).random(inst.n)
-    # guard against cumulative rounding: the last cdf entry is forced to 1
-    cdf[:, -1] = 1.0
-    z = (u[:, None] > cdf).sum(axis=1) + 1
-    return z.astype(np.int64)
+    return (draw_classes(mixed_targets(inst), u) + 1).astype(np.int64)
 
 
 def sampled_loss(inst: KDInstance, z: np.ndarray) -> float:
@@ -168,7 +175,7 @@ def sampled_loss(inst: KDInstance, z: np.ndarray) -> float:
         raise DataError("sampled labels length must match N")
     if ((z < 1) | (z > inst.k)).any():
         raise DataError("sampled labels must lie in 1..k")
-    logp = _log_student(inst)
+    logp = _log_student(inst.student)
     return float(-logp[np.arange(inst.n), z - 1].sum())
 
 
@@ -234,10 +241,7 @@ def verify_gradient_unbiasedness(theta: np.ndarray, x: np.ndarray,
 
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n, size=samples)
-    u = rng.random(samples)
-    cdf = np.cumsum(qp, axis=1)
-    cdf[:, -1] = 1.0
-    z = (u[:, None] > cdf[rows]).sum(axis=1)  # 0-based class of each draw
+    z = draw_classes(qp[rows], rng.random(samples))  # 0-based class of each draw
 
     resid = student[rows].copy()              # p_I - one_hot(z)
     resid[np.arange(samples), z] -= 1.0

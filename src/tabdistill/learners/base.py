@@ -92,80 +92,49 @@ def mlp_spec(seed: int = 0, **overrides) -> LearnerSpec:
 
 @dataclass(frozen=True)
 class TrainingTarget:
-    """What a learner trains toward.
+    """What a learner trains toward: per-row positive/negative weights
+    (w_pos, w_neg), each row acting as two virtual instances. ``hard()``
+    leaves both unset and trains on the dataset's own labels y, the pair
+    (y, 1 - y); a sampled 0/1 label z is the pair (z, 1 - z)."""
 
-    hard_labels: the dataset's own labels.
-    row_weighted: per-row positive/negative target weights (w_pos, w_neg),
-    each row acting as two virtual instances.
-    label_sampled: one sampled 0/1 label per row.
-    """
-
-    mode: str
     w_pos: Optional[np.ndarray] = None
     w_neg: Optional[np.ndarray] = None
-    sampled: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.mode not in ("hard_labels", "row_weighted", "label_sampled"):
-            raise DataError(f"unknown target mode {self.mode!r}")
-        if self.mode == "row_weighted":
-            if self.w_pos is None or self.w_neg is None:
-                raise DataError("row_weighted target needs w_pos and w_neg")
-            wp = np.asarray(self.w_pos, dtype=np.float64)
-            wn = np.asarray(self.w_neg, dtype=np.float64)
-            object.__setattr__(self, "w_pos", wp)
-            object.__setattr__(self, "w_neg", wn)
-            if wp.shape != wn.shape or wp.ndim != 1:
-                raise DataError("weight vectors must be equal-length 1-d arrays")
-            if not (np.isfinite(wp).all() and np.isfinite(wn).all()):
-                raise DataError("target weights must be finite")
-            if (wp < 0).any() or (wn < 0).any():
-                raise DataError("target weights must be nonnegative")
-            if ((wp + wn) <= 0).any():
-                raise DataError("every row needs w_pos + w_neg > 0")
-        elif self.mode == "label_sampled":
-            if self.sampled is None:
-                raise DataError("label_sampled target needs sampled labels")
-            z = np.asarray(self.sampled, dtype=np.int64)
-            object.__setattr__(self, "sampled", z)
-            if not np.isin(z, (0, 1)).all():
-                raise DataError("sampled labels must be 0 or 1")
+        if self.w_pos is None and self.w_neg is None:
+            return
+        if self.w_pos is None or self.w_neg is None:
+            raise DataError("a weighted target needs both w_pos and w_neg")
+        wp = np.asarray(self.w_pos, dtype=np.float64)
+        wn = np.asarray(self.w_neg, dtype=np.float64)
+        object.__setattr__(self, "w_pos", wp)
+        object.__setattr__(self, "w_neg", wn)
+        if wp.shape != wn.shape or wp.ndim != 1:
+            raise DataError("weight vectors must be equal-length 1-d arrays")
+        if not (np.isfinite(wp).all() and np.isfinite(wn).all()):
+            raise DataError("target weights must be finite")
+        if (wp < 0).any() or (wn < 0).any():
+            raise DataError("target weights must be nonnegative")
+        if ((wp + wn) <= 0).any():
+            raise DataError("every row needs w_pos + w_neg > 0")
 
     @classmethod
     def hard(cls) -> "TrainingTarget":
-        return cls(mode="hard_labels")
+        return cls()
 
     @classmethod
     def weighted(cls, w_pos, w_neg) -> "TrainingTarget":
-        return cls(mode="row_weighted", w_pos=w_pos, w_neg=w_neg)
-
-    @classmethod
-    def from_sampled(cls, labels) -> "TrainingTarget":
-        return cls(mode="label_sampled", sampled=labels)
-
-    def n_rows(self) -> Optional[int]:
-        if self.mode == "row_weighted":
-            return len(self.w_pos)
-        if self.mode == "label_sampled":
-            return len(self.sampled)
-        return None
+        return cls(w_pos, w_neg)
 
 
 def resolve_weight_pairs(target: TrainingTarget, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce every target mode to the (w_pos, w_neg) pair formulation.
-
-    All training code consumes this single representation, which is what
-    makes hard_labels and row_weighted with (y, 1-y) bit-for-bit identical.
-    """
-    n = target.n_rows()
-    if n is not None and n != len(labels):
-        raise TrainingError(f"target has {n} rows, dataset has {len(labels)}")
-    if target.mode == "hard_labels":
+    """The (w_pos, w_neg) pair every learner trains on; a hard target's is
+    (y, 1 - y), bit-for-bit the weighted target (y, 1 - y)."""
+    if target.w_pos is None:
         y = labels.astype(np.float64)
         return y, 1.0 - y
-    if target.mode == "label_sampled":
-        z = target.sampled.astype(np.float64)
-        return z, 1.0 - z
+    if len(target.w_pos) != len(labels):
+        raise TrainingError(f"target has {len(target.w_pos)} rows, dataset has {len(labels)}")
     return target.w_pos, target.w_neg
 
 

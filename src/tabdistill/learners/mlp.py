@@ -16,7 +16,7 @@ from tabdistill.learners.base import (
     encode_features,
     resolve_weight_pairs,
 )
-from tabdistill.metrics import PROB_EPS, roc_auc
+from tabdistill.metrics import roc_auc, weighted_log_loss
 from tabdistill.tabular import Dataset, FeatureEncoder
 
 _BN_EPS = 1e-5
@@ -112,9 +112,7 @@ def loss_and_gradients(params: dict, x: np.ndarray, w_pos: np.ndarray,
     gradients. Exposed separately so the analytic gradients can be checked
     against finite differences."""
     probs, grads = _forward_backward(params, x, w_pos, w_neg, training)
-    probs_c = np.clip(probs, PROB_EPS, 1 - PROB_EPS)
-    loss = float(np.mean(-w_pos * np.log(probs_c) - w_neg * np.log(1.0 - probs_c)))
-    return loss, grads
+    return weighted_log_loss(probs, w_pos, w_neg), grads
 
 
 def _forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray,

@@ -78,11 +78,23 @@ def roc_auc(scores, labels) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def clamp_prob(p) -> np.ndarray:
+    """Probabilities clamped to [PROB_EPS, 1 - PROB_EPS], so that the log
+    of p and of 1 - p is finite."""
+    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+
+
+def weighted_log_loss(scores, w_pos, w_neg) -> float:
+    """Mean binary cross-entropy of the weight pairs (w_pos, w_neg) under
+    the clamped scores p: mean(-w_pos * log p - w_neg * log(1 - p))."""
+    p = clamp_prob(np.asarray(scores, dtype=np.float64))
+    return float(np.mean(-w_pos * np.log(p) - w_neg * np.log(1.0 - p)))
+
+
 def log_loss(scores, labels) -> float:
-    """Mean binary cross-entropy with probabilities clamped away from 0/1."""
-    p = np.clip(np.asarray(scores, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    """Mean binary cross-entropy of 0/1 labels, the weight pairs (y, 1 - y)."""
     y = np.asarray(labels, dtype=np.float64)
-    return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
+    return weighted_log_loss(scores, y, 1.0 - y)
 
 
 def accuracy(scores, labels) -> float:
@@ -118,20 +130,21 @@ def pearson(preds_a, preds_b) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def generation_correlation_matrix(models, rows) -> np.ndarray:
-    """Pairwise Pearson correlation of model prediction vectors on ``rows``.
+def generation_correlation_matrix(scores) -> np.ndarray:
+    """Pairwise Pearson correlation of the rows of a (models x rows) score
+    matrix, such as the stored test rows of a generation chain.
 
     Symmetric with unit diagonal; the off-diagonal structure is the
     diagnostic for how diverse a chain of generations is.
     """
-    if len(models) < 2:
-        raise DataError("need at least two models")
-    preds = [np.asarray(m.predict(rows), dtype=np.float64) for m in models]
-    k = len(preds)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or len(scores) < 2:
+        raise DataError("need a (models x rows) score matrix with at least two models")
+    k = len(scores)
     mat = np.ones((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            r = pearson(preds[i], preds[j])
+            r = pearson(scores[i], scores[j])
             mat[i, j] = r
             mat[j, i] = r
     return mat

@@ -27,7 +27,14 @@ from typing import Optional
 import numpy as np
 
 from tabdistill import __version__
-from tabdistill.distill import DistillConfig, distill_step, run_generations, write_ledger_csv
+from tabdistill.distill import (
+    DistillConfig,
+    check_beta,
+    check_threshold,
+    distill_step,
+    run_generations,
+    write_ledger_csv,
+)
 from tabdistill.ensemble import (
     DEConfig,
     EnsembleModel,
@@ -110,9 +117,11 @@ def _typed(kind: type, doc: dict, path: str, default=_REQUIRED):
 
 
 def _convert(convert, doc: dict, path: str, default):
+    """``convert`` of the entry; its TypeError, ValueError or DataError
+    becomes a DataError naming ``path``."""
     try:
         return convert(_entry(doc, path, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DataError) as exc:
         raise DataError(f"pipeline config {path!r}: {exc}") from None
 
 
@@ -227,8 +236,10 @@ class PipelineConfig:
             families=tuple(families),
             ensemble_opt=de_cfg,
             final_learner=final_learner,
-            final_beta=_convert(float, final, "final_distill.beta", 0.7),
-            final_threshold=_convert(float, final, "final_distill.threshold", 0.99),
+            final_beta=_convert(lambda v: check_beta(float(v)), final,
+                                "final_distill.beta", 0.7),
+            final_threshold=_convert(lambda v: check_threshold(float(v)), final,
+                                     "final_distill.threshold", 0.99),
             output_dir=_typed(str, doc, "output_dir", "out"),
             seed=seed,
         )

@@ -10,13 +10,14 @@ import numpy as np
 
 from tabdistill.kdcore import (
     KDInstance,
+    _log_student,
+    draw_classes,
     kd_loss,
     mixed_targets,
     random_instance,
     verify_gradient_unbiasedness,
     weighted_loss,
 )
-from tabdistill.metrics import PROB_EPS
 
 LOSS_IDENTITY_RTOL = 1e-9
 
@@ -39,12 +40,9 @@ def _resampled_loss_stats(inst: KDInstance, resamples: int,
                           rng: np.random.Generator) -> tuple[float, float]:
     """Mean and standard error of the sampled-label loss over many
     independent resamples, vectorized per row."""
-    qp = mixed_targets(inst)
-    cdf = np.cumsum(qp, axis=1)
-    cdf[:, -1] = 1.0
-    logp = np.log(np.clip(inst.student, PROB_EPS, 1.0 - PROB_EPS))
+    logp = _log_student(inst.student)
     u = rng.random((inst.n, resamples))
-    z = (u[:, :, None] > cdf[:, None, :]).sum(axis=2)  # (n, resamples), 0-based
+    z = draw_classes(mixed_targets(inst)[:, None, :], u)  # (n, resamples), 0-based
     losses = -np.take_along_axis(logp, z, axis=1).sum(axis=0)  # (resamples,)
     mean = float(losses.mean())
     se = float(losses.std(ddof=1) / np.sqrt(resamples))

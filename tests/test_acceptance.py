@@ -233,13 +233,13 @@ def test_criterion_11_diversity_diagnostic():
     wins = 0
     for seed in range(10):
         cfg = DistillConfig(generations=2, seed=seed)
-        _, gb_models = run_generations(gbdt_spec(seed=seed, rounds=40), tr, None,
-                                       te, cfg)
-        _, mlp_models = run_generations(
+        gb_records, _ = run_generations(gbdt_spec(seed=seed, rounds=40), tr, None,
+                                        te, cfg)
+        mlp_records, _ = run_generations(
             mlp_spec(seed=seed, epochs=8, learning_rate=0.05, batch_size=32,
                      hidden_sizes=(64, 32)), tr, None, te, cfg)
-        gb_mat = generation_correlation_matrix(gb_models, te)
-        mlp_mat = generation_correlation_matrix(mlp_models, te)
+        gb_mat = generation_correlation_matrix(np.stack([r.test_preds for r in gb_records]))
+        mlp_mat = generation_correlation_matrix(np.stack([r.test_preds for r in mlp_records]))
         gb_consec = np.mean([gb_mat[0, 1], gb_mat[1, 2]])
         mlp_consec = np.mean([mlp_mat[0, 1], mlp_mat[1, 2]])
         wins += gb_consec > mlp_consec

@@ -53,6 +53,20 @@ def test_collate_spreads_and_change():
     assert (run_s["unit"], run_s["better"], run_s["bound"]) == ("s", "lower", 0.25)
 
 
+def test_parent_without_a_commit_stops_before_the_first_pair(tmp_path, monkeypatch):
+    def run_once(*args):
+        raise AssertionError("a pair ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    with pytest.raises(SystemExit, match="has no git commit"):
+        bench_pairs.main(["--parent", str(parent), "--change", str(tmp_path),
+                          "--workload", "score_batch", "--seed", "1", "--pairs", "1",
+                          "--seconds", "1", "--out", str(tmp_path / "bench.json")])
+    assert not (tmp_path / "bench.json").exists()
+
+
 def test_collate_keeps_round_order_failures_and_digests():
     rounds = _rounds()
     rounds[2]["change"] = _result(2.0, 0.7, failed=1, digest="bb")

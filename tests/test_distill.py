@@ -72,13 +72,13 @@ class TestTargetsToSampled:
     def test_degenerate_all_positive(self):
         target = TrainingTarget.weighted(np.ones(10), np.zeros(10))
         sampled = targets_to_sampled(target, seed=0)
-        np.testing.assert_array_equal(sampled.sampled, np.ones(10, dtype=int))
+        np.testing.assert_array_equal(sampled.w_pos, np.ones(10, dtype=int))
 
     def test_frequency_converges(self):
         n = 100_000
         target = TrainingTarget.weighted(np.full(n, 0.72), np.full(n, 0.28))
         sampled = targets_to_sampled(target, seed=1)
-        assert abs(sampled.sampled.mean() - 0.72) < 0.006  # 3 sigma ~ 0.0043
+        assert abs(sampled.w_pos.mean() - 0.72) < 0.006  # 3 sigma ~ 0.0043
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(2)
@@ -86,7 +86,16 @@ class TestTargetsToSampled:
         target = TrainingTarget.weighted(w, 1.0 - w)
         a = targets_to_sampled(target, seed=7)
         b = targets_to_sampled(target, seed=7)
-        np.testing.assert_array_equal(a.sampled, b.sampled)
+        np.testing.assert_array_equal(a.w_pos, b.w_pos)
+
+    def test_a_draw_is_the_pair_z_one_minus_z(self):
+        rng = np.random.default_rng(3)
+        w = rng.random(500)
+        sampled = targets_to_sampled(TrainingTarget.weighted(w, 1.0 - w), seed=5)
+        z = (np.random.default_rng(5).random(500) < w).astype(np.float64)
+        np.testing.assert_array_equal(sampled.w_pos, z)
+        np.testing.assert_array_equal(sampled.w_neg, 1.0 - z)
+        assert sampled.w_pos.dtype == sampled.w_neg.dtype == np.float64
 
     def test_requires_row_weighted(self):
         with pytest.raises(DataError):

@@ -145,6 +145,7 @@ class TestOptimizeWeights:
             best_incumbent = max(max(audit["member_aucs"]), audit["uniform_auc"])
             achieved = roc_auc(out.predict(None), labels)
             assert achieved >= best_incumbent - 1e-9
+            assert audit["validation_auc"] == achieved
 
     def test_deterministic(self):
         valid = _valid_set(50, seed=7)
@@ -181,6 +182,36 @@ class TestOptimizeWeights:
         assert audit["validation_auc"] == audit["uniform_auc"] == searched["uniform_auc"]
         assert audit["member_aucs"] == searched["member_aucs"] == [
             roc_auc(m.predict(None), valid.labels) for m in members]
+
+    def test_pruned_search_falls_back_to_the_best_member(self):
+        # seeded so that two prune rounds leave a blend below the best
+        # member's AUC: that member's one-hot candidate wins
+        rng = np.random.default_rng(77)
+        labels = rng.integers(0, 2, 30)
+        labels[0], labels[1] = 0, 1
+        valid = dataset_from_arrays({"a": np.zeros(30)}, labels)
+        members = [_FixedModel(rng.random(30)) for _ in range(int(rng.integers(3, 6)))]
+        cfg = DEConfig(max_iterations=3, population_size=4, prune_epsilon=0.3, seed=77)
+        out, audit = optimize_weights_detailed(uniform_ensemble(members), valid, cfg)
+        best = int(np.argmax(audit["member_aucs"]))
+        assert audit["prune_rounds"] == 2
+        np.testing.assert_array_equal(out.weights, np.eye(len(members))[best])
+        assert audit["validation_auc"] == audit["member_aucs"][best]
+        assert audit["validation_auc"] == roc_auc(out.predict(None), labels)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_one_hot_blend_scores_as_its_member(self, tied):
+        # the search takes a one-hot candidate's fitness from the member AUCs
+        rng = np.random.default_rng(16)
+        preds = rng.random((4, 80))
+        if tied:
+            preds = np.round(preds, 1)
+        labels = rng.integers(0, 2, 80)
+        labels[0], labels[1] = 0, 1
+        for j, one_hot in enumerate(np.eye(4)):
+            blended = blend(preds, one_hot)
+            np.testing.assert_array_equal(blended, preds[j])
+            assert roc_auc(blended, labels) == roc_auc(preds[j], labels)
 
     def test_single_class_validation_rejected(self):
         ds = dataset_from_arrays({"a": [0.1, 0.2]}, [1, 1])

@@ -9,6 +9,7 @@ from tabdistill.kdcore import (
     LinearSoftmaxScorer,
     SoftDistribution,
     cross_entropy,
+    draw_classes,
     kd_loss,
     mixed_target,
     mixed_targets,
@@ -184,6 +185,32 @@ class TestSampleLabels:
         inst = random_instance(rng, n=50, k=4)
         np.testing.assert_array_equal(sample_labels(inst, seed=9),
                                       sample_labels(inst, seed=9))
+
+
+class TestDrawClasses:
+    def test_class_steps_at_the_cdf(self):
+        # cdf 0.25, 0.5, 1: class j takes cdf_{j-1} < u <= cdf_j
+        qp = np.tile([0.25, 0.25, 0.5], (6, 1))
+        u = np.array([0.0, 0.25, np.nextafter(0.25, 1.0), 0.5, 0.75, 0.9999])
+        np.testing.assert_array_equal(draw_classes(qp, u), [0, 0, 1, 1, 2, 2])
+
+    def test_last_cdf_entry_is_one(self):
+        # a row whose cumulative sum ends below u still draws its last class
+        qp = np.array([[0.3, 0.3, 0.3]])
+        assert draw_classes(qp, np.array([0.95]))[0] == 2
+
+    def test_broadcasts_over_leading_axes_of_u(self):
+        rng = np.random.default_rng(17)
+        inst = random_instance(rng, n=6, k=4)
+        qp = mixed_targets(inst)
+        u = rng.random((6, 5))
+        z = draw_classes(qp[:, None, :], u)
+        assert z.shape == (6, 5)
+        for r in range(5):
+            np.testing.assert_array_equal(z[:, r], draw_classes(qp, u[:, r]))
+        rows = rng.integers(0, 6, 20)
+        np.testing.assert_array_equal(draw_classes(qp[rows], u[rows, 0]),
+                                      draw_classes(qp, u[:, 0])[rows])
 
 
 class TestSampledLoss:

@@ -102,6 +102,14 @@ class TestTrainingTargets:
             with pytest.raises(DataError, match="finite"):
                 TrainingTarget.weighted([0.5, 0.5], [bad, 0.5])
 
+    def test_one_weight_vector_alone_rejected(self):
+        with pytest.raises(DataError, match="both"):
+            TrainingTarget(w_pos=[0.5, 0.5])
+        with pytest.raises(DataError, match="both"):
+            TrainingTarget(w_neg=[0.5, 0.5])
+        hard = TrainingTarget.hard()
+        assert hard.w_pos is None and hard.w_neg is None
+
     def test_resolve_hard_labels(self):
         labels = np.array([1, 0, 1])
         w_pos, w_neg = resolve_weight_pairs(TrainingTarget.hard(), labels)

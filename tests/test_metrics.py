@@ -111,14 +111,13 @@ class _FixedModel:
 
 class TestCorrelationMatrix:
     def test_identical_models_all_ones(self):
-        m = _FixedModel([0.1, 0.5, 0.9])
-        mat = generation_correlation_matrix([m, m], rows=None)
+        preds = [0.1, 0.5, 0.9]
+        mat = generation_correlation_matrix(np.stack([preds, preds]))
         np.testing.assert_allclose(mat, np.ones((2, 2)))
 
     def test_symmetry_and_unit_diagonal(self):
         rng = np.random.default_rng(7)
-        models = [_FixedModel(rng.random(20)) for _ in range(4)]
-        mat = generation_correlation_matrix(models, rows=None)
+        mat = generation_correlation_matrix(rng.random((4, 20)))
         np.testing.assert_allclose(mat, mat.T)
         np.testing.assert_array_equal(np.diag(mat), np.ones(4))
 

@@ -490,6 +490,13 @@ class TestMalformedConfig:
          "preprocess.remove_constant_columns"),
         (_put(None, "final_distill", "learner"), "final_distill.learner"),
         (_put([], "final_distill", "beta"), "final_distill.beta"),
+        (_put(1.5, "final_distill", "beta"),
+         "pipeline config 'final_distill.beta': beta must lie in [0, 1]"),
+        (_put(-0.1, "final_distill", "beta"), "final_distill.beta"),
+        (_put(0, "final_distill", "threshold"),
+         "pipeline config 'final_distill.threshold': denoise threshold must lie in (0, 1]"),
+        (_put(-1, "final_distill", "threshold"), "final_distill.threshold"),
+        (_put(1.01, "final_distill", "threshold"), "final_distill.threshold"),
         (_put(7, "output_dir"), "output_dir"),
         (_put({"learner": {"kind": "gbdt"}}, "families", "c"),
          "pipeline config 'families' has unknown keys ['c']"),

@@ -1,9 +1,15 @@
 """Paired benchmark runs of a parent checkout and a change, collated into one
 ``BENCH_<pr>.json``.
 
+    git worktree add ../parent <parent-commit>
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload score_batch --workload pipeline_gbdt \\
         --seed 91 --pairs 10 --seconds 30 --out BENCH_9.json
+    git worktree remove ../parent
+
+The parent checkout must be a git checkout, so that ``parent_commit`` names
+what the change was measured against; a directory without a commit (a
+``git archive`` export, say) stops the script before the first pair.
 
 Each round runs ``benchmarks/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, alternating which side goes first, and
@@ -26,6 +32,17 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+
+
+def checkout_commit(checkout: Path):
+    """The commit checked out at ``checkout``, as the benchmark's run record
+    reads it (``git rev-parse HEAD``), or None when there is none."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -91,6 +108,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    parent_commit = checkout_commit(args.parent)
+    if parent_commit is None:
+        raise SystemExit(f"{args.parent} has no git commit; make the parent checkout with "
+                         f"git worktree add, so the result names what it was measured against")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
@@ -104,7 +125,7 @@ def main(argv=None) -> int:
                 for side in order})
             print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
         comparisons[f"{workload}: parent -> change"] = collate(rounds, end_to_end)
-    provenance = {side: rounds[0][side]["record"]["provenance"] for side in SIDES}
+    provenance = rounds[0]["change"]["record"]["provenance"]
 
     args.out.write_text(json.dumps({
         "what": (f"Rounds of the repository benchmark on the parent commit and on the change, "
@@ -114,8 +135,8 @@ def main(argv=None) -> int:
                  f"percentiles) are over runs; 'median_change' is the change's median over the "
                  f"parent's minus 1; 'other_better_pairs' counts rounds where the change read "
                  f"better than the parent, ties counting for neither."),
-        "machine": {k: provenance["change"][k] for k in ("cpu_model", "nproc", "numpy", "python")},
-        "parent_commit": provenance["parent"]["git_commit"],
+        "machine": {k: provenance[k] for k in ("cpu_model", "nproc", "numpy", "python")},
+        "parent_commit": parent_commit,
         "comparisons": comparisons,
     }, indent=2, sort_keys=True) + "\n")
     return 0

@@ -5,7 +5,8 @@ The script writes seeded numeric and mixed-type CSVs with the generators in
 ``tests/helpers.py`` and runs ``tabdistill pipeline`` on a fixed set of
 configs, each with and without ``ensemble_opt``. It then runs
 ``tabdistill deploy-distill`` and ``tabdistill ensemble-opt`` on one of the
-ensembles, and ``ensemble-opt`` once more on its first member alone. Every
+ensembles, and ``ensemble-opt`` once more on its first member alone, and
+``tabdistill verify --fast --seed 0`` for the loss machinery. Every
 command's stdout is kept as a file too. The manifest, one
 ``sha256  relative-path`` line per file in sorted path order, goes to
 stdout.
@@ -119,6 +120,7 @@ def write_outputs() -> None:
     _run(["ensemble-opt", "--models", str(run_dir / members[0]),
           "--valid", "mixed_valid.csv", "--label", "label",
           "--out", "ensemble_opt_one.json", "--seed", "4"], "ensemble_opt_one.stdout")
+    _run(["verify", "--fast", "--seed", "0"], "verify_fast.stdout")
 
 
 def manifest(root: Path) -> list[str]:
