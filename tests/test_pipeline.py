@@ -490,13 +490,6 @@ class TestMalformedConfig:
          "preprocess.remove_constant_columns"),
         (_put(None, "final_distill", "learner"), "final_distill.learner"),
         (_put([], "final_distill", "beta"), "final_distill.beta"),
-        (_put(1.5, "final_distill", "beta"),
-         "pipeline config 'final_distill.beta': beta must lie in [0, 1]"),
-        (_put(-0.1, "final_distill", "beta"), "final_distill.beta"),
-        (_put(0, "final_distill", "threshold"),
-         "pipeline config 'final_distill.threshold': denoise threshold must lie in (0, 1]"),
-        (_put(-1, "final_distill", "threshold"), "final_distill.threshold"),
-        (_put(1.01, "final_distill", "threshold"), "final_distill.threshold"),
         (_put(7, "output_dir"), "output_dir"),
         (_put({"learner": {"kind": "gbdt"}}, "families", "c"),
          "pipeline config 'families' has unknown keys ['c']"),
@@ -529,6 +522,24 @@ class TestMalformedConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        pytest.param(_put(1.5, "final_distill", "beta"),
+                     "pipeline config 'final_distill.beta': beta must lie in [0, 1]",
+                     id="beta-above-1"),
+        pytest.param(_put(-0.1, "final_distill", "beta"), "final_distill.beta",
+                     id="beta-below-0"),
+        pytest.param(_put(0, "final_distill", "threshold"),
+                     "pipeline config 'final_distill.threshold': "
+                     "denoise threshold must lie in (0, 1]",
+                     id="threshold-0"),
+        pytest.param(_put(-1, "final_distill", "threshold"), "final_distill.threshold",
+                     id="threshold-negative"),
+        pytest.param(_put(1.01, "final_distill", "threshold"), "final_distill.threshold",
+                     id="threshold-above-1"),
+    ])
+    def test_cli_names_the_out_of_range_entry(self, tmp_path, capsys, edit, named):
+        self.test_cli_names_the_bad_entry(tmp_path, capsys, edit, named)
 
     def test_top_level_list_with_overrides(self, tmp_path, capsys):
         path = _write_config(tmp_path, [_minimal_config(tmp_path)])
