@@ -18,7 +18,6 @@ from tabdistill.ensemble import (
     load_ensemble,
     optimize_weights_detailed,
     save_ensemble,
-    uniform_ensemble,
 )
 from tabdistill.errors import (
     DataError,
@@ -47,7 +46,10 @@ EXIT_VERIFICATION = 4
 
 
 def _learner_spec(args) -> LearnerSpec:
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise DataError(f"--params is not valid JSON: {exc}") from None
     return LearnerSpec(kind=args.kind, params=params, seed=args.seed)
 
 
@@ -92,8 +94,7 @@ def _cmd_distill(args) -> int:
 def _cmd_ensemble_opt(args) -> int:
     members = [load_model(p) for p in args.models]
     valid = ingest_csv(args.valid, args.label)
-    optimized, audit = optimize_weights_detailed(uniform_ensemble(members), valid,
-                                                 DEConfig(seed=args.seed))
+    optimized, audit = optimize_weights_detailed(members, valid, DEConfig(seed=args.seed))
     save_ensemble(optimized, args.models, args.out)
     print(json.dumps({"ensemble": args.out, "weights": optimized.weights.tolist(),
                       "validation_auc": audit["validation_auc"]},

@@ -13,7 +13,7 @@ running ensemble is what carries the gains.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,9 +63,6 @@ class DistillConfig:
             raise DataError(f"unknown teacher_mode {self.teacher_mode!r}")
         if self.target_mode not in ("row_weighted", "label_sampled"):
             raise DataError(f"unknown target_mode {self.target_mode!r}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

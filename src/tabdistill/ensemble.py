@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -49,13 +49,12 @@ class DEConfig:
             raise DataError("mutation factor must lie in (0, 2]")
         if not (0.0 <= self.crossover_rate <= 1.0):
             raise DataError("crossover rate must lie in [0, 1]")
-        if self.prune_epsilon < 0:
+        if not self.prune_epsilon >= 0:  # NaN fails this too
             raise DataError("prune_epsilon must be nonnegative")
+        if not (math.isfinite(self.lower_bound) and math.isfinite(self.upper_bound)):
+            raise DataError("bounds must be finite")
         if not (self.lower_bound < self.upper_bound):
             raise DataError("bounds must satisfy lower < upper")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 class EnsembleModel:
@@ -95,11 +94,6 @@ def blend(member_preds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if total <= 0:
         raise DataError("weights must not all be zero")
     return (w[:, None] * member_preds).sum(axis=0) / total
-
-
-def uniform_ensemble(members: Sequence) -> EnsembleModel:
-    """All members weighted 1: the plain prediction average."""
-    return EnsembleModel(members, np.ones(len(members)))
 
 
 def _de_maximize(objective: Callable[[np.ndarray], float], n_dims: int,
@@ -154,7 +148,7 @@ def _auc_objective(member_preds: np.ndarray, labels: np.ndarray) -> Callable:
     return objective
 
 
-def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: Optional[DEConfig],
+def optimize_weights_detailed(members: Sequence, valid: Dataset, cfg: Optional[DEConfig],
                               ) -> tuple[EnsembleModel, dict]:
     """Search nonnegative member weights maximizing validation AUC.
 
@@ -167,8 +161,8 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: Optional[
     labels = valid.labels
     if len(np.unique(labels)) < 2:
         raise DataError("validation set must contain both classes")
-    member_preds = score_models(ens.members, valid)
-    m = len(ens.members)
+    member_preds = score_models(members, valid)
+    m = len(members)
     objective = _auc_objective(member_preds, labels)
     uniform = np.ones(m)
     uniform_fit = float(objective(uniform))
@@ -176,7 +170,7 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: Optional[
              "prune_rounds": 0, "validation_auc": uniform_fit, "uniform_auc": uniform_fit,
              "member_aucs": [float(roc_auc(p, labels)) for p in member_preds]}
     if cfg is None or m == 1:
-        return EnsembleModel(ens.members, uniform), audit
+        return EnsembleModel(members, uniform), audit
 
     rng = np.random.default_rng(cfg.seed)
     one_hots = np.eye(m)
@@ -214,17 +208,14 @@ def optimize_weights_detailed(ens: EnsembleModel, valid: Dataset, cfg: Optional[
     # the guarantee incumbents are prune-clean by construction; never return
     # anything below them. A one-hot blend is its member's scores exactly
     # (adding 0.0 and dividing by 1.0 are exact), so its fitness is the
-    # member's AUC
+    # member's AUC. max keeps the first of equal fitnesses
     final_candidates = [(best_w, best_fit), (uniform, uniform_fit),
                         *zip(one_hots, audit["member_aucs"])]
-    winner_w, winner_fit = final_candidates[0]
-    for w, fit in final_candidates[1:]:
-        if fit > winner_fit:
-            winner_w, winner_fit = w, fit
+    winner_w, winner_fit = max(final_candidates, key=lambda c: c[1])
 
     audit.update(pre_prune_weights=pre_prune.tolist(), final_weights=winner_w.tolist(),
                  prune_rounds=prune_rounds, validation_auc=winner_fit)
-    return EnsembleModel(ens.members, winner_w), audit
+    return EnsembleModel(members, winner_w), audit
 
 
 def combine_families(families: Sequence[Sequence], valid: Dataset,
@@ -235,8 +226,7 @@ def combine_families(families: Sequence[Sequence], valid: Dataset,
     members = [m for family in families for m in family]
     if not members:
         raise DataError("no members to combine")
-    ens = uniform_ensemble(members)
-    optimized, audit = optimize_weights_detailed(ens, valid, cfg)
+    optimized, audit = optimize_weights_detailed(members, valid, cfg)
     audit["family_sizes"] = [len(f) for f in families]
     audit["surviving_members"] = [int(j) for j in np.flatnonzero(optimized.weights > 0)]
     return optimized, audit

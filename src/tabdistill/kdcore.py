@@ -25,27 +25,6 @@ _SIMPLEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SoftDistribution:
-    """A point on the k-class probability simplex."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        object.__setattr__(self, "q", q)
-        if q.ndim != 1 or len(q) < 2:
-            raise DataError("distribution must be a vector of length >= 2")
-        if (q < 0).any():
-            raise DataError("distribution entries must be nonnegative")
-        if abs(q.sum() - 1.0) > _SIMPLEX_TOL:
-            raise DataError(f"distribution sums to {q.sum()!r}, not 1")
-
-    @property
-    def k(self) -> int:
-        return len(self.q)
-
-
-@dataclass(frozen=True)
 class KDInstance:
     """Aligned teacher distributions, student distributions, and hard labels
     for N rows, plus the mixing weight alpha on the teacher term."""
@@ -88,45 +67,9 @@ class KDInstance:
         return self.teacher.shape[1]
 
 
-def _one_hot(y: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((len(y), k))
-    out[np.arange(len(y)), np.asarray(y) - 1] = 1.0
-    return out
-
-
-def cross_entropy(q: SoftDistribution, p: SoftDistribution) -> float:
-    """-sum_j q_j log p_j with p clamped away from zero."""
-    if q.k != p.k:
-        raise DataError(f"dimension mismatch: {q.k} vs {p.k}")
-    return float(-(q.q * _log_student(p.q)).sum())
-
-
-def smooth_label(y: int, k: int, epsilon: float) -> SoftDistribution:
-    """One-hot label mixed with the uniform distribution: entry y gets
-    (1 - eps) + eps/k, every other entry eps/k."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise DataError("epsilon must lie in [0, 1]")
-    if not (1 <= y <= k):
-        raise DataError(f"class index {y} out of range 1..{k}")
-    q = np.full(k, epsilon / k)
-    q[y - 1] += 1.0 - epsilon
-    return SoftDistribution(q)
-
-
-def mixed_target(q: SoftDistribution, y: int, alpha: float) -> SoftDistribution:
-    """Convex mix alpha * q + (1 - alpha) * one_hot(y)."""
-    if not (0.0 <= alpha <= 1.0):
-        raise DataError("alpha must lie in [0, 1]")
-    if not (1 <= y <= q.k):
-        raise DataError(f"class index {y} out of range 1..{q.k}")
-    onehot = np.zeros(q.k)
-    onehot[y - 1] = 1.0
-    return SoftDistribution(alpha * q.q + (1.0 - alpha) * onehot)
-
-
 def mixed_targets(inst: KDInstance) -> np.ndarray:
     """(N, k) matrix of per-row mixed targets alpha*q_i + (1-alpha)*1_{y_i}."""
-    return inst.alpha * inst.teacher + (1.0 - inst.alpha) * _one_hot(inst.labels, inst.k)
+    return inst.alpha * inst.teacher + (1.0 - inst.alpha) * np.eye(inst.k)[inst.labels - 1]
 
 
 def _log_student(student: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -45,8 +46,12 @@ class LearnerSpec:
     seed: int = 0
 
     def __post_init__(self):
+        """Every malformed kind, hyperparameter or seed raises DataError."""
         if self.kind not in ("gbdt", "mlp"):
             raise DataError(f"unknown learner kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise DataError(f"hyperparameters must be a JSON object, got {self.params!r}")
+        object.__setattr__(self, "seed", require_integer(self.seed, "learner seed"))
         defaults = GBDT_DEFAULTS if self.kind == "gbdt" else MLP_DEFAULTS
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -56,13 +61,19 @@ class LearnerSpec:
             if name in INTEGER_PARAMS:
                 merged[name] = require_integer(value, f"hyperparameter {name!r}", low=1)
             elif name == "hidden_sizes":
+                if not np.iterable(value):
+                    raise DataError(f"mlp hidden_sizes must be a list, got {value!r}")
                 merged[name] = tuple(require_integer(h, "mlp hidden size", low=1)
                                      for h in value)
                 if not merged[name]:
                     raise DataError("mlp hidden_sizes must be non-empty")
-            elif name != "batch_norm" and not (
-                    isinstance(value, (int, float)) and value > 0):
-                raise DataError(f"hyperparameter {name!r} must be strictly positive")
+            elif name == "batch_norm":
+                if not isinstance(value, bool):
+                    raise DataError(f"hyperparameter 'batch_norm' must be a bool, got {value!r}")
+            elif isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
+                raise DataError(
+                    f"hyperparameter {name!r} must be a finite number > 0, got {value!r}")
         object.__setattr__(self, "params", merged)
 
     def __getitem__(self, name: str):
@@ -136,6 +147,17 @@ def resolve_weight_pairs(target: TrainingTarget, labels: np.ndarray) -> tuple[np
     if len(target.w_pos) != len(labels):
         raise TrainingError(f"target has {len(target.w_pos)} rows, dataset has {len(labels)}")
     return target.w_pos, target.w_neg
+
+
+def training_inputs(train_ds: Dataset, target: TrainingTarget,
+                    ) -> tuple[FeatureEncoder, np.ndarray, np.ndarray, np.ndarray]:
+    """What every trainer starts from: the encoder fitted on ``train_ds``,
+    its encoded matrix (finite, or TrainingError) and the weight pairs."""
+    encoder = FeatureEncoder.fit(train_ds)
+    x = encoder.transform(train_ds)
+    if not np.isfinite(x).all():
+        raise TrainingError("training features contain non-finite values")
+    return (encoder, x, *resolve_weight_pairs(target, train_ds.labels))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -78,13 +78,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tabdistill.errors import SerializationError, TrainingError
+from tabdistill.errors import SerializationError
 from tabdistill.learners.base import (
     LearnerSpec,
     TrainingTarget,
     _sigmoid,
     encode_features,
-    resolve_weight_pairs,
+    training_inputs,
 )
 from tabdistill.tabular import Dataset, FeatureEncoder
 
@@ -458,11 +458,7 @@ def train_gbdt(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget) -> 
     g = (w_pos + w_neg) * p - w_pos and h = (w_pos + w_neg) * p * (1 - p).
     No subsampling anywhere, so training is deterministic outright.
     """
-    encoder = FeatureEncoder.fit(train_ds)
-    x = encoder.transform(train_ds)
-    if not np.isfinite(x).all():
-        raise TrainingError("training features contain non-finite values")
-    w_pos, w_neg = resolve_weight_pairs(target, train_ds.labels)
+    encoder, x, w_pos, w_neg = training_inputs(train_ds, target)
     w_sum = w_pos + w_neg
     columns = _Columns(x)
     del x  # the search reads only the column groups

@@ -8,13 +8,13 @@ from typing import Optional
 
 import numpy as np
 
-from tabdistill.errors import SerializationError, TrainingError
+from tabdistill.errors import SerializationError
 from tabdistill.learners.base import (
     LearnerSpec,
     TrainingTarget,
     _sigmoid,
     encode_features,
-    resolve_weight_pairs,
+    training_inputs,
 )
 from tabdistill.metrics import roc_auc, weighted_log_loss
 from tabdistill.tabular import Dataset, FeatureEncoder
@@ -251,11 +251,7 @@ def train_mlp(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,
     """Mini-batch gradient descent with momentum; when a validation set is
     given, training stops after ``patience`` epochs without an AUC
     improvement and the best-epoch parameters are restored."""
-    encoder = FeatureEncoder.fit(train_ds)
-    x = encoder.transform(train_ds)
-    if not np.isfinite(x).all():
-        raise TrainingError("training features contain non-finite values")
-    w_pos, w_neg = resolve_weight_pairs(target, train_ds.labels)
+    encoder, x, w_pos, w_neg = training_inputs(train_ds, target)
 
     rng = np.random.default_rng(spec.seed)
     sizes = [x.shape[1], *spec["hidden_sizes"], 1]

@@ -5,8 +5,8 @@ into one deployment model.
 
 Each member model is predicted once per split: its family's chain scores
 it on test, and on train when it teaches; the pipeline adds the last
-model's train row and every member's validation row. The report and the
-deployment teacher read those rows.
+model's train row, and the weight search scores every member on the
+validation split. The report and the deployment teacher read those rows.
 
 The test split is touched only for final reporting; every selection
 decision (early stopping, ensemble weights, best-single) uses the
@@ -20,7 +20,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -42,7 +42,6 @@ from tabdistill.ensemble import (
     combine_families,
     optimize_weights_detailed,
     save_ensemble,
-    uniform_ensemble,
 )
 from tabdistill.errors import DataError, TabDistillError, require_integer
 from tabdistill.learners import LearnerSpec, save_model, train
@@ -145,7 +144,7 @@ def _learner(doc: dict, path: str, default_seed: int) -> LearnerSpec:
     seed = _seed(section, f"{path}.seed", default_seed)
     try:
         return LearnerSpec(kind=kind, params=dict(params), seed=seed)
-    except (TypeError, ValueError, DataError) as exc:
+    except DataError as exc:
         raise DataError(f"pipeline config {path!r}: {exc}") from None
 
 
@@ -153,10 +152,6 @@ def _learner(doc: dict, path: str, default_seed: int) -> LearnerSpec:
 class FamilyConfig:
     learner: LearnerSpec
     distill: Optional[DistillConfig]  # None: train the teacher only
-
-    def to_json_dict(self) -> dict:
-        return {"learner": self.learner.to_json_dict(),
-                "distill": None if self.distill is None else self.distill.to_json_dict()}
 
 
 def _family(fam: dict, path: str, learner_seed: int, distill_seed: int) -> FamilyConfig:
@@ -254,10 +249,11 @@ class PipelineConfig:
                       "seed": self.split.seed},
             "preprocess": {"remove_constant_columns": self.remove_constants,
                            "transform": self.transform},
-            "families": {tag: None if fam is None else fam.to_json_dict()
-                         for tag, fam in zip(FAMILY_TAGS, self.families)},
-            "ensemble_opt": None if self.ensemble_opt is None
-            else self.ensemble_opt.to_json_dict(),
+            "families": {tag: None if fam is None else {
+                "learner": fam.learner.to_json_dict(),
+                "distill": None if fam.distill is None else asdict(fam.distill)}
+                for tag, fam in zip(FAMILY_TAGS, self.families)},
+            "ensemble_opt": None if self.ensemble_opt is None else asdict(self.ensemble_opt),
             "final_distill": {"learner": self.final_learner.to_json_dict(),
                               "beta": self.final_beta,
                               "threshold": self.final_threshold},
@@ -364,8 +360,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         if cfg.ensemble_opt is not None and len(members) > 1:
             optimized, audit = combine_families(member_groups, valid_ds, cfg.ensemble_opt)
         else:
-            optimized, audit = optimize_weights_detailed(
-                uniform_ensemble(members), valid_ds, None)
+            optimized, audit = optimize_weights_detailed(members, valid_ds, None)
         save_ensemble(optimized, [ref[2] for ref in member_refs],
                       run_dir / "ensemble.json")
         _write_weights_audit(run_dir / "weights_audit.csv", member_refs, audit)

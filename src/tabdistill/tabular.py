@@ -162,10 +162,6 @@ class Dataset:
     def n_rows(self) -> int:
         return len(self.labels)
 
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_arrays)
-
     def column_values(self, name: str) -> np.ndarray:
         for col, arr in zip(self.schema.feature_columns, self.feature_arrays):
             if col.name == name:
@@ -458,6 +454,10 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     return ds.take(tr), ds.take(va), ds.take(te)
 
 
+def _numeric(kinds: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple("float" if kind == "int" else kind for kind in kinds)
+
+
 @dataclass(frozen=True)
 class FeatureEncoder:
     """Maps a Dataset onto the float feature matrix learners consume.
@@ -494,9 +494,11 @@ class FeatureEncoder:
         )
 
     def check_schema(self, ds: Dataset) -> None:
+        """Rows need the fitted column names and kinds; int and float count as
+        one numeric kind, since ``transform`` casts both to float64."""
         names = ds.schema.feature_names
         kinds = tuple(c.kind for c in ds.schema.feature_columns)
-        if names != self.column_names or kinds != self.column_kinds:
+        if names != self.column_names or _numeric(kinds) != _numeric(self.column_kinds):
             raise SchemaMismatchError(
                 f"rows have columns {list(zip(names, kinds))}, model expects "
                 f"{list(zip(self.column_names, self.column_kinds))}")

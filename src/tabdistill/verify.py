@@ -39,11 +39,13 @@ def check_loss_identity(instances: int = 100, seed: int = 7) -> dict:
 def _resampled_loss_stats(inst: KDInstance, resamples: int,
                           rng: np.random.Generator) -> tuple[float, float]:
     """Mean and standard error of the sampled-label loss over many
-    independent resamples, vectorized per row."""
+    independent resamples. Rows are drawn one at a time, vectorized over the
+    resamples, so memory stays at a few (resamples,) vectors."""
     logp = _log_student(inst.student)
-    u = rng.random((inst.n, resamples))
-    z = draw_classes(mixed_targets(inst)[:, None, :], u)  # (n, resamples), 0-based
-    losses = -np.take_along_axis(logp, z, axis=1).sum(axis=0)  # (resamples,)
+    qp = mixed_targets(inst)
+    losses = np.zeros(resamples)
+    for i in range(inst.n):
+        losses -= logp[i, draw_classes(qp[i], rng.random(resamples))]
     mean = float(losses.mean())
     se = float(losses.std(ddof=1) / np.sqrt(resamples))
     return mean, se

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from tabdistill.distill import DistillConfig, distill_step, make_targets, run_generations
-from tabdistill.ensemble import DEConfig, combine_families, optimize_weights_detailed, uniform_ensemble
+from tabdistill.ensemble import DEConfig, combine_families, optimize_weights_detailed
 from tabdistill.errors import DataError
 from tabdistill.learners import TrainingTarget, gbdt_spec, mlp_spec, train
 from tabdistill.metrics import generation_correlation_matrix, roc_auc
@@ -264,7 +264,7 @@ def test_criterion_12_weight_optimization_guarantee():
         valid = dataset_from_arrays({"a": np.zeros(n)}, labels)
         members = [FixedModel(rng.random(n)) for _ in range(int(rng.integers(2, 6)))]
         out, audit = optimize_weights_detailed(
-            uniform_ensemble(members), valid, DEConfig(max_iterations=25, seed=trial))
+            members, valid, DEConfig(max_iterations=25, seed=trial))
         best_incumbent = max(max(audit["member_aucs"]), audit["uniform_auc"])
         achieved = roc_auc(out.predict(None), labels)
         if achieved < best_incumbent - 1e-9:

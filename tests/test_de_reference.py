@@ -161,14 +161,14 @@ def test_optimize_weights_matches_reference(monkeypatch, m, population_size,
                                             prune_epsilon):
     member_preds, labels = _gbdt_like_members(m, 400, seed=20 + m)
     valid = dataset_from_arrays({"a": np.zeros(len(labels))}, labels)
-    ens = ensemble.uniform_ensemble([_FixedModel(p) for p in member_preds])
+    members = [_FixedModel(p) for p in member_preds]
     cfg = DEConfig(population_size=population_size, max_iterations=5,
                    prune_epsilon=prune_epsilon, seed=m)
 
-    optimized, audit = ensemble.optimize_weights_detailed(ens, valid, cfg)
+    optimized, audit = ensemble.optimize_weights_detailed(members, valid, cfg)
     monkeypatch.setattr(ensemble, "_de_maximize", _reference_de_maximize)
     monkeypatch.setattr(ensemble, "roc_auc", _reference_roc_auc)
-    ref_optimized, ref_audit = ensemble.optimize_weights_detailed(ens, valid, cfg)
+    ref_optimized, ref_audit = ensemble.optimize_weights_detailed(members, valid, cfg)
 
     assert _bits(optimized.weights) == _bits(ref_optimized.weights)
     assert audit == ref_audit
@@ -230,15 +230,15 @@ def test_optimize_weights_matches_reference_objective(monkeypatch, make, m,
     and AUC, on tied (GBDT-like) and untied (MLP-like) members."""
     member_preds, labels = make(m, 400, seed=20 + m)
     valid = dataset_from_arrays({"a": np.zeros(len(labels))}, labels)
-    ens = ensemble.uniform_ensemble([_FixedModel(p) for p in member_preds])
+    members = [_FixedModel(p) for p in member_preds]
     cfg = DEConfig(population_size=population_size, max_iterations=5,
                    prune_epsilon=prune_epsilon, seed=m)
 
-    optimized, audit = ensemble.optimize_weights_detailed(ens, valid, cfg)
+    optimized, audit = ensemble.optimize_weights_detailed(members, valid, cfg)
     monkeypatch.setattr(ensemble, "_de_maximize", _reference_de_maximize)
     monkeypatch.setattr(ensemble, "_auc_objective", _reference_objective)
     monkeypatch.setattr(ensemble, "roc_auc", _reference_roc_auc)
-    ref_optimized, ref_audit = ensemble.optimize_weights_detailed(ens, valid, cfg)
+    ref_optimized, ref_audit = ensemble.optimize_weights_detailed(members, valid, cfg)
 
     assert _bits(optimized.weights) == _bits(ref_optimized.weights)
     assert audit == ref_audit

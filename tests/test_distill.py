@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from tabdistill.distill import (
     write_ledger_csv,
 )
 from tabdistill.errors import DataError
-from tabdistill.kdcore import SoftDistribution, mixed_target
+from tabdistill.kdcore import KDInstance, mixed_targets
 from tabdistill.learners import TrainingTarget, gbdt_spec, serialize_model
 
 from helpers import dataset_from_arrays, noisy_nonlinear_dataset, separable_dataset
@@ -52,10 +54,10 @@ class TestMakeTargets:
             y = int(rng.integers(0, 2))
             ds = dataset_from_arrays({"a": [0.0]}, [y])
             target = make_targets(ds, [f], beta)
-            mixed = mixed_target(SoftDistribution(np.array([f, 1.0 - f])),
-                                 1 if y == 1 else 2, beta)
-            assert abs(target.w_pos[0] - mixed.q[0]) <= 1e-15
-            assert abs(target.w_neg[0] - mixed.q[1]) <= 1e-15
+            mixed = mixed_targets(KDInstance(np.array([[f, 1.0 - f]]), np.full((1, 2), 0.5),
+                                             np.array([1 if y == 1 else 2]), beta))[0]
+            assert abs(target.w_pos[0] - mixed[0]) <= 1e-15
+            assert abs(target.w_neg[0] - mixed[1]) <= 1e-15
 
     def test_score_out_of_range(self):
         ds = dataset_from_arrays({"a": [0.0]}, [1])
@@ -276,4 +278,4 @@ class TestConfigValidation:
 
     def test_roundtrip(self):
         cfg = DistillConfig(beta=0.5, generations=2, teacher_mode="from_ensemble")
-        assert DistillConfig(**cfg.to_json_dict()) == cfg
+        assert DistillConfig(**asdict(cfg)) == cfg

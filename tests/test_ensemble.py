@@ -12,7 +12,6 @@ from tabdistill.ensemble import (
     load_ensemble,
     optimize_weights_detailed,
     save_ensemble,
-    uniform_ensemble,
 )
 from tabdistill.errors import DataError, SerializationError
 from tabdistill.learners import TrainingTarget, gbdt_spec, mlp_spec, save_model, train
@@ -38,23 +37,23 @@ def _valid_set(n, seed):
 class TestUniformEnsemble:
     def test_single_member_identity(self):
         m = _FixedModel([0.2, 0.7, 0.4])
-        ens = uniform_ensemble([m])
+        ens = EnsembleModel([m], [1.0])
         np.testing.assert_array_equal(ens.predict(None), m.predict(None))
 
     def test_constant_members_average(self):
-        ens = uniform_ensemble([_FixedModel([0.2, 0.2]), _FixedModel([0.8, 0.8])])
+        ens = EnsembleModel([_FixedModel([0.2, 0.2]), _FixedModel([0.8, 0.8])], [1.0, 1.0])
         np.testing.assert_allclose(ens.predict(None), [0.5, 0.5])
 
     def test_member_order_symmetry(self):
         a = _FixedModel([0.1, 0.9])
         b = _FixedModel([0.4, 0.6])
         np.testing.assert_array_equal(
-            uniform_ensemble([a, b]).predict(None),
-            uniform_ensemble([b, a]).predict(None))
+            EnsembleModel([a, b], [1.0, 1.0]).predict(None),
+            EnsembleModel([b, a], [1.0, 1.0]).predict(None))
 
     def test_empty_member_list(self):
         with pytest.raises(DataError):
-            uniform_ensemble([])
+            EnsembleModel([], [])
 
 
 class TestPredictEnsemble:
@@ -114,7 +113,7 @@ class TestOptimizeWeights:
         valid = _valid_set(40, seed=3)
         rng = np.random.default_rng(4)
         member = _FixedModel(rng.random(40))
-        out = optimize_weights_detailed(uniform_ensemble([member]), valid, DEConfig(seed=0))[0]
+        out = optimize_weights_detailed([member], valid, DEConfig(seed=0))[0]
         np.testing.assert_array_equal(out.weights, [1.0])
 
     def test_dominating_member_prunes_the_noise(self):
@@ -124,8 +123,8 @@ class TestOptimizeWeights:
         perfect = labels * 0.5 + 0.25  # scores that rank validation perfectly
         noise = rng.random(60)
         valid = dataset_from_arrays({"a": np.zeros(60)}, labels)
-        ens = uniform_ensemble([_FixedModel(perfect), _FixedModel(noise)])
-        out = optimize_weights_detailed(ens, valid, DEConfig(max_iterations=30, seed=1))[0]
+        members = [_FixedModel(perfect), _FixedModel(noise)]
+        out = optimize_weights_detailed(members, valid, DEConfig(max_iterations=30, seed=1))[0]
         assert out.weights[1] == 0.0
         assert out.weights[0] > 0.0
         np.testing.assert_array_equal(out.predict(None), perfect)
@@ -139,9 +138,8 @@ class TestOptimizeWeights:
             valid = dataset_from_arrays({"a": np.zeros(n)}, labels)
             k = int(rng.integers(2, 6))
             members = [_FixedModel(rng.random(n)) for _ in range(k)]
-            ens = uniform_ensemble(members)
             cfg = DEConfig(max_iterations=25, seed=trial)
-            out, audit = optimize_weights_detailed(ens, valid, cfg)
+            out, audit = optimize_weights_detailed(members, valid, cfg)
             best_incumbent = max(max(audit["member_aucs"]), audit["uniform_auc"])
             achieved = roc_auc(out.predict(None), labels)
             assert achieved >= best_incumbent - 1e-9
@@ -152,8 +150,8 @@ class TestOptimizeWeights:
         rng = np.random.default_rng(8)
         members = [_FixedModel(rng.random(50)) for _ in range(3)]
         cfg = DEConfig(max_iterations=15, seed=9)
-        a = optimize_weights_detailed(uniform_ensemble(members), valid, cfg)[0]
-        b = optimize_weights_detailed(uniform_ensemble(members), valid, cfg)[0]
+        a = optimize_weights_detailed(members, valid, cfg)[0]
+        b = optimize_weights_detailed(members, valid, cfg)[0]
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_prune_epsilon_above_every_share_keeps_the_weights(self):
@@ -162,7 +160,7 @@ class TestOptimizeWeights:
         valid = _valid_set(60, seed=11)
         member = _FixedModel(np.random.default_rng(12).random(60))
         cfg = DEConfig(population_size=8, prune_epsilon=0.15, max_iterations=5, seed=0)
-        out, audit = optimize_weights_detailed(uniform_ensemble([member] * 12), valid, cfg)
+        out, audit = optimize_weights_detailed([member] * 12, valid, cfg)
         assert audit["prune_rounds"] == 0
         assert audit["final_weights"] == audit["pre_prune_weights"]
         np.testing.assert_array_equal(out.weights, np.ones(12))
@@ -172,8 +170,8 @@ class TestOptimizeWeights:
         valid = _valid_set(50, seed=14)
         rng = np.random.default_rng(15)
         members = [_FixedModel(rng.random(50)) for _ in range(3)]
-        out, audit = optimize_weights_detailed(uniform_ensemble(members), valid, None)
-        _, searched = optimize_weights_detailed(uniform_ensemble(members), valid,
+        out, audit = optimize_weights_detailed(members, valid, None)
+        _, searched = optimize_weights_detailed(members, valid,
                                                 DEConfig(max_iterations=5, seed=0))
         np.testing.assert_array_equal(out.weights, np.ones(3))
         assert list(audit) == list(searched)
@@ -192,7 +190,7 @@ class TestOptimizeWeights:
         valid = dataset_from_arrays({"a": np.zeros(30)}, labels)
         members = [_FixedModel(rng.random(30)) for _ in range(int(rng.integers(3, 6)))]
         cfg = DEConfig(max_iterations=3, population_size=4, prune_epsilon=0.3, seed=77)
-        out, audit = optimize_weights_detailed(uniform_ensemble(members), valid, cfg)
+        out, audit = optimize_weights_detailed(members, valid, cfg)
         best = int(np.argmax(audit["member_aucs"]))
         assert audit["prune_rounds"] == 2
         np.testing.assert_array_equal(out.weights, np.eye(len(members))[best])
@@ -216,8 +214,7 @@ class TestOptimizeWeights:
     def test_single_class_validation_rejected(self):
         ds = dataset_from_arrays({"a": [0.1, 0.2]}, [1, 1])
         with pytest.raises(DataError):
-            optimize_weights_detailed(uniform_ensemble([_FixedModel([0.5, 0.5])]), ds,
-                                      DEConfig())
+            optimize_weights_detailed([_FixedModel([0.5, 0.5])], ds, DEConfig())
 
 
 class TestCombineFamilies:
@@ -227,7 +224,7 @@ class TestCombineFamilies:
         members = [_FixedModel(rng.random(40)) for _ in range(2)]
         combined, audit = combine_families([members, []], valid,
                                            DEConfig(max_iterations=10, seed=2))
-        direct, _ = optimize_weights_detailed(uniform_ensemble(members), valid,
+        direct, _ = optimize_weights_detailed(members, valid,
                                               DEConfig(max_iterations=10, seed=2))
         np.testing.assert_array_equal(combined.weights, direct.weights)
         assert audit["family_sizes"] == [2, 0]
@@ -239,8 +236,7 @@ class TestCombineFamilies:
                     [_FixedModel(rng.random(50))]]
         cfg = DEConfig(max_iterations=10, seed=5)
         combined, audit = combine_families(families, valid, cfg)
-        direct, _ = optimize_weights_detailed(
-            uniform_ensemble(families[0] + families[2]), valid, cfg)
+        direct, _ = optimize_weights_detailed(families[0] + families[2], valid, cfg)
         assert audit["family_sizes"] == [2, 0, 1]
         np.testing.assert_array_equal(combined.weights, direct.weights)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,20 +8,18 @@ from tabdistill.errors import DataError
 from tabdistill.kdcore import (
     KDInstance,
     LinearSoftmaxScorer,
-    SoftDistribution,
-    cross_entropy,
     draw_classes,
     kd_loss,
-    mixed_target,
     mixed_targets,
     random_instance,
     sample_labels,
     sampled_loss,
-    smooth_label,
     verify_gradient_unbiasedness,
     weighted_loss,
 )
+from tabdistill.metrics import clamp_prob
 from tabdistill.verify import (
+    _resampled_loss_stats,
     check_gradient_unbiasedness,
     check_loss_identity,
     check_sampling_unbiasedness,
@@ -32,82 +31,63 @@ def scalar_ce(q, p):
     return -sum(qj * math.log(pj) for qj, pj in zip(q, p))
 
 
+def _one_row(teacher, student, label=1, alpha=1.0):
+    return KDInstance(teacher=np.array([teacher]), student=np.array([student]),
+                      labels=np.array([label]), alpha=alpha)
+
+
 class TestCrossEntropy:
+    """At alpha = 1, kd_loss of one row is CE(q, p) = -sum_j q_j log p_j."""
+
     def test_one_hot_reduces_to_neg_log(self):
-        q = SoftDistribution(np.array([1.0, 0.0]))
-        p = SoftDistribution(np.array([0.5, 0.5]))
-        assert cross_entropy(q, p) == pytest.approx(math.log(2), abs=1e-12)
+        assert kd_loss(_one_row([1.0, 0.0], [0.5, 0.5])) == pytest.approx(
+            math.log(2), abs=1e-12)
 
     def test_uniform_self_entropy(self):
-        u = SoftDistribution(np.full(4, 0.25))
-        assert cross_entropy(u, u) == pytest.approx(math.log(4), abs=1e-12)
+        u = np.full(4, 0.25)
+        assert kd_loss(_one_row(u, u)) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_worked_example(self):
-        q = SoftDistribution(np.array([0.2, 0.8]))
-        p = SoftDistribution(np.array([0.3, 0.7]))
+        # two rows sum their cross-entropies
+        inst = KDInstance(teacher=np.array([[0.2, 0.8], [0.6, 0.4]]),
+                          student=np.array([[0.3, 0.7], [0.5, 0.5]]),
+                          labels=np.array([1, 2]), alpha=1.0)
         expected = scalar_ce([0.2, 0.8], [0.3, 0.7])
-        assert cross_entropy(q, p) == pytest.approx(expected, abs=1e-12)
+        assert kd_loss(inst) == pytest.approx(
+            expected + scalar_ce([0.6, 0.4], [0.5, 0.5]), abs=1e-12)
         assert expected == pytest.approx(0.526135, abs=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
-            cross_entropy(SoftDistribution(np.array([0.5, 0.5])),
-                          SoftDistribution(np.array([0.4, 0.3, 0.3])))
+            _one_row([0.5, 0.5], [0.4, 0.3, 0.3])
 
     def test_zero_probability_is_clamped_finite(self):
-        q = SoftDistribution(np.array([0.5, 0.5]))
-        p = SoftDistribution(np.array([1.0, 0.0]))
-        assert np.isfinite(cross_entropy(q, p))
-
-
-class TestSmoothLabel:
-    def test_epsilon_zero_is_one_hot(self):
-        out = smooth_label(2, 3, 0.0)
-        np.testing.assert_array_equal(out.q, [0.0, 1.0, 0.0])
-
-    def test_epsilon_one_is_uniform(self):
-        out = smooth_label(1, 4, 1.0)
-        np.testing.assert_allclose(out.q, 0.25)
-
-    def test_formula_plug_in(self):
-        out = smooth_label(2, 4, 0.2)
-        np.testing.assert_allclose(out.q, [0.05, 0.85, 0.05, 0.05])
-
-    def test_out_of_range_label(self):
-        with pytest.raises(DataError):
-            smooth_label(5, 4, 0.1)
-
-    def test_always_valid_distribution(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            k = int(rng.integers(2, 8))
-            out = smooth_label(int(rng.integers(1, k + 1)), k, float(rng.random()))
-            assert (out.q >= 0).all()
-            assert abs(out.q.sum() - 1.0) <= 1e-12
+        assert np.isfinite(kd_loss(_one_row([0.5, 0.5], [1.0, 0.0])))
 
 
 class TestMixedTarget:
     def test_worked_example(self):
-        out = mixed_target(SoftDistribution(np.array([0.2, 0.8])), 2, 0.5)
-        np.testing.assert_allclose(out.q, [0.1, 0.9])
+        out = mixed_targets(_one_row([0.2, 0.8], [0.5, 0.5], label=2, alpha=0.5))
+        np.testing.assert_allclose(out, [[0.1, 0.9]])
 
     def test_alpha_zero_is_one_hot(self):
-        out = mixed_target(SoftDistribution(np.array([0.3, 0.7])), 1, 0.0)
-        np.testing.assert_array_equal(out.q, [1.0, 0.0])
+        out = mixed_targets(_one_row([0.3, 0.7], [0.5, 0.5], label=1, alpha=0.0))
+        np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
     def test_alpha_one_is_teacher(self):
         q = np.array([0.3, 0.7])
-        out = mixed_target(SoftDistribution(q), 1, 1.0)
-        np.testing.assert_array_equal(out.q, q)
+        out = mixed_targets(_one_row(q, [0.5, 0.5], label=1, alpha=1.0))
+        np.testing.assert_array_equal(out, [q])
 
     def test_always_valid_distribution(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             k = int(rng.integers(2, 8))
-            q = SoftDistribution(rng.dirichlet(np.ones(k)))
-            out = mixed_target(q, int(rng.integers(1, k + 1)), float(rng.random()))
-            assert (out.q >= 0).all()
-            assert abs(out.q.sum() - 1.0) <= 1e-12
+            q = rng.dirichlet(np.ones(k))
+            out = mixed_targets(_one_row(q, q, int(rng.integers(1, k + 1)),
+                                         float(rng.random())))
+            assert (out >= 0).all()
+            assert abs(out.sum() - 1.0) <= 1e-12
 
     def test_binary_case_matches_weight_pair_formula(self):
         # with class 1 = positive, the k=2 mix reproduces the weight pair
@@ -117,12 +97,12 @@ class TestMixedTarget:
             f = float(rng.random())
             beta = float(rng.random())
             y = int(rng.integers(0, 2))
-            out = mixed_target(SoftDistribution(np.array([f, 1.0 - f])),
-                               1 if y == 1 else 2, beta)
+            out = mixed_targets(_one_row([f, 1.0 - f], [0.5, 0.5],
+                                         1 if y == 1 else 2, beta))[0]
             w_pos = beta * f + (1 - beta) * y
             w_neg = beta * (1 - f) + (1 - beta) * (1 - y)
-            assert out.q[0] == pytest.approx(w_pos, abs=1e-15)
-            assert out.q[1] == pytest.approx(w_neg, abs=1e-15)
+            assert out[0] == pytest.approx(w_pos, abs=1e-15)
+            assert out[1] == pytest.approx(w_neg, abs=1e-15)
 
 
 def _n1_instance(alpha=0.5):
@@ -232,6 +212,36 @@ class TestSampledLoss:
     def test_monte_carlo_unbiasedness(self):
         report = check_sampling_unbiasedness(instances=10, resamples=200_000, seed=11)
         assert report["passed"], report
+
+    def test_resampled_stats_match_the_whole_array_draw(self):
+        # reference: every row's uniforms drawn as one (n, resamples) block,
+        # one (n, resamples, k) comparison and one sum over the rows
+        rng = np.random.default_rng(21)
+        for _ in range(12):
+            inst = random_instance(rng, n=int(rng.integers(1, 31)), k=int(rng.integers(2, 6)))
+            resamples = int(rng.integers(2, 500))
+            seed = int(rng.integers(1 << 30))
+            ref_rng = np.random.default_rng(seed)
+            z = draw_classes(mixed_targets(inst)[:, None, :],
+                             ref_rng.random((inst.n, resamples)))
+            logp = np.log(clamp_prob(inst.student))
+            losses = -np.take_along_axis(logp, z, axis=1).sum(axis=0)
+            expected = (float(losses.mean()), float(losses.std(ddof=1) / np.sqrt(resamples)))
+            got = _resampled_loss_stats(inst, resamples, np.random.default_rng(seed))
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    def test_resampled_stats_memory_is_per_row(self):
+        # 30 rows x 5 classes at the default 200,000 resamples: drawing the
+        # whole (rows x resamples x classes) comparison at once takes over
+        # 130 MiB; one row at a time needs a few (resamples,) vectors
+        inst = random_instance(np.random.default_rng(3), n=30, k=5)
+        tracemalloc.start()
+        try:
+            _resampled_loss_stats(inst, 200_000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestGradientUnbiasedness:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabdistill.errors import DataError, SchemaMismatchError, SerializationError, TrainingError
 from tabdistill.learners import (
@@ -14,7 +16,7 @@ from tabdistill.learners import (
     serialize_model,
     train,
 )
-from tabdistill.learners.base import resolve_weight_pairs
+from tabdistill.learners.base import GBDT_DEFAULTS, MLP_DEFAULTS, resolve_weight_pairs
 from tabdistill.learners.mlp import EarlyStopTracker, _init_params, loss_and_gradients
 from tabdistill.metrics import roc_auc
 from tabdistill.tabular import FeatureEncoder
@@ -48,6 +50,49 @@ class TestSpecValidation:
         spec = mlp_spec()
         assert spec["hidden_sizes"] == (64, 32)
         assert spec["patience"] == 10
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_PARAM_NAMES = st.sampled_from(sorted({*GBDT_DEFAULTS, *MLP_DEFAULTS})) | st.text(max_size=3)
+
+
+class TestParamsFromJson:
+    """``params`` often comes straight from JSON (``--params``, a pipeline
+    config): any JSON value builds a spec or raises DataError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["gbdt", "mlp"]),
+           params=_JSON | st.dictionaries(_PARAM_NAMES, _JSON, max_size=4))
+    def test_any_json_value_builds_or_is_data_error(self, kind, params):
+        try:
+            spec = LearnerSpec(kind, params)
+        except DataError:
+            return
+        # a spec that builds echoes finite JSON
+        json.dumps(spec.to_json_dict(), allow_nan=False)
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("gbdt", "learning_rate", float("inf")),
+        ("mlp", "momentum", float("nan")),
+        ("mlp", "momentum", True),
+        ("gbdt", "l2_leaf_penalty", 10 ** 400),
+        ("mlp", "batch_norm", "yes"),
+        ("mlp", "batch_norm", 1),
+        ("mlp", "hidden_sizes", 3),
+    ], ids=["lr-inf", "momentum-nan", "momentum-bool", "l2-huge-int", "batch_norm-str",
+            "batch_norm-int", "hidden_sizes-int"])
+    def test_malformed_value_names_the_hyperparameter(self, kind, name, value):
+        with pytest.raises(DataError, match=name):
+            LearnerSpec(kind, {name: value})
+
+    def test_params_must_be_an_object(self):
+        for params in (None, 3, [1], "rounds"):
+            with pytest.raises(DataError, match="JSON object"):
+                LearnerSpec("gbdt", params)
 
 
 class TestIntegerHyperparameters:

@@ -1,12 +1,13 @@
 import json
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from tabdistill.cli import main as cli_main
 from tabdistill.distill import DistillConfig, distill_step
-from tabdistill.ensemble import DEConfig, EnsembleModel, uniform_ensemble
+from tabdistill.ensemble import DEConfig, EnsembleModel
 from tabdistill.errors import DataError
 from tabdistill.learners import (
     GBDTModel,
@@ -229,7 +230,7 @@ class TestDeploymentDistillation:
         ds = separable_dataset(300, seed=7)
         spec = gbdt_spec(rounds=5, seed=3)
         teacher = train(spec, ds, TrainingTarget.hard())
-        ens = uniform_ensemble([teacher])
+        ens = EnsembleModel([teacher], [1.0])
         student = distill_to_deployment(ens.predict(ds), ds, spec, beta=0.0, threshold=1.0)
         probe = separable_dataset(100, seed=8)
         np.testing.assert_array_equal(teacher.predict(probe), student.predict(probe))
@@ -250,7 +251,7 @@ class TestDeploymentDistillation:
         test = noisy_nonlinear_dataset(600, seed=10)
         spec = gbdt_spec(rounds=40, seed=4)
         teacher = train(spec, ds, TrainingTarget.hard())
-        student = distill_to_deployment(uniform_ensemble([teacher]).predict(ds), ds, spec,
+        student = distill_to_deployment(EnsembleModel([teacher], [1.0]).predict(ds), ds, spec,
                                         beta=1.0, threshold=1.0)
         corr = pearson(teacher.predict(test), student.predict(test))
         assert corr >= 0.95
@@ -298,6 +299,23 @@ class TestCli:
                          str(path), "--label", "label"]) == 0
         eval_report = json.loads(capsys.readouterr().out)
         assert eval_report["auc"] == train_report["auc"]
+
+    def test_evaluate_int_cells_on_a_float_column(self, tmp_path, capsys):
+        # the model's x is a float column; integer cells score as their floats
+        lines = [f"{x},{y}" for x, y in zip([0.5, 1.5, 2.5, 3.5] * 10, [0, 0, 1, 1] * 10)]
+        (tmp_path / "fit.csv").write_text("x,label\n" + "\n".join(lines) + "\n")
+        (tmp_path / "ints.csv").write_text("x,label\n1,0\n2,0\n3,1\n")
+        (tmp_path / "floats.csv").write_text("x,label\n1.0,0\n2.0,0\n3.0,1\n")
+        model = str(tmp_path / "m.json")
+        assert cli_main(["train", "--data", str(tmp_path / "fit.csv"), "--label", "label",
+                         "--out", model, "--params", '{"rounds": 3}']) == 0
+        reports = []
+        for name in ("ints.csv", "floats.csv"):
+            capsys.readouterr()
+            assert cli_main(["evaluate", "--model", model, "--data",
+                             str(tmp_path / name), "--label", "label"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
 
     def test_malformed_model_is_data_error(self, tmp_path, capsys):
         path = self._write_csv(tmp_path)
@@ -378,6 +396,30 @@ class TestCli:
                          "--params", '{"rounds": 2}'])
         assert code == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, params, named", [
+        pytest.param("mlp", '{"hidden_sizes": 3}', "hidden_sizes", id="hidden_sizes-int"),
+        pytest.param("gbdt", "{bad", "--params is not valid JSON", id="not-json"),
+        pytest.param("gbdt", "[1]", "JSON object", id="not-object"),
+        pytest.param("gbdt", '{"learning_rate": Infinity}', "learning_rate",
+                     id="learning_rate-inf"),
+        pytest.param("mlp", '{"momentum": true}', "momentum", id="momentum-bool"),
+        pytest.param("mlp", '{"batch_norm": "yes"}', "batch_norm", id="batch_norm-str"),
+    ])
+    def test_malformed_params_exit_2(self, tmp_path, capsys, kind, params, named,
+                                     seed="0"):
+        path = self._write_csv(tmp_path)
+        assert cli_main(["train", "--data", str(path), "--label", "label",
+                         "--out", str(tmp_path / "m.json"), "--kind", kind,
+                         "--params", params, "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_negative_learner_seed_exit_2(self, tmp_path, capsys):
+        self.test_malformed_params_exit_2(tmp_path, capsys, "mlp", '{"epochs": 1}',
+                                          "learner seed", seed="-1")
 
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         import tabdistill.cli as cli_module
@@ -537,6 +579,14 @@ class TestMalformedConfig:
                      id="threshold-negative"),
         pytest.param(_put(1.01, "final_distill", "threshold"), "final_distill.threshold",
                      id="threshold-above-1"),
+        pytest.param(_put({"upper_bound": float("inf")}, "ensemble_opt"),
+                     "pipeline config 'ensemble_opt': bounds must be finite",
+                     id="upper_bound-inf"),
+        pytest.param(_put({"lower_bound": float("-inf")}, "ensemble_opt"), "ensemble_opt",
+                     id="lower_bound-inf"),
+        pytest.param(_put({"prune_epsilon": float("nan")}, "ensemble_opt"),
+                     "pipeline config 'ensemble_opt': prune_epsilon must be nonnegative",
+                     id="prune_epsilon-nan"),
     ])
     def test_cli_names_the_out_of_range_entry(self, tmp_path, capsys, edit, named):
         self.test_cli_names_the_bad_entry(tmp_path, capsys, edit, named)
@@ -605,11 +655,11 @@ class TestMalformedConfig:
     def test_numpy_integers_serialize_like_ints(self, tmp_path):
         de = DEConfig(max_iterations=np.int64(3), population_size=np.int64(8),
                       seed=np.int32(1))
-        assert json.dumps(de.to_json_dict()) == json.dumps(
-            DEConfig(max_iterations=3, population_size=8, seed=1).to_json_dict())
+        assert json.dumps(asdict(de)) == json.dumps(
+            asdict(DEConfig(max_iterations=3, population_size=8, seed=1)))
         dc = DistillConfig(generations=np.int64(2), seed=np.int16(5))
         assert type(dc.generations) is int and type(dc.seed) is int
-        json.dumps(dc.to_json_dict())
+        json.dumps(asdict(dc))
 
         def config(ints):
             doc = _minimal_config(tmp_path)

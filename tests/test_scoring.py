@@ -30,7 +30,7 @@ from tabdistill.learners.mlp import (
     loss_and_gradients,
 )
 from tabdistill.metrics import roc_auc
-from tabdistill.tabular import MAX_ONE_HOT, Dataset, FeatureEncoder
+from tabdistill.tabular import MAX_ONE_HOT, Dataset, FeatureEncoder, ingest_csv
 
 from helpers import dataset_from_arrays, mixed_type_dataset as _mixed
 
@@ -108,6 +108,27 @@ class TestTransform:
         with pytest.raises(SchemaMismatchError):
             enc.transform(_other_schema(50))
 
+    @pytest.mark.parametrize("fit_cells, score_cells", [
+        pytest.param(["0.5", "-1.25", "2.75"], ["1", "2", "3"], id="int-cells-in-float-column"),
+        pytest.param(["1", "-2", "3"], ["1.5", "2.0", "-3"], id="float-cells-in-int-column"),
+    ])
+    def test_int_and_float_are_one_numeric_kind(self, tmp_path, fit_cells, score_cells):
+        def csv(name, cells, labels):
+            path = tmp_path / name
+            path.write_text("x,label\n" + "".join(f"{c},{y}\n" for c, y in zip(cells, labels)))
+            return ingest_csv(path, "label")
+
+        fit = csv("fit.csv", fit_cells * 20, [0, 1, 1] * 20)
+        model = train(gbdt_spec(rounds=3, max_depth=2), fit, TrainingTarget.hard())
+        doc = serialize_model(model)
+        rows = csv("score.csv", score_cells, [0, 1, 0])
+        assert rows.schema.feature_columns[0].kind != fit.schema.feature_columns[0].kind
+        as_float = np.array([float(c) for c in score_cells])
+        assert _bits(model.predict(rows)) == _bits(model.predict(as_float[:, None]))
+        assert serialize_model(model) == doc
+        with pytest.raises(SchemaMismatchError):
+            model.predict(csv("words.csv", ["a", "b", "c"], [0, 1, 0]))
+
 
 def _models():
     """Mixed GBDT/MLP members: a and b are fit on the same rows, so their
@@ -180,8 +201,7 @@ class TestScoreModels:
         transform = FeatureEncoder.transform
         monkeypatch.setattr(FeatureEncoder, "transform",
                             lambda self, rows: calls.append(1) or transform(self, rows))
-        _, audit = optimize_weights_detailed(EnsembleModel(models, np.ones(5)), ds,
-                                             DEConfig(max_iterations=2, seed=0))
+        _, audit = optimize_weights_detailed(models, ds, DEConfig(max_iterations=2, seed=0))
         assert len(calls) == 2
         assert audit["member_aucs"] == [float(roc_auc(m.predict(ds), ds.labels))
                                         for m in models]

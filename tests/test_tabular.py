@@ -33,7 +33,7 @@ class TestIngest:
         p = _write(tmp_path, "a.csv", "f1,label\n1.5,0\n2.5,1\n3.0,1\n")
         ds = ingest_csv(p, "label")
         assert ds.n_rows == 3
-        assert ds.n_features == 1
+        assert len(ds.feature_arrays) == 1
         assert ds.schema.column("f1").kind == "float"
         np.testing.assert_array_equal(ds.labels, [0, 1, 1])
 
