@@ -26,6 +26,7 @@ from tabdistill.errors import (
     TrainingError,
     VerificationError,
 )
+from tabdistill.kdcore import run_verification
 from tabdistill.learners import LearnerSpec, TrainingTarget, load_model, save_model, train
 from tabdistill.metrics import evaluate
 from tabdistill.pipeline import (
@@ -36,7 +37,6 @@ from tabdistill.pipeline import (
 )
 from tabdistill.tabular import SplitSpec, ingest_csv
 from tabdistill.tabular import split as split_dataset
-from tabdistill.verify import run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -125,9 +125,10 @@ def distill_step(train_ds: Dataset, teacher_scores, beta: float, threshold: floa
                  target_mode: str = "row_weighted",
                  sample_seed: int = 0) -> tuple[Dataset, TrainingTarget]:
     """The rows a student trains on and their targets: keep row i iff
-    |f(x_i) - y_i| < threshold (1 keeps every row; keeping none raises),
-    beta-mix the kept scores into weight pairs, and under ``label_sampled``
-    draw one label per row. Kept rows keep their row ids."""
+    |f(x_i) - y_i| < threshold (1 drops only a score exactly opposite its
+    label; keeping none raises), beta-mix the kept scores into weight pairs,
+    and under ``label_sampled`` draw one label per row. Kept rows keep their
+    row ids."""
     check_threshold(threshold)
     scores = np.asarray(teacher_scores, dtype=np.float64)
     if scores.shape != (train_ds.n_rows,):

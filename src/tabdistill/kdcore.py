@@ -1,4 +1,5 @@
-"""k-class loss machinery for distillation via weighted or sampled labels.
+"""k-class loss machinery for distillation via weighted or sampled labels,
+and the numerical checks of the loss-equivalence results.
 
 Three formulations of the same objective live here: the classic
 teacher-matching loss (a convex mix of teacher cross-entropy and hard-label
@@ -10,6 +11,10 @@ Every log of a student probability goes through ``_log_student``, which
 clamps with ``metrics.clamp_prob`` so the identities stay well defined and
 testable at the simplex boundary; every categorical draw goes through
 ``draw_classes``.
+
+``run_verification`` (the CLI ``verify`` subcommand) checks numerically that
+the first two are equal, that the sampled-label loss is unbiased for them,
+and that its per-draw gradient is unbiased for (1/N) times the full one.
 """
 
 from __future__ import annotations
@@ -53,8 +58,9 @@ class KDInstance:
         if ((y < 1) | (y > k)).any():
             raise DataError("labels must lie in 1..k")
         for name, arr in (("teacher", t), ("student", s)):
-            if (arr < 0).any():
-                raise DataError(f"{name} rows must be nonnegative")
+            # written so that NaN, which no comparison holds for, fails too
+            if not (arr >= 0).all():
+                raise DataError(f"{name} rows must be nonnegative numbers")
             if np.abs(arr.sum(axis=1) - 1.0).max() > _SIMPLEX_TOL:
                 raise DataError(f"{name} rows must sum to 1")
 
@@ -102,26 +108,6 @@ def draw_classes(qp: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[..., None] > cdf).sum(axis=-1)
 
 
-def sample_labels(inst: KDInstance, seed: int) -> np.ndarray:
-    """Draw one label per row from the categorical with parameter q'_i.
-
-    Deterministic per seed; returned labels are 1-based.
-    """
-    u = np.random.default_rng(seed).random(inst.n)
-    return (draw_classes(mixed_targets(inst), u) + 1).astype(np.int64)
-
-
-def sampled_loss(inst: KDInstance, z: np.ndarray) -> float:
-    """sum_i CE(one_hot(z_i), p_i) for sampled labels z."""
-    z = np.asarray(z, dtype=np.int64)
-    if z.shape != (inst.n,):
-        raise DataError("sampled labels length must match N")
-    if ((z < 1) | (z > inst.k)).any():
-        raise DataError("sampled labels must lie in 1..k")
-    logp = _log_student(inst.student)
-    return float(-logp[np.arange(inst.n), z - 1].sum())
-
-
 def random_instance(rng: np.random.Generator, n: int, k: int,
                     alpha: float | None = None) -> KDInstance:
     """Full-support random instance: rows drawn from a symmetric
@@ -134,31 +120,45 @@ def random_instance(rng: np.random.Generator, n: int, k: int,
     return KDInstance(teacher, student, labels, alpha)
 
 
-class LinearSoftmaxScorer:
-    """k-class linear-softmax scorer p = softmax(theta @ x) with a closed
-    form cross-entropy gradient, used to verify gradient unbiasedness."""
+def softmax_probs(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Linear-softmax scorer: row-wise softmax of x @ theta^T for theta of
+    shape (k, d) and x of shape (N, d)."""
+    logits = x @ theta.T
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
 
-    def __init__(self, theta: np.ndarray):
-        self.theta = np.asarray(theta, dtype=np.float64)
-        if self.theta.ndim != 2:
-            raise DataError("theta must be a (k, d) matrix")
 
-    @property
-    def k(self) -> int:
-        return self.theta.shape[0]
+def ce_gradient(theta: np.ndarray, x: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """d/d theta of sum_i CE(target_i, softmax(theta x_i)):
+    sum_i (p_i - target_i) x_i^T, shape (k, d)."""
+    return (softmax_probs(theta, x) - target).T @ x
 
-    def probs(self, x: np.ndarray) -> np.ndarray:
-        """Row-wise softmax of x @ theta^T for x of shape (N, d)."""
-        logits = x @ self.theta.T
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
 
-    def ce_gradient(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """d/d theta of sum_i CE(target_i, softmax(theta x_i)):
-        sum_i (p_i - target_i) x_i^T, shape (k, d)."""
-        p = self.probs(x)
-        return (p - target).T @ x
+# draws per block of the streamed gradient check, which bounds its memory
+_GRADIENT_BLOCK = 16_384
+
+
+def _gradient_draws(student, x, qp, rows, u):
+    """Per-draw gradients (p_I - one_hot(z)) x_I^T of the sampled-label loss,
+    yielded as (block, k, d) arrays in draw order; draw t takes row
+    ``rows[t]`` and its class from the uniform ``u[t]``."""
+    for start in range(0, len(rows), _GRADIENT_BLOCK):
+        r = rows[start:start + _GRADIENT_BLOCK]
+        resid = student[r]
+        resid[np.arange(len(r)), draw_classes(qp[r], u[start:start + len(r)])] -= 1.0
+        yield resid[:, :, None] * x[r][:, None, :]
+
+
+def _sum_rows(blocks) -> np.ndarray:
+    """Sum over axis 0 of the blocks stacked in order. Each block is reduced
+    with the running total as its first row: the row-after-row order numpy
+    uses to sum one C-ordered array over axis 0, so the bits are those of
+    summing the whole stack at once."""
+    total = next(blocks).sum(axis=0)
+    for block in blocks:
+        total = np.concatenate([total[None], block]).sum(axis=0)
+    return total
 
 
 def verify_gradient_unbiasedness(theta: np.ndarray, x: np.ndarray,
@@ -168,34 +168,38 @@ def verify_gradient_unbiasedness(theta: np.ndarray, x: np.ndarray,
     loss is an unbiased estimate of (1/N) times the full objective gradient.
 
     Each draw picks a row I uniformly and a label z from the row's mixed
-    target q'_I, then evaluates grad CE(one_hot(z), p_I). The report holds
-    the Monte-Carlo mean, the analytic target, per-component standard
-    errors, and a pass flag (every component within 4 standard errors).
+    target q'_I, then evaluates grad CE(one_hot(z), p_I) for the
+    linear-softmax scorer ``softmax_probs(theta, .)``. The report holds the
+    Monte-Carlo mean, the analytic target, per-component standard errors,
+    and a pass flag (every component within 4 standard errors).
     """
-    scorer = LinearSoftmaxScorer(theta)
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 2:
+        raise DataError("theta must be a (k, d) matrix")
+    if samples < 1:
+        raise DataError("need at least one gradient draw")
     x = np.asarray(x, dtype=np.float64)
-    n, d = x.shape
-    k = scorer.k
-    student = scorer.probs(x)
+    n = x.shape[0]
+    student = softmax_probs(theta, x)
     inst = KDInstance(teacher, student, labels, alpha)
     qp = mixed_targets(inst)
 
-    analytic = scorer.ce_gradient(x, qp) / n  # (1/N) * grad of the full loss
+    analytic = ce_gradient(theta, x, qp) / n  # (1/N) * grad of the full loss
 
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n, size=samples)
-    z = draw_classes(qp[rows], rng.random(samples))  # 0-based class of each draw
+    u = rng.random(samples)
 
-    resid = student[rows].copy()              # p_I - one_hot(z)
-    resid[np.arange(samples), z] -= 1.0
-    grads = resid[:, :, None] * x[rows][:, None, :]  # (samples, k, d)
-    if not np.isfinite(grads).all():
+    # mean and ddof=1 spread in two streamed passes, with the same operations
+    # in the same order as np.mean and np.std over the whole (samples, k, d)
+    mc_mean = _sum_rows(_gradient_draws(student, x, qp, rows, u)) / samples
+    # a non-finite draw leaves the sum non-finite
+    if not np.isfinite(mc_mean).all():
         raise VerificationError("non-finite gradient draws")
-
-    mc_mean = grads.mean(axis=0)
+    sq_dev = _sum_rows(np.square(g - mc_mean) for g in _gradient_draws(student, x, qp, rows, u))
     # with a single draw the spread is unknowable; the pass flag is then
     # meaningless but the report is still produced
-    mc_std = grads.std(axis=0, ddof=1) if samples > 1 else np.zeros_like(mc_mean)
+    mc_std = np.sqrt(sq_dev / (samples - 1)) if samples > 1 else np.zeros_like(mc_mean)
     se = mc_std / np.sqrt(samples)
     diff = np.abs(mc_mean - analytic)
     within = diff <= 4.0 * se + 1e-12
@@ -207,4 +211,84 @@ def verify_gradient_unbiasedness(theta: np.ndarray, x: np.ndarray,
         "max_abs_diff": float(diff.max()),
         "max_diff_in_se": float(np.max(np.where(se > 0, diff / np.maximum(se, 1e-300), 0.0))),
         "passed": bool(within.all()),
+    }
+
+
+LOSS_IDENTITY_RTOL = 1e-9
+
+
+def check_loss_identity(instances: int = 100, seed: int = 7) -> dict:
+    """|L_weighted - L_kd| <= rtol * (1 + |L_kd|) on randomized instances."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(instances):
+        inst = random_instance(rng, n=int(rng.integers(1, 51)), k=int(rng.integers(2, 6)))
+        kd = kd_loss(inst)
+        wl = weighted_loss(inst)
+        rel = abs(wl - kd) / (1.0 + abs(kd))
+        worst = max(worst, rel)
+    return {"instances": instances, "max_relative_deviation": worst,
+            "tolerance": LOSS_IDENTITY_RTOL, "passed": worst <= LOSS_IDENTITY_RTOL}
+
+
+def _resampled_loss_stats(inst: KDInstance, resamples: int,
+                          rng: np.random.Generator) -> tuple[float, float]:
+    """Mean and standard error of the sampled-label loss
+    sum_i CE(one_hot(z_i), p_i), each z_i drawn from q'_i, over many
+    independent resamples. Rows are drawn one at a time, vectorized over the
+    resamples, so memory stays at a few (resamples,) vectors."""
+    logp = _log_student(inst.student)
+    qp = mixed_targets(inst)
+    losses = np.zeros(resamples)
+    for i in range(inst.n):
+        losses -= logp[i, draw_classes(qp[i], rng.random(resamples))]
+    mean = float(losses.mean())
+    se = float(losses.std(ddof=1) / np.sqrt(resamples))
+    return mean, se
+
+
+def check_sampling_unbiasedness(instances: int = 10, resamples: int = 200_000,
+                                seed: int = 11) -> dict:
+    """Monte-Carlo mean of the sampled loss within 3 plug-in standard errors
+    of the exact objective on every instance."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(instances):
+        inst = random_instance(rng, n=int(rng.integers(5, 31)), k=int(rng.integers(2, 6)))
+        kd = kd_loss(inst)
+        mean, se = _resampled_loss_stats(inst, resamples, rng)
+        z = abs(mean - kd) / se if se > 0 else 0.0
+        ok = abs(mean - kd) <= 3.0 * se + 1e-12
+        results.append({"kd_loss": kd, "mc_mean": mean, "standard_error": se,
+                        "z": z, "passed": ok})
+    return {"instances": results, "resamples": resamples,
+            "passed": all(r["passed"] for r in results)}
+
+
+def check_gradient_unbiasedness(samples: int = 500_000, seed: int = 13) -> dict:
+    """Linear-softmax scorer, d=3, k=3, N=20: every component of the
+    Monte-Carlo mean gradient within 4 standard errors of the analytic
+    value."""
+    rng = np.random.default_rng(seed)
+    n, d, k = 20, 3, 3
+    x = rng.standard_normal((n, d))
+    theta = rng.standard_normal((k, d)) * 0.5
+    teacher = rng.dirichlet(np.ones(k), size=n)
+    labels = rng.integers(1, k + 1, size=n)
+    return verify_gradient_unbiasedness(theta, x, teacher, labels, alpha=0.6,
+                                        samples=samples, seed=seed + 1)
+
+
+def run_verification(seed: int = 0, fast: bool = False) -> dict:
+    """Run all three checks and return the combined JSON-able report."""
+    resamples = 20_000 if fast else 200_000
+    samples = 50_000 if fast else 500_000
+    identity = check_loss_identity(seed=seed + 7)
+    sampling = check_sampling_unbiasedness(resamples=resamples, seed=seed + 11)
+    gradient = check_gradient_unbiasedness(samples=samples, seed=seed + 13)
+    return {
+        "loss_identity": identity,
+        "sampling_unbiasedness": sampling,
+        "gradient_unbiasedness": gradient,
+        "passed": identity["passed"] and sampling["passed"] and gradient["passed"],
     }

@@ -104,6 +104,16 @@ def mixed_type_dataset(n: int, seed: int, levels: int = 12, codes=None) -> Datas
     return Dataset(schema, arrays, labels, np.arange(n, dtype=np.int64))
 
 
+class FixedModel:
+    """A stand-in model whose predict returns the same scores for any rows."""
+
+    def __init__(self, preds):
+        self._preds = np.asarray(preds, dtype=np.float64)
+
+    def predict(self, rows):
+        return self._preds
+
+
 def pair_counting_auc(scores, labels) -> float:
     """O(P*N) oracle: wins + half-ties over all positive-negative pairs."""
     scores = np.asarray(scores, dtype=np.float64)

@@ -12,16 +12,17 @@ import numpy as np
 from tabdistill.distill import DistillConfig, distill_step, make_targets, run_generations
 from tabdistill.ensemble import DEConfig, combine_families, optimize_weights_detailed
 from tabdistill.errors import DataError
-from tabdistill.learners import TrainingTarget, gbdt_spec, mlp_spec, train
-from tabdistill.metrics import generation_correlation_matrix, roc_auc
-from tabdistill.pipeline import PipelineConfig, distill_to_deployment, run_pipeline
-from tabdistill.verify import (
+from tabdistill.kdcore import (
     check_gradient_unbiasedness,
     check_loss_identity,
     check_sampling_unbiasedness,
 )
+from tabdistill.learners import TrainingTarget, gbdt_spec, mlp_spec, train
+from tabdistill.metrics import generation_correlation_matrix, roc_auc
+from tabdistill.pipeline import PipelineConfig, distill_to_deployment, run_pipeline
 
 from helpers import (
+    FixedModel,
     dataset_from_arrays,
     noisy_nonlinear_dataset,
     pair_counting_auc,
@@ -248,13 +249,6 @@ def test_criterion_11_diversity_diagnostic():
 
 
 def test_criterion_12_weight_optimization_guarantee():
-    class FixedModel:
-        def __init__(self, preds):
-            self._preds = np.asarray(preds, dtype=np.float64)
-
-        def predict(self, rows):
-            return self._preds
-
     rng = np.random.default_rng(6)
     violations = 0
     for trial in range(20):

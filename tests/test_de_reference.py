@@ -14,7 +14,7 @@ from tabdistill.ensemble import DEConfig, _auc_objective, _de_maximize, blend
 from tabdistill.errors import DataError
 from tabdistill.metrics import AUCLabels, roc_auc
 
-from helpers import dataset_from_arrays
+from helpers import FixedModel, dataset_from_arrays
 
 
 def _reference_midranks(values):
@@ -146,14 +146,6 @@ def test_de_maximize_matches_candidate_list_reference(m, population_size):
         assert _bits(trace) == _bits(ref_trace)
 
 
-class _FixedModel:
-    def __init__(self, preds):
-        self._preds = preds
-
-    def predict(self, rows):
-        return self._preds
-
-
 @pytest.mark.parametrize("m", [5, 7, 9, 12])
 @pytest.mark.parametrize("population_size", [0, 8])
 @pytest.mark.parametrize("prune_epsilon", [0.0, 0.05])
@@ -161,7 +153,7 @@ def test_optimize_weights_matches_reference(monkeypatch, m, population_size,
                                             prune_epsilon):
     member_preds, labels = _gbdt_like_members(m, 400, seed=20 + m)
     valid = dataset_from_arrays({"a": np.zeros(len(labels))}, labels)
-    members = [_FixedModel(p) for p in member_preds]
+    members = [FixedModel(p) for p in member_preds]
     cfg = DEConfig(population_size=population_size, max_iterations=5,
                    prune_epsilon=prune_epsilon, seed=m)
 
@@ -230,7 +222,7 @@ def test_optimize_weights_matches_reference_objective(monkeypatch, make, m,
     and AUC, on tied (GBDT-like) and untied (MLP-like) members."""
     member_preds, labels = make(m, 400, seed=20 + m)
     valid = dataset_from_arrays({"a": np.zeros(len(labels))}, labels)
-    members = [_FixedModel(p) for p in member_preds]
+    members = [FixedModel(p) for p in member_preds]
     cfg = DEConfig(population_size=population_size, max_iterations=5,
                    prune_epsilon=prune_epsilon, seed=m)
 

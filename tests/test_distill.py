@@ -107,7 +107,7 @@ class TestTargetsToSampled:
         # fixed predictions: the weight-pair loss equals the expectation of
         # the sampled-label loss; checked with the k=2 loss machinery rather
         # than by retraining
-        from tabdistill.kdcore import KDInstance, kd_loss, sample_labels, sampled_loss
+        from tabdistill.kdcore import _resampled_loss_stats, kd_loss
 
         rng = np.random.default_rng(5)
         n = 40
@@ -117,11 +117,7 @@ class TestTargetsToSampled:
                           student=np.column_stack([preds, 1.0 - preds]),
                           labels=np.ones(n, dtype=int), alpha=1.0)
         weighted = kd_loss(inst)  # pairs weighted by (w_pos, w_neg) exactly
-        resamples = 4000
-        total = 0.0
-        for r in range(resamples):
-            total += sampled_loss(inst, sample_labels(inst, seed=r))
-        mc_mean = total / resamples
+        mc_mean, _ = _resampled_loss_stats(inst, 4000, np.random.default_rng(0))
         assert mc_mean == pytest.approx(weighted, rel=0.01)
 
 
@@ -139,6 +135,14 @@ class TestDenoise:
         kept, dropped = _kept_and_dropped(ds, rng.random(50), threshold=1.0)
         assert kept.n_rows == 50
         assert len(dropped) == 0
+
+    def test_threshold_one_drops_an_exactly_opposite_score(self):
+        # the rule is strict, so a gap of exactly 1 (a saturated teacher that
+        # is wrong) is dropped even at threshold 1
+        ds = dataset_from_arrays({"a": [0.0, 1.0, 2.0, 3.0]}, [1, 0, 1, 0])
+        kept, dropped = _kept_and_dropped(ds, [0.0, 0.5, 0.9, 0.1], threshold=1.0)
+        assert list(kept.row_ids) == [1, 2, 3]
+        assert list(dropped) == [0]
 
     def test_confident_disagreement_dropped(self):
         ds = dataset_from_arrays({"a": [0.0]}, [1])
@@ -192,7 +196,8 @@ class TestRunGenerations:
             assert rec.rows_kept + rec.rows_dropped == ds.n_rows
 
     def test_fixed_point_with_beta_zero(self):
-        # beta 0 and threshold 1 feed every generation the original data;
+        # beta 0 and threshold 1 feed every generation the original data (no
+        # teacher score here is exactly the opposite label, which 1 drops);
         # the boosted learner ignores its seed, so all students coincide
         ds = separable_dataset(200, seed=8)
         test = separable_dataset(80, seed=9)

@@ -17,15 +17,7 @@ from tabdistill.errors import DataError, SerializationError
 from tabdistill.learners import TrainingTarget, gbdt_spec, mlp_spec, save_model, train
 from tabdistill.metrics import roc_auc
 
-from helpers import dataset_from_arrays, noisy_nonlinear_dataset
-
-
-class _FixedModel:
-    def __init__(self, preds):
-        self._preds = np.asarray(preds, dtype=np.float64)
-
-    def predict(self, rows):
-        return self._preds
+from helpers import FixedModel, dataset_from_arrays, noisy_nonlinear_dataset
 
 
 def _valid_set(n, seed):
@@ -36,17 +28,17 @@ def _valid_set(n, seed):
 
 class TestUniformEnsemble:
     def test_single_member_identity(self):
-        m = _FixedModel([0.2, 0.7, 0.4])
+        m = FixedModel([0.2, 0.7, 0.4])
         ens = EnsembleModel([m], [1.0])
         np.testing.assert_array_equal(ens.predict(None), m.predict(None))
 
     def test_constant_members_average(self):
-        ens = EnsembleModel([_FixedModel([0.2, 0.2]), _FixedModel([0.8, 0.8])], [1.0, 1.0])
+        ens = EnsembleModel([FixedModel([0.2, 0.2]), FixedModel([0.8, 0.8])], [1.0, 1.0])
         np.testing.assert_allclose(ens.predict(None), [0.5, 0.5])
 
     def test_member_order_symmetry(self):
-        a = _FixedModel([0.1, 0.9])
-        b = _FixedModel([0.4, 0.6])
+        a = FixedModel([0.1, 0.9])
+        b = FixedModel([0.4, 0.6])
         np.testing.assert_array_equal(
             EnsembleModel([a, b], [1.0, 1.0]).predict(None),
             EnsembleModel([b, a], [1.0, 1.0]).predict(None))
@@ -58,24 +50,24 @@ class TestUniformEnsemble:
 
 class TestPredictEnsemble:
     def test_weight_scale_invariance(self):
-        members = [_FixedModel([0.1, 0.9]), _FixedModel([0.3, 0.5])]
+        members = [FixedModel([0.1, 0.9]), FixedModel([0.3, 0.5])]
         a = EnsembleModel(members, [2.0, 2.0])
         b = EnsembleModel(members, [1.0, 1.0])
         np.testing.assert_array_equal(a.predict(None), b.predict(None))
 
     def test_one_hot_weights_select_member(self):
-        members = [_FixedModel([0.1, 0.9]), _FixedModel([0.3, 0.5])]
+        members = [FixedModel([0.1, 0.9]), FixedModel([0.3, 0.5])]
         ens = EnsembleModel(members, [0.0, 1.0])
         np.testing.assert_array_equal(ens.predict(None), [0.3, 0.5])
 
     def test_weighted_mean_arithmetic(self):
-        members = [_FixedModel([0.0]), _FixedModel([0.4])]
+        members = [FixedModel([0.0]), FixedModel([0.4])]
         ens = EnsembleModel(members, [1.0, 3.0])
         np.testing.assert_allclose(ens.predict(None), [0.3])
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(DataError):
-            EnsembleModel([_FixedModel([0.1])], [0.0])
+            EnsembleModel([FixedModel([0.1])], [0.0])
 
     def test_blend_scale_invariance_random(self):
         rng = np.random.default_rng(0)
@@ -112,7 +104,7 @@ class TestOptimizeWeights:
     def test_single_member_one_hot(self):
         valid = _valid_set(40, seed=3)
         rng = np.random.default_rng(4)
-        member = _FixedModel(rng.random(40))
+        member = FixedModel(rng.random(40))
         out = optimize_weights_detailed([member], valid, DEConfig(seed=0))[0]
         np.testing.assert_array_equal(out.weights, [1.0])
 
@@ -123,7 +115,7 @@ class TestOptimizeWeights:
         perfect = labels * 0.5 + 0.25  # scores that rank validation perfectly
         noise = rng.random(60)
         valid = dataset_from_arrays({"a": np.zeros(60)}, labels)
-        members = [_FixedModel(perfect), _FixedModel(noise)]
+        members = [FixedModel(perfect), FixedModel(noise)]
         out = optimize_weights_detailed(members, valid, DEConfig(max_iterations=30, seed=1))[0]
         assert out.weights[1] == 0.0
         assert out.weights[0] > 0.0
@@ -137,7 +129,7 @@ class TestOptimizeWeights:
             labels[0], labels[1] = 0, 1
             valid = dataset_from_arrays({"a": np.zeros(n)}, labels)
             k = int(rng.integers(2, 6))
-            members = [_FixedModel(rng.random(n)) for _ in range(k)]
+            members = [FixedModel(rng.random(n)) for _ in range(k)]
             cfg = DEConfig(max_iterations=25, seed=trial)
             out, audit = optimize_weights_detailed(members, valid, cfg)
             best_incumbent = max(max(audit["member_aucs"]), audit["uniform_auc"])
@@ -148,7 +140,7 @@ class TestOptimizeWeights:
     def test_deterministic(self):
         valid = _valid_set(50, seed=7)
         rng = np.random.default_rng(8)
-        members = [_FixedModel(rng.random(50)) for _ in range(3)]
+        members = [FixedModel(rng.random(50)) for _ in range(3)]
         cfg = DEConfig(max_iterations=15, seed=9)
         a = optimize_weights_detailed(members, valid, cfg)[0]
         b = optimize_weights_detailed(members, valid, cfg)[0]
@@ -158,7 +150,7 @@ class TestOptimizeWeights:
         # 12 identical members share 1/12 each, below prune_epsilon: a prune
         # round would drop them all, so none runs
         valid = _valid_set(60, seed=11)
-        member = _FixedModel(np.random.default_rng(12).random(60))
+        member = FixedModel(np.random.default_rng(12).random(60))
         cfg = DEConfig(population_size=8, prune_epsilon=0.15, max_iterations=5, seed=0)
         out, audit = optimize_weights_detailed([member] * 12, valid, cfg)
         assert audit["prune_rounds"] == 0
@@ -169,7 +161,7 @@ class TestOptimizeWeights:
     def test_no_search_weights_every_member_one(self):
         valid = _valid_set(50, seed=14)
         rng = np.random.default_rng(15)
-        members = [_FixedModel(rng.random(50)) for _ in range(3)]
+        members = [FixedModel(rng.random(50)) for _ in range(3)]
         out, audit = optimize_weights_detailed(members, valid, None)
         _, searched = optimize_weights_detailed(members, valid,
                                                 DEConfig(max_iterations=5, seed=0))
@@ -188,7 +180,7 @@ class TestOptimizeWeights:
         labels = rng.integers(0, 2, 30)
         labels[0], labels[1] = 0, 1
         valid = dataset_from_arrays({"a": np.zeros(30)}, labels)
-        members = [_FixedModel(rng.random(30)) for _ in range(int(rng.integers(3, 6)))]
+        members = [FixedModel(rng.random(30)) for _ in range(int(rng.integers(3, 6)))]
         cfg = DEConfig(max_iterations=3, population_size=4, prune_epsilon=0.3, seed=77)
         out, audit = optimize_weights_detailed(members, valid, cfg)
         best = int(np.argmax(audit["member_aucs"]))
@@ -214,14 +206,14 @@ class TestOptimizeWeights:
     def test_single_class_validation_rejected(self):
         ds = dataset_from_arrays({"a": [0.1, 0.2]}, [1, 1])
         with pytest.raises(DataError):
-            optimize_weights_detailed([_FixedModel([0.5, 0.5])], ds, DEConfig())
+            optimize_weights_detailed([FixedModel([0.5, 0.5])], ds, DEConfig())
 
 
 class TestCombineFamilies:
     def test_empty_family_b_reduces_to_plain_optimization(self):
         valid = _valid_set(40, seed=10)
         rng = np.random.default_rng(11)
-        members = [_FixedModel(rng.random(40)) for _ in range(2)]
+        members = [FixedModel(rng.random(40)) for _ in range(2)]
         combined, audit = combine_families([members, []], valid,
                                            DEConfig(max_iterations=10, seed=2))
         direct, _ = optimize_weights_detailed(members, valid,
@@ -232,8 +224,8 @@ class TestCombineFamilies:
     def test_any_number_of_families(self):
         valid = _valid_set(50, seed=16)
         rng = np.random.default_rng(17)
-        families = [[_FixedModel(rng.random(50)) for _ in range(2)], [],
-                    [_FixedModel(rng.random(50))]]
+        families = [[FixedModel(rng.random(50)) for _ in range(2)], [],
+                    [FixedModel(rng.random(50))]]
         cfg = DEConfig(max_iterations=10, seed=5)
         combined, audit = combine_families(families, valid, cfg)
         direct, _ = optimize_weights_detailed(families[0] + families[2], valid, cfg)
@@ -244,8 +236,8 @@ class TestCombineFamilies:
         valid = _valid_set(50, seed=12)
         rng = np.random.default_rng(13)
         scores = rng.random(50)
-        dup = _FixedModel(scores)
-        other = _FixedModel(rng.random(50))
+        dup = FixedModel(scores)
+        other = FixedModel(rng.random(50))
         cfg = DEConfig(max_iterations=20, seed=3)
         with_dup, _ = combine_families([[dup, other], [dup]], valid, cfg)
         auc_dup = roc_auc(with_dup.predict(None), valid.labels)
@@ -273,7 +265,7 @@ class TestCombineFamilies:
 
 class TestPersistence:
     def test_ensemble_document_roundtrip(self, tmp_path):
-        members = [_FixedModel([0.1]), _FixedModel([0.9])]
+        members = [FixedModel([0.1]), FixedModel([0.9])]
         ens = EnsembleModel(members, [0.25, 0.75])
         out = tmp_path / "ens.json"
         save_ensemble(ens, ["m0.json", "m1.json"], out)

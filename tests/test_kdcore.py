@@ -6,24 +6,20 @@ import pytest
 
 from tabdistill.errors import DataError
 from tabdistill.kdcore import (
+    _GRADIENT_BLOCK,
     KDInstance,
-    LinearSoftmaxScorer,
+    _resampled_loss_stats,
+    ce_gradient,
+    check_gradient_unbiasedness,
     draw_classes,
     kd_loss,
     mixed_targets,
     random_instance,
-    sample_labels,
-    sampled_loss,
+    softmax_probs,
     verify_gradient_unbiasedness,
     weighted_loss,
 )
 from tabdistill.metrics import clamp_prob
-from tabdistill.verify import (
-    _resampled_loss_stats,
-    check_gradient_unbiasedness,
-    check_loss_identity,
-    check_sampling_unbiasedness,
-)
 
 
 def scalar_ce(q, p):
@@ -138,33 +134,32 @@ class TestWeightedLossIdentity:
             inst.student[np.arange(20), inst.labels - 1], 1e-12, 1 - 1e-12)).sum()
         assert weighted_loss(inst) == pytest.approx(expected, rel=1e-12)
 
-    def test_identity_on_randomized_instances(self):
-        report = check_loss_identity(instances=100, seed=7)
-        assert report["passed"], report
-
 
 class TestSampleLabels:
+    """Labels are drawn from each row's mixed target q'_i with draw_classes
+    (0-based classes)."""
+
     def test_degenerate_one_hot(self):
         inst = KDInstance(teacher=np.array([[0.0, 0.0, 1.0]] * 5),
                           student=np.tile([0.2, 0.3, 0.5], (5, 1)),
                           labels=np.array([3] * 5), alpha=1.0)
-        z = sample_labels(inst, seed=0)
-        np.testing.assert_array_equal(z, [3, 3, 3, 3, 3])
+        z = draw_classes(mixed_targets(inst), np.random.default_rng(0).random(5))
+        np.testing.assert_array_equal(z, [2, 2, 2, 2, 2])
 
     def test_frequencies_converge(self):
         n = 100_000
         inst = KDInstance(teacher=np.tile([0.5, 0.5], (n, 1)),
                           student=np.tile([0.5, 0.5], (n, 1)),
                           labels=np.ones(n, dtype=int), alpha=1.0)
-        z = sample_labels(inst, seed=1)
-        freq = (z == 1).mean()
+        z = draw_classes(mixed_targets(inst), np.random.default_rng(1).random(n))
+        freq = (z == 0).mean()
         assert abs(freq - 0.5) < 0.01  # 3 sigma is about 0.0047
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(4)
         inst = random_instance(rng, n=50, k=4)
-        np.testing.assert_array_equal(sample_labels(inst, seed=9),
-                                      sample_labels(inst, seed=9))
+        assert (_resampled_loss_stats(inst, 1000, np.random.default_rng(9))
+                == _resampled_loss_stats(inst, 1000, np.random.default_rng(9)))
 
 
 class TestDrawClasses:
@@ -200,18 +195,18 @@ class TestSampledLoss:
         inst = KDInstance(teacher=teacher,
                           student=np.tile([0.6, 0.4], (3, 1)),
                           labels=np.array([1, 2, 1]), alpha=1.0)
-        z = sample_labels(inst, seed=2)
-        assert sampled_loss(inst, z) == pytest.approx(weighted_loss(inst), abs=1e-12)
+        mean, se = _resampled_loss_stats(inst, 100, np.random.default_rng(2))
+        assert mean == pytest.approx(weighted_loss(inst), abs=1e-12)
+        assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_single_resample_finite_nonnegative(self):
+        # one resample's loss is finite and nonnegative; its spread is unknown
         rng = np.random.default_rng(5)
         inst = random_instance(rng, n=10, k=3)
-        val = sampled_loss(inst, sample_labels(inst, seed=3))
+        with pytest.warns(RuntimeWarning):
+            val, se = _resampled_loss_stats(inst, 1, np.random.default_rng(3))
         assert np.isfinite(val) and val >= 0.0
-
-    def test_monte_carlo_unbiasedness(self):
-        report = check_sampling_unbiasedness(instances=10, resamples=200_000, seed=11)
-        assert report["passed"], report
+        assert np.isnan(se)
 
     def test_resampled_stats_match_the_whole_array_draw(self):
         # reference: every row's uniforms drawn as one (n, resamples) block,
@@ -244,10 +239,57 @@ class TestSampledLoss:
         assert peak < 20 * 2**20
 
 
+def _whole_array_gradient_stats(theta, x, teacher, labels, alpha, samples, seed):
+    """Reference: every per-draw gradient built as one (samples, k, d) array,
+    then np.mean and np.std (ddof=1) over its first axis."""
+    student = softmax_probs(theta, x)
+    qp = mixed_targets(KDInstance(teacher, student, labels, alpha))
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, len(x), size=samples)
+    z = draw_classes(qp[rows], rng.random(samples))
+    resid = student[rows].copy()
+    resid[np.arange(samples), z] -= 1.0
+    grads = resid[:, :, None] * x[rows][:, None, :]
+    return grads.mean(axis=0), grads.std(axis=0, ddof=1) / np.sqrt(samples)
+
+
 class TestGradientUnbiasedness:
-    def test_full_verification(self):
-        report = check_gradient_unbiasedness(samples=500_000, seed=13)
-        assert report["passed"], report
+    @pytest.mark.parametrize("samples", [2, 3, _GRADIENT_BLOCK - 1, _GRADIENT_BLOCK,
+                                         _GRADIENT_BLOCK + 1, 3 * _GRADIENT_BLOCK + 7])
+    def test_streamed_check_matches_the_whole_array_reference(self, samples):
+        rng = np.random.default_rng(samples)
+        for _ in range(3):
+            n, d, k = int(rng.integers(1, 8)), int(rng.integers(1, 8)), int(rng.integers(2, 9))
+            x = rng.standard_normal((n, d)) * 3.0
+            theta = rng.standard_normal((k, d))
+            teacher = rng.dirichlet(np.ones(k), size=n)
+            labels = rng.integers(1, k + 1, size=n)
+            alpha = float(rng.random())
+            seed = int(rng.integers(1 << 30))
+            report = verify_gradient_unbiasedness(theta, x, teacher, labels, alpha,
+                                                  samples=samples, seed=seed)
+            mean, se = _whole_array_gradient_stats(theta, x, teacher, labels, alpha,
+                                                   samples, seed)
+            assert np.array(report["mc_mean"]).tobytes() == mean.tobytes()
+            assert np.array(report["standard_error"]).tobytes() == se.tobytes()
+
+    def test_memory_is_per_block(self):
+        # the default 500,000 draws of a 3 x 3 gradient: the whole
+        # (draws, k, d) array and its companions take about 88 MiB at once
+        tracemalloc.start()
+        try:
+            check_gradient_unbiasedness()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    def test_rejects_zero_draws(self):
+        rng = np.random.default_rng(9)
+        with pytest.raises(DataError):
+            verify_gradient_unbiasedness(np.zeros((2, 2)), rng.standard_normal((4, 2)),
+                                         np.full((4, 2), 0.5), np.ones(4, dtype=int),
+                                         0.5, samples=0, seed=0)
 
     def test_zero_parameter_scorer_on_symmetric_data(self):
         # theta = 0 gives a uniform student; the estimate still matches the
@@ -278,12 +320,9 @@ class TestGradientUnbiasedness:
         target = rng.dirichlet(np.ones(3), size=6)
 
         def loss(t):
-            scorer = LinearSoftmaxScorer(t)
-            p = scorer.probs(x)
-            return -(target * np.log(p)).sum()
+            return -(target * np.log(softmax_probs(t, x))).sum()
 
-        scorer = LinearSoftmaxScorer(theta)
-        analytic = scorer.ce_gradient(x, target)
+        analytic = ce_gradient(theta, x, target)
         h = 1e-6
         for i in range(3):
             for j in range(3):
@@ -299,6 +338,13 @@ class TestInstanceValidation:
             KDInstance(teacher=np.array([[0.5, 0.6]]),
                        student=np.array([[0.5, 0.5]]),
                        labels=np.array([1]), alpha=0.5)
+
+    @pytest.mark.parametrize("side", ["teacher", "student"])
+    def test_rejects_nan(self, side):
+        rows = {"teacher": np.array([[0.5, 0.5]]), "student": np.array([[0.5, 0.5]])}
+        rows[side] = np.array([[np.nan, np.nan]])
+        with pytest.raises(DataError):
+            KDInstance(labels=np.array([1]), alpha=0.5, **rows)
 
     def test_rejects_label_out_of_range(self):
         with pytest.raises(DataError):

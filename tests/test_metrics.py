@@ -12,7 +12,7 @@ from tabdistill.metrics import (
     roc_auc,
 )
 
-from helpers import dataset_from_arrays, pair_counting_auc
+from helpers import FixedModel, dataset_from_arrays, pair_counting_auc
 
 
 class TestRocAuc:
@@ -101,14 +101,6 @@ class TestPearson:
         assert pearson(2.5 * a + 1.0, b) == pytest.approx(pearson(a, b), abs=1e-12)
 
 
-class _FixedModel:
-    def __init__(self, preds):
-        self._preds = np.asarray(preds, dtype=np.float64)
-
-    def predict(self, rows):
-        return self._preds
-
-
 class TestCorrelationMatrix:
     def test_identical_models_all_ones(self):
         preds = [0.1, 0.5, 0.9]
@@ -125,7 +117,7 @@ class TestCorrelationMatrix:
 class TestOverfitProbe:
     def test_identical_splits_identical_reports(self):
         ds = dataset_from_arrays({"a": [0.2, 0.4, 0.6, 0.8]}, [0, 0, 1, 1])
-        model = _FixedModel([0.1, 0.3, 0.7, 0.9])
+        model = FixedModel([0.1, 0.3, 0.7, 0.9])
         train_rep = evaluate(model.predict(ds), ds.labels)
         test_rep = evaluate(model.predict(ds), ds.labels)
         assert train_rep == test_rep

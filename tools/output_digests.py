@@ -43,6 +43,7 @@ from tabdistill.tabular import MAX_ONE_HOT  # noqa: E402
 
 GBDT = {"kind": "gbdt", "params": {"rounds": 6, "max_depth": 3}}
 MLP = {"kind": "mlp", "params": {"hidden_sizes": [8], "epochs": 6, "batch_size": 64}}
+MLP_BN = {"kind": "mlp", "params": {**MLP["params"], "batch_norm": True}}
 DISTILL = {"generations": 2}
 
 # name -> (data file, families, transform, final learner); families are
@@ -76,6 +77,9 @@ PIPELINES = {
     "standardize": ("numeric.csv", {"a": {"learner": MLP, "distill": DISTILL},
                                     "b": {"learner": GBDT, "distill": DISTILL}},
                     "standardize", GBDT),
+    "batch_norm": ("mixed.csv", {"a": {"learner": MLP_BN, "distill": DISTILL},
+                                 "b": {"learner": GBDT, "distill": DISTILL}},
+                   None, MLP_BN),
 }
 ENSEMBLE_OPT = {"max_iterations": 8, "prune_epsilon": 0.05}
 # the pipeline whose ensemble deploy-distill and ensemble-opt start from
