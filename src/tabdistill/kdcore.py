@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tabdistill.errors import DataError, VerificationError
-from tabdistill.metrics import clamp_prob
+from tabdistill.errors import DataError, VerificationError, require_integer
+from tabdistill.metrics import clamp_prob, sum_rows
 
 _SIMPLEX_TOL = 1e-9
 
@@ -150,17 +150,6 @@ def _gradient_draws(student, x, qp, rows, u):
         yield resid[:, :, None] * x[r][:, None, :]
 
 
-def _sum_rows(blocks) -> np.ndarray:
-    """Sum over axis 0 of the blocks stacked in order. Each block is reduced
-    with the running total as its first row: the row-after-row order numpy
-    uses to sum one C-ordered array over axis 0, so the bits are those of
-    summing the whole stack at once."""
-    total = next(blocks).sum(axis=0)
-    for block in blocks:
-        total = np.concatenate([total[None], block]).sum(axis=0)
-    return total
-
-
 def verify_gradient_unbiasedness(theta: np.ndarray, x: np.ndarray,
                                  teacher: np.ndarray, labels: np.ndarray,
                                  alpha: float, samples: int, seed: int) -> dict:
@@ -176,8 +165,8 @@ def verify_gradient_unbiasedness(theta: np.ndarray, x: np.ndarray,
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 2:
         raise DataError("theta must be a (k, d) matrix")
-    if samples < 1:
-        raise DataError("need at least one gradient draw")
+    if samples < 2:
+        raise DataError("need at least 2 gradient draws for a standard error")
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     student = softmax_probs(theta, x)
@@ -192,15 +181,12 @@ def verify_gradient_unbiasedness(theta: np.ndarray, x: np.ndarray,
 
     # mean and ddof=1 spread in two streamed passes, with the same operations
     # in the same order as np.mean and np.std over the whole (samples, k, d)
-    mc_mean = _sum_rows(_gradient_draws(student, x, qp, rows, u)) / samples
+    mc_mean = sum_rows(_gradient_draws(student, x, qp, rows, u)) / samples
     # a non-finite draw leaves the sum non-finite
     if not np.isfinite(mc_mean).all():
         raise VerificationError("non-finite gradient draws")
-    sq_dev = _sum_rows(np.square(g - mc_mean) for g in _gradient_draws(student, x, qp, rows, u))
-    # with a single draw the spread is unknowable; the pass flag is then
-    # meaningless but the report is still produced
-    mc_std = np.sqrt(sq_dev / (samples - 1)) if samples > 1 else np.zeros_like(mc_mean)
-    se = mc_std / np.sqrt(samples)
+    sq_dev = sum_rows(np.square(g - mc_mean) for g in _gradient_draws(student, x, qp, rows, u))
+    se = np.sqrt(sq_dev / (samples - 1)) / np.sqrt(samples)
     diff = np.abs(mc_mean - analytic)
     within = diff <= 4.0 * se + 1e-12
     return {
@@ -237,6 +223,8 @@ def _resampled_loss_stats(inst: KDInstance, resamples: int,
     sum_i CE(one_hot(z_i), p_i), each z_i drawn from q'_i, over many
     independent resamples. Rows are drawn one at a time, vectorized over the
     resamples, so memory stays at a few (resamples,) vectors."""
+    if resamples < 2:
+        raise DataError("need at least 2 resamples for a standard error")
     logp = _log_student(inst.student)
     qp = mixed_targets(inst)
     losses = np.zeros(resamples)
@@ -281,6 +269,7 @@ def check_gradient_unbiasedness(samples: int = 500_000, seed: int = 13) -> dict:
 
 def run_verification(seed: int = 0, fast: bool = False) -> dict:
     """Run all three checks and return the combined JSON-able report."""
+    seed = require_integer(seed, "verify seed")
     resamples = 20_000 if fast else 200_000
     samples = 50_000 if fast else 500_000
     identity = check_loss_identity(seed=seed + 7)

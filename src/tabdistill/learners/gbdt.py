@@ -41,9 +41,11 @@ axis row after row, so each sum adds the node's low rows in ascending row
 order, exactly as the cumsum over a presorted list would; a masked row adds a
 zero, which leaves the sum unchanged. A (rows x 1) array would be summed
 pairwise instead and differ in the last bits, which decide exact ties; the
-middle axis of length 2 keeps one column sequential too. Each column's cut
-joins the candidate vector at its feature's place, so the tie rule holds
-across both groups.
+middle axis of length 2 keeps one column sequential too. The array is built
+and summed a fixed number of rows at a time, each block after the running
+total (``metrics.sum_rows``), which adds in the same order, so memory stays
+bounded at any node size. Each column's cut joins the candidate vector at its
+feature's place, so the tie rule holds across both groups.
 
 Gradient and hessian travel as one ``complex128`` vector, gradient + 1j *
 hessian, so one gather and one ``cumsum`` give both prefix sums: complex
@@ -79,19 +81,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from tabdistill.errors import SerializationError
-from tabdistill.learners.base import (
+from tabdistill.learners import (
     LearnerSpec,
     TrainingTarget,
     _sigmoid,
     encode_features,
     training_inputs,
 )
+from tabdistill.metrics import sum_rows
 from tabdistill.tabular import Dataset, FeatureEncoder
 
 
 def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
-        raise SerializationError(f"{what} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SerializationError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -172,8 +175,6 @@ class Tree:
                 raise SerializationError(
                     f"split feature must be a nonnegative integer, got {feature[i]!r}")
             threshold[i] = _number(body.get("threshold"), "split threshold")
-            if not math.isfinite(threshold[i]):
-                raise SerializationError("split threshold must be finite")
             left[i] = rec(body["left"])
             right[i] = rec(body["right"])
             return i
@@ -190,6 +191,9 @@ class Tree:
 
 
 _NO_CUTS = np.empty(0, dtype=np.intp)
+
+# node rows per block of the two-valued pass, which bounds its memory
+_TWO_VALUED_BLOCK = 4096
 
 
 class _Columns:
@@ -287,9 +291,12 @@ class _TreeBuilder:
         cut = ((n_low > 0) & (n_low < len(rows))).nonzero()[0]
         # a sum over axis 0 of a C-ordered (rows x 2 x columns) array adds
         # row after row, as cumsum does; a masked row adds a zero (the
-        # product casts each mark to 1.0 or 0.0)
+        # product casts each mark to 1.0 or 0.0). The product is built and
+        # summed in row blocks, in the same order.
         pairs = gh.view(np.float64).reshape(-1, 2, 1)
-        sums = np.add.reduce(np.multiply(low[:, None, :], pairs), axis=0)
+        sums = sum_rows(np.multiply(low[start:start + _TWO_VALUED_BLOCK, None, :],
+                                    pairs[start:start + _TWO_VALUED_BLOCK])
+                        for start in range(0, len(rows), _TWO_VALUED_BLOCK))
         left = np.empty(len(cut), dtype=np.complex128)
         left.real = sums[0, cut]
         left.imag = sums[1, cut]
@@ -413,42 +420,29 @@ class GBDTModel:
         self.trees = trees
         self.base_logit = base_logit
 
-    def predict_logit(self, rows) -> np.ndarray:
+    def predict(self, rows) -> np.ndarray:
         x = encode_features(self.encoder, rows)
         lr = self.spec["learning_rate"]
         score = np.full(len(x), self.base_logit)
         for tree in self.trees:
             score += lr * tree.predict_value(x)
-        return score
-
-    def predict(self, rows) -> np.ndarray:
-        return _sigmoid(self.predict_logit(rows))
+        return _sigmoid(score)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "spec": self.spec.to_json_dict(),
-            "encoder": self.encoder.to_json_dict(),
-            "base_logit": self.base_logit,
-            "trees": [t.to_nested() for t in self.trees],
-        }
+        return {"base_logit": self.base_logit, "trees": [t.to_nested() for t in self.trees]}
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "GBDTModel":
+    def from_json_dict(cls, doc: dict, spec: LearnerSpec,
+                       encoder: FeatureEncoder) -> "GBDTModel":
+        """The model from its document's own fields, after the shared header."""
         if not isinstance(doc.get("trees"), list):
             raise SerializationError("gbdt model 'trees' must be a list")
-        encoder = FeatureEncoder.from_json_dict(doc["encoder"])
         trees = [Tree.from_nested(t) for t in doc["trees"]]
         width = encoder.width
         if any(t.feature.max() >= width for t in trees):
             raise SerializationError(
                 f"gbdt split feature out of range for {width} encoded columns")
-        return cls(
-            spec=LearnerSpec.from_json_dict(doc["spec"]),
-            encoder=encoder,
-            trees=trees,
-            base_logit=_number(doc["base_logit"], "base_logit"),
-        )
+        return cls(spec, encoder, trees, _number(doc["base_logit"], "base_logit"))
 
 
 def train_gbdt(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget) -> GBDTModel:

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from tabdistill.errors import SerializationError
-from tabdistill.learners.base import (
+from tabdistill.learners import (
     LearnerSpec,
     TrainingTarget,
     _sigmoid,
@@ -98,7 +98,6 @@ def _forward(params: dict, x: np.ndarray, training: bool) -> tuple[np.ndarray, l
             z = layer["gamma"] * z_hat + layer["beta"]
             cache["z_bn"] = z
         a = np.maximum(z, 0.0)
-        cache["a_out"] = a
         caches.append(cache)
     out = layers[-1]
     logit = (a @ out["W"] + out["b"]).ravel()
@@ -187,9 +186,6 @@ class MLPModel:
             layers.append(entry)
         running = self.params["running"]
         return {
-            "kind": self.kind,
-            "spec": self.spec.to_json_dict(),
-            "encoder": self.encoder.to_json_dict(),
             "layers": layers,
             "running": None if running is None else
             [{"mean": r["mean"].tolist(), "var": r["var"].tolist()} for r in running],
@@ -198,13 +194,11 @@ class MLPModel:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "MLPModel":
-        """Rebuild a model from ``to_json_dict`` output. Every parameter must
-        have the shape the spec's layer sizes imply, starting from the
-        encoder's output width, and finite values; anything else raises
-        SerializationError."""
-        spec = LearnerSpec.from_json_dict(doc["spec"])
-        encoder = FeatureEncoder.from_json_dict(doc["encoder"])
+    def from_json_dict(cls, doc: dict, spec: LearnerSpec, encoder: FeatureEncoder) -> "MLPModel":
+        """The model from its document's own fields, after the shared header.
+        Every parameter must have the shape the spec's layer sizes imply,
+        starting from the encoder's output width, and finite values; anything
+        else raises SerializationError."""
         sizes = [encoder.width, *spec["hidden_sizes"], 1]
         n_layers = len(sizes) - 1
         if len(doc["layers"]) != n_layers:

@@ -91,6 +91,17 @@ def weighted_log_loss(scores, w_pos, w_neg) -> float:
     return float(np.mean(-w_pos * np.log(p) - w_neg * np.log(1.0 - p)))
 
 
+def sum_rows(blocks) -> np.ndarray:
+    """Sum over axis 0 of the arrays an iterator ``blocks`` yields, stacked
+    in order. Each block is reduced with the running total as its first row:
+    the row-after-row order numpy uses to sum one C-ordered array over axis
+    0, so the bits are those of summing the whole stack at once."""
+    total = next(blocks).sum(axis=0)
+    for block in blocks:
+        total = np.concatenate([total[None], block]).sum(axis=0)
+    return total
+
+
 def log_loss(scores, labels) -> float:
     """Mean binary cross-entropy of 0/1 labels, the weight pairs (y, 1 - y)."""
     y = np.asarray(labels, dtype=np.float64)

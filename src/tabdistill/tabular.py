@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from tabdistill.errors import DataError, SchemaMismatchError, SerializationError
+from tabdistill.errors import DataError, SchemaMismatchError, SerializationError, require_integer
 
 COLUMN_KINDS = ("bool", "int", "float", "categorical")
 
@@ -123,6 +123,7 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", require_integer(self.seed, "split seed"))
         if not (0.0 < self.train_fraction < 1.0 and 0.0 < self.valid_fraction < 1.0):
             raise DataError("split fractions must lie in (0, 1)")
         if self.train_fraction + self.valid_fraction >= 1.0:

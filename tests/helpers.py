@@ -130,3 +130,10 @@ def pair_counting_auc(scores, labels) -> float:
 
 def write_dataset_csv(ds: Dataset, path) -> None:
     write_csv(ds, path)
+
+
+def first_leaf(tree: dict) -> dict:
+    """The leftmost leaf body of a nested GBDT tree document."""
+    while "split" in tree:
+        tree = tree["split"]["left"]
+    return tree["leaf"]

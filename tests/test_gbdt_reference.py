@@ -6,12 +6,14 @@ links and leaf values, round after round, on data full of ties. The search
 over candidate cuts is also checked node by node against the masked 2-D
 search it replaced, which evaluated a gain at every sorted position."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tabdistill.learners import LearnerSpec, TrainingTarget, train
-from tabdistill.learners.base import resolve_weight_pairs
-from tabdistill.learners.gbdt import _Columns, _sigmoid, _TreeBuilder
+from tabdistill.learners import resolve_weight_pairs
+from tabdistill.learners.gbdt import _TWO_VALUED_BLOCK, _Columns, _sigmoid, _TreeBuilder
 from tabdistill.tabular import Column, Dataset, FeatureEncoder, Schema
 
 
@@ -502,6 +504,49 @@ def test_axis0_sum_of_row_pairs_adds_row_after_row(k):
     for n in (2, 8, 9, 100, 1000, 5000):
         a = rng.standard_normal((n, 2, k)) * 10.0 ** rng.uniform(-6, 6, (n, 2, k))
         np.testing.assert_array_equal(a.sum(axis=0), np.cumsum(a, axis=0)[-1])
+
+
+def _root_two_valued_cuts(n, k, seed):
+    """The root's two-valued cuts and left sums on n random rows of k
+    two-valued columns, with the builder that made them."""
+    rng = np.random.default_rng(seed)
+    x = (rng.random((n, k)) < 0.4).astype(np.float64)
+    grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+    hess = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6, 6, n)
+    builder = _TreeBuilder(_Columns(x), grad, hess, 1, 1.0, 1.0)
+    rows = np.arange(n)
+    gh = builder._sums(rows)[0]
+    return builder, gh, builder._two_valued_cuts(rows, gh)
+
+
+@pytest.mark.parametrize("n", [_TWO_VALUED_BLOCK - 1, _TWO_VALUED_BLOCK, _TWO_VALUED_BLOCK + 1])
+def test_streamed_two_valued_sums_match_the_whole_product(n):
+    # the pass builds and sums the (rows x 2 x columns) product in row
+    # blocks; the bits must be those of summing the whole product at once
+    builder, gh, (cut, left) = _root_two_valued_cuts(n, 9, seed=n)
+    whole = np.add.reduce(np.multiply(builder.cols.low[:, None, :],
+                                      gh.view(np.float64).reshape(-1, 2, 1)), axis=0)
+    np.testing.assert_array_equal(cut, np.arange(9))
+    np.testing.assert_array_equal(left.real, whole[0])
+    np.testing.assert_array_equal(left.imag, whole[1])
+
+
+def test_two_valued_pass_memory_is_per_block():
+    # 40,000 rows x 40 columns: the whole (rows x 2 x columns) float64
+    # product alone is 24 MiB; built a block at a time the pass stays small
+    n, k = 40_000, 40
+    rng = np.random.default_rng(3)
+    builder = _TreeBuilder(_Columns((rng.random((n, k)) < 0.4).astype(np.float64)),
+                           rng.standard_normal(n), rng.uniform(0.1, 1.0, n), 1, 1.0, 1.0)
+    rows = np.arange(n)
+    gh = builder._sums(rows)[0]
+    tracemalloc.start()
+    try:
+        builder._two_valued_cuts(rows, gh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def _mixed_dataset(n, seed):

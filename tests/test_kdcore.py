@@ -200,13 +200,11 @@ class TestSampledLoss:
         assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_single_resample_finite_nonnegative(self):
-        # one resample's loss is finite and nonnegative; its spread is unknown
+        # one resample has no spread, so no standard error: it is refused
         rng = np.random.default_rng(5)
         inst = random_instance(rng, n=10, k=3)
-        with pytest.warns(RuntimeWarning):
-            val, se = _resampled_loss_stats(inst, 1, np.random.default_rng(3))
-        assert np.isfinite(val) and val >= 0.0
-        assert np.isnan(se)
+        with pytest.raises(DataError, match="at least 2 resamples"):
+            _resampled_loss_stats(inst, 1, np.random.default_rng(3))
 
     def test_resampled_stats_match_the_whole_array_draw(self):
         # reference: every row's uniforms drawn as one (n, resamples) block,
@@ -309,9 +307,9 @@ class TestGradientUnbiasedness:
         theta = rng.standard_normal((3, 2))
         teacher = rng.dirichlet(np.ones(3), size=5)
         labels = rng.integers(1, 4, size=5)
-        report = verify_gradient_unbiasedness(theta, x, teacher, labels, 0.5,
-                                              samples=1, seed=0)
-        assert "passed" in report and len(report["mc_mean"]) == 3
+        # one draw has no spread, so no standard error: it is refused
+        with pytest.raises(DataError, match="at least 2 gradient draws"):
+            verify_gradient_unbiasedness(theta, x, teacher, labels, 0.5, samples=1, seed=0)
 
     def test_scorer_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)

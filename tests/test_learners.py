@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tabdistill
 from tabdistill.errors import DataError, SchemaMismatchError, SerializationError, TrainingError
 from tabdistill.learners import (
     GBDTModel,
@@ -16,12 +21,12 @@ from tabdistill.learners import (
     serialize_model,
     train,
 )
-from tabdistill.learners.base import GBDT_DEFAULTS, MLP_DEFAULTS, resolve_weight_pairs
+from tabdistill.learners import GBDT_DEFAULTS, MLP_DEFAULTS, resolve_weight_pairs
 from tabdistill.learners.mlp import EarlyStopTracker, _init_params, loss_and_gradients
 from tabdistill.metrics import roc_auc
 from tabdistill.tabular import FeatureEncoder
 
-from helpers import dataset_from_arrays, noisy_nonlinear_dataset, separable_dataset
+from helpers import dataset_from_arrays, first_leaf, noisy_nonlinear_dataset, separable_dataset
 
 
 class TestSpecValidation:
@@ -462,6 +467,27 @@ class TestMalformedGBDTDocument:
         with pytest.raises(SerializationError, match="neither"):
             deserialize_model(bad)
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda d: first_leaf(d["trees"][0]).update(value=float("inf")),
+                     id="leaf-inf"),
+        pytest.param(lambda d: first_leaf(d["trees"][1]).update(value=float("-inf")),
+                     id="leaf-minus-inf"),
+        pytest.param(lambda d: d.update(base_logit=float("inf")), id="base_logit-inf"),
+        pytest.param(lambda d: d.update(base_logit=float("-inf")), id="base_logit-minus-inf"),
+        pytest.param(lambda d: d["trees"][0]["split"].update(threshold=float("inf")),
+                     id="threshold-inf"),
+    ])
+    def test_infinite_number(self, doc, edit):
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        with pytest.raises(SerializationError, match="finite"):
+            deserialize_model(bad)
+
+    def test_spec_of_another_kind(self, doc):
+        mlp_doc = {**doc, "spec": mlp_spec().to_json_dict()}
+        with pytest.raises(SerializationError, match="gbdt model document holds a mlp spec"):
+            deserialize_model(mlp_doc)
+
     def test_malformed_spec(self, doc):
         with pytest.raises(SerializationError, match="malformed gbdt"):
             deserialize_model({**doc, "spec": {"kind": "gbdt"}})
@@ -469,6 +495,18 @@ class TestMalformedGBDTDocument:
     def test_well_formed_document_still_loads(self, doc):
         restored = deserialize_model(doc)
         assert serialize_model(restored) == doc
+
+
+@pytest.mark.parametrize("module", ["tabdistill.learners.gbdt", "tabdistill.learners.mlp",
+                                    "tabdistill.ensemble", "tabdistill.cli"])
+def test_first_import_in_a_fresh_interpreter(module):
+    # the package imports its implementations last, and they import the
+    # contract from the package: any module may be the first one imported
+    src = str(Path(tabdistill.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestMalformedMLPDocument:

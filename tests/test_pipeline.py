@@ -31,6 +31,7 @@ from tabdistill.tabular import SplitSpec, split_indices
 
 from helpers import (
     dataset_from_arrays,
+    first_leaf,
     noisy_nonlinear_dataset,
     separable_dataset,
     write_dataset_csv,
@@ -421,6 +422,19 @@ class TestCli:
         self.test_malformed_params_exit_2(tmp_path, capsys, "mlp", '{"epochs": 1}',
                                           "learner seed", seed="-1")
 
+    @pytest.mark.parametrize("command, named", [
+        pytest.param(["distill", "--generations", "1", "--seed", "-1"], "split seed", id="distill"),
+        pytest.param(["verify", "--fast", "--seed", "-20"], "verify seed", id="verify"),
+    ])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command, named):
+        seed = command[-1]
+        if command[0] == "distill":
+            command = [*command, "--data", str(self._write_csv(tmp_path)), "--label", "label",
+                       "--out-dir", str(tmp_path / "chain"), "--params", '{"rounds": 2}']
+        assert cli_main(command) == 2
+        assert capsys.readouterr().err == f"error: {named} must be an integer >= 0, got {seed}\n"
+        assert not (tmp_path / "chain").exists()
+
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         import tabdistill.cli as cli_module
 
@@ -470,6 +484,21 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: doc.update(base_logit=float("inf")), id="base_logit"),
+        pytest.param(lambda doc: first_leaf(doc["trees"][1]).update(value=float("-inf")),
+                     id="leaf"),
+    ])
+    def test_infinite_gbdt_number_is_data_error(self, tmp_path, capsys, edit):
+        path, model_path = self._train_model(tmp_path, capsys)
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        model_path.write_text(json.dumps(doc))  # written as JSON's Infinity
+        assert cli_main(["evaluate", "--model", str(model_path), "--data",
+                         str(path), "--label", "label"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
 
     def test_wrong_width_mlp_layer_is_data_error(self, tmp_path, capsys):
         path, model_path = self._train_model(

@@ -21,7 +21,7 @@ from tabdistill.learners import (
     serialize_model,
     train,
 )
-from tabdistill.learners.base import _sigmoid, resolve_weight_pairs
+from tabdistill.learners import _sigmoid, resolve_weight_pairs
 from tabdistill.learners.mlp import (
     EarlyStopTracker,
     _copy_params,

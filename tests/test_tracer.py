@@ -5,8 +5,11 @@ defines; no benchmark is started."""
 import importlib.util
 from pathlib import Path
 
+import tabdistill.learners as learners
 import tabdistill.metrics as metrics
 import tabdistill.pipeline as pipeline
+
+from helpers import separable_dataset
 
 _spec = importlib.util.spec_from_file_location(
     "tracer", Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py")
@@ -22,3 +25,18 @@ def test_installed_wraps_and_restores_every_traced_name():
         assert pipeline.roc_auc([0.2, 0.8], [0, 1]) == 1.0
     assert [s["name"] for s in trace.spans] == ["metrics.auc"]
     assert (pipeline.roc_auc, pipeline.distill_to_deployment, metrics.evaluate) == originals
+
+
+def test_train_and_load_record_their_spans(tmp_path):
+    # learners.train finds both trainers on their modules at call time, and
+    # callers reach load_model through the package, so the wrappers see them
+    ds = separable_dataset(60, seed=1)
+    target = learners.TrainingTarget.hard()
+    trace = tracer.Tracer()
+    with tracer.installed(trace):
+        model = learners.train(learners.gbdt_spec(rounds=2, max_depth=2), ds, target)
+        learners.train(learners.mlp_spec(epochs=1, hidden_sizes=(2,)), ds, target)
+        learners.save_model(model, tmp_path / "m.json")
+        learners.load_model(tmp_path / "m.json")
+    names = [s["name"] for s in trace.spans if s["name"].startswith("learners.")]
+    assert names == ["learners.gbdt.train", "learners.mlp.train", "learners.load"]
