@@ -19,7 +19,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from tabdistill.errors import DataError, require_integer
+from tabdistill.errors import (
+    DataError,
+    require_choice,
+    require_flag,
+    require_integer,
+    require_number,
+)
 from tabdistill.learners import LearnerSpec, TrainingTarget, train
 from tabdistill.metrics import roc_auc
 from tabdistill.tabular import Dataset
@@ -27,20 +33,6 @@ from tabdistill.tabular import Dataset
 DEFAULT_BETA = 0.7
 DEFAULT_DENOISE_THRESHOLD = 0.99
 DEFAULT_GENERATIONS = 5
-
-
-def check_beta(beta: float) -> float:
-    """The teacher's weight ``beta`` if it lies in [0, 1], else DataError."""
-    if not (0.0 <= beta <= 1.0):
-        raise DataError("beta must lie in [0, 1]")
-    return beta
-
-
-def check_threshold(threshold: float) -> float:
-    """The denoise ``threshold`` if it lies in (0, 1], else DataError."""
-    if not (0.0 < threshold <= 1.0):
-        raise DataError("denoise threshold must lie in (0, 1]")
-    return threshold
 
 
 @dataclass(frozen=True)
@@ -54,15 +46,14 @@ class DistillConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_beta(self.beta)
-        check_threshold(self.denoise_threshold)
+        require_number(self.beta, "beta", 0, 1)
+        require_number(self.denoise_threshold, "denoise threshold", 0, 1, "(]")
         # stored as int, so a config built from numpy integers serializes
         for name, low in (("generations", 1), ("seed", 0)):
             object.__setattr__(self, name, require_integer(getattr(self, name), name, low))
-        if self.teacher_mode not in ("from_last", "from_ensemble"):
-            raise DataError(f"unknown teacher_mode {self.teacher_mode!r}")
-        if self.target_mode not in ("row_weighted", "label_sampled"):
-            raise DataError(f"unknown target_mode {self.target_mode!r}")
+        require_choice(self.teacher_mode, "teacher_mode", ("from_last", "from_ensemble"))
+        require_choice(self.target_mode, "target_mode", ("row_weighted", "label_sampled"))
+        require_flag(self.include_original, "include_original")
 
 
 @dataclass
@@ -101,7 +92,7 @@ def make_targets(train_ds: Dataset, teacher_scores, beta: float) -> TrainingTarg
                         f"for {train_ds.n_rows} rows")
     if (scores < 0).any() or (scores > 1).any():
         raise DataError("teacher scores must lie in [0, 1]")
-    check_beta(beta)
+    require_number(beta, "beta", 0, 1)
     y = train_ds.labels.astype(np.float64)
     w_pos = beta * scores + (1.0 - beta) * y
     # the pair sums to 1 by construction; computing w_neg as the complement
@@ -129,7 +120,7 @@ def distill_step(train_ds: Dataset, teacher_scores, beta: float, threshold: floa
     label; keeping none raises), beta-mix the kept scores into weight pairs,
     and under ``label_sampled`` draw one label per row. Kept rows keep their
     row ids."""
-    check_threshold(threshold)
+    require_number(threshold, "denoise threshold", 0, 1, "(]")
     scores = np.asarray(teacher_scores, dtype=np.float64)
     if scores.shape != (train_ds.n_rows,):
         raise DataError("scores must align with rows")

@@ -13,14 +13,13 @@ leave no survivor is not run.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from tabdistill.errors import DataError, SerializationError, require_integer
+from tabdistill.errors import DataError, SerializationError, require_integer, require_number
 from tabdistill.learners import load_model, score_models
 from tabdistill.metrics import AUCLabels, roc_auc
 from tabdistill.tabular import Dataset
@@ -45,14 +44,11 @@ class DEConfig:
             object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.population_size and self.population_size < 4:
             raise DataError("population must have at least 4 members")
-        if not (0.0 < self.mutation_factor <= 2.0):
-            raise DataError("mutation factor must lie in (0, 2]")
-        if not (0.0 <= self.crossover_rate <= 1.0):
-            raise DataError("crossover rate must lie in [0, 1]")
-        if not self.prune_epsilon >= 0:  # NaN fails this too
-            raise DataError("prune_epsilon must be nonnegative")
-        if not (math.isfinite(self.lower_bound) and math.isfinite(self.upper_bound)):
-            raise DataError("bounds must be finite")
+        require_number(self.mutation_factor, "mutation factor", 0, 2, "(]")
+        require_number(self.crossover_rate, "crossover rate", 0, 1)
+        require_number(self.prune_epsilon, "prune_epsilon", 0)
+        require_number(self.lower_bound, "bounds")
+        require_number(self.upper_bound, "bounds")
         if not (self.lower_bound < self.upper_bound):
             raise DataError("bounds must satisfy lower < upper")
 
@@ -244,17 +240,20 @@ def load_ensemble(path: str | Path) -> EnsembleModel:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"{path}: corrupted ensemble document: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise SerializationError(f"{path}: unreadable ensemble document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != ENSEMBLE_FORMAT:
         found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
         raise SerializationError(f"{path}: unknown ensemble format {found!r}")
     files, weights = doc.get("members"), doc.get("weights")
     if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
         raise SerializationError(f"{path}: 'members' must be a list of model file names")
-    if not (isinstance(weights, list) and len(weights) == len(files)
-            and all(isinstance(w, (int, float)) and not isinstance(w, bool)
-                    and math.isfinite(w) for w in weights)):
+    if not (isinstance(weights, list) and len(weights) == len(files)):
         raise SerializationError(
             f"{path}: 'weights' must be one finite number per member ({len(files)})")
+    try:
+        for w in weights:
+            require_number(w, "ensemble weight")
+    except DataError as exc:
+        raise SerializationError(f"{path}: {exc}") from None
     return EnsembleModel([load_model(path.parent / f) for f in files], weights)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tabdistill.errors import DataError, VerificationError, require_integer
+from tabdistill.errors import DataError, VerificationError, require_integer, require_number
 from tabdistill.metrics import clamp_prob, sum_rows
 
 _SIMPLEX_TOL = 1e-9
@@ -50,8 +50,7 @@ class KDInstance:
             raise DataError("teacher and student must be (N, k) arrays of equal shape")
         if y.shape != (t.shape[0],):
             raise DataError("labels length must match N")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise DataError("alpha must lie in [0, 1]")
+        require_number(self.alpha, "alpha", 0, 1)
         k = t.shape[1]
         if k < 2:
             raise DataError("need k >= 2 classes")

@@ -7,14 +7,21 @@ import this module, so it imports them last and looks them up at call time."""
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from tabdistill.errors import DataError, SerializationError, TrainingError, require_integer
+from tabdistill.errors import (
+    DataError,
+    SerializationError,
+    TrainingError,
+    require_choice,
+    require_flag,
+    require_integer,
+    require_number,
+)
 from tabdistill.tabular import Dataset, FeatureEncoder
 
 MODEL_FORMAT = "tabdistill.model/v1"
@@ -51,8 +58,7 @@ class LearnerSpec:
 
     def __post_init__(self):
         """Every malformed kind, hyperparameter or seed raises DataError."""
-        if self.kind not in ("gbdt", "mlp"):
-            raise DataError(f"unknown learner kind {self.kind!r}")
+        require_choice(self.kind, "learner kind", ("gbdt", "mlp"))
         if not isinstance(self.params, dict):
             raise DataError(f"hyperparameters must be a JSON object, got {self.params!r}")
         object.__setattr__(self, "seed", require_integer(self.seed, "learner seed"))
@@ -65,19 +71,13 @@ class LearnerSpec:
             if name in INTEGER_PARAMS:
                 merged[name] = require_integer(value, f"hyperparameter {name!r}", low=1)
             elif name == "hidden_sizes":
-                if not np.iterable(value):
-                    raise DataError(f"mlp hidden_sizes must be a list, got {value!r}")
-                merged[name] = tuple(require_integer(h, "mlp hidden size", low=1)
-                                     for h in value)
-                if not merged[name]:
-                    raise DataError("mlp hidden_sizes must be non-empty")
+                if not np.iterable(value) or not (sizes := list(value)):
+                    raise DataError(f"mlp hidden_sizes must be a non-empty list, got {value!r}")
+                merged[name] = tuple(require_integer(h, "mlp hidden size", low=1) for h in sizes)
             elif name == "batch_norm":
-                if not isinstance(value, bool):
-                    raise DataError(f"hyperparameter 'batch_norm' must be a bool, got {value!r}")
-            elif isinstance(value, bool) or not (
-                    isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
-                raise DataError(
-                    f"hyperparameter {name!r} must be a finite number > 0, got {value!r}")
+                require_flag(value, f"hyperparameter {name!r}")
+            else:
+                require_number(value, f"hyperparameter {name!r}", 0, ends="()")
         object.__setattr__(self, "params", merged)
 
     def __getitem__(self, name: str):
@@ -91,10 +91,7 @@ class LearnerSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LearnerSpec":
-        params = dict(doc["params"])
-        if "hidden_sizes" in params:
-            params["hidden_sizes"] = tuple(params["hidden_sizes"])
-        return cls(kind=doc["kind"], params=params, seed=int(doc["seed"]))
+        return cls(kind=doc["kind"], params=doc["params"], seed=doc["seed"])
 
 
 def gbdt_spec(seed: int = 0, **overrides) -> LearnerSpec:
@@ -226,20 +223,20 @@ def serialize_model(model) -> dict:
 def deserialize_model(doc: dict):
     """A model from its document; a malformed one raises
     SerializationError."""
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise SerializationError(
-            f"unknown model document version {doc.get('format')!r}"
-            if isinstance(doc, dict) else "model document must be an object")
+    if not isinstance(doc, dict):
+        raise SerializationError("model document must be an object")
     kind = doc.get("kind")
-    if kind not in ("gbdt", "mlp"):
-        raise SerializationError(f"unknown model kind {kind!r}")
     try:
+        require_choice(doc.get("format"), "model document version", (MODEL_FORMAT,))
+        require_choice(kind, "model kind", ("gbdt", "mlp"))
         spec = LearnerSpec.from_json_dict(doc["spec"])
         if spec.kind != kind:
             raise SerializationError(f"{kind} model document holds a {spec.kind} spec")
         encoder = FeatureEncoder.from_json_dict(doc["encoder"])
         model_cls = gbdt.GBDTModel if kind == "gbdt" else mlp.MLPModel
         return model_cls.from_json_dict(doc, spec, encoder)
+    except DataError as exc:  # a value rule's message names the value
+        raise SerializationError(f"malformed model document: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SerializationError(f"malformed {kind} model document: {exc!r}") from exc
 
@@ -251,8 +248,8 @@ def save_model(model, path: str | Path) -> None:
 def load_model(path: str | Path):
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"{path}: corrupted model document: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise SerializationError(f"{path}: unreadable model document: {exc}") from exc
     return deserialize_model(doc)
 
 

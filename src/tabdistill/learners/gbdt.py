@@ -80,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tabdistill.errors import SerializationError
+from tabdistill.errors import SerializationError, require_integer, require_number
 from tabdistill.learners import (
     LearnerSpec,
     TrainingTarget,
@@ -90,12 +90,6 @@ from tabdistill.learners import (
 )
 from tabdistill.metrics import sum_rows
 from tabdistill.tabular import Dataset, FeatureEncoder
-
-
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise SerializationError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -149,8 +143,8 @@ class Tree:
 
     @classmethod
     def from_nested(cls, doc: dict) -> "Tree":
-        """Parse one nested tree; any malformed node raises
-        SerializationError."""
+        """Parse one nested tree; a malformed node raises SerializationError,
+        a number or feature index that breaks its rule DataError."""
         feature, threshold, left, right, value = [], [], [], [], []
 
         def rec(node) -> int:
@@ -166,15 +160,12 @@ class Tree:
             if not isinstance(body, dict):
                 raise SerializationError("tree node is neither split nor leaf")
             if "leaf" in node:
-                value[i] = _number(body.get("value"), "leaf value")
+                value[i] = require_number(body.get("value"), "leaf value")
                 return i
             if "left" not in body or "right" not in body:
                 raise SerializationError("split node needs both left and right")
-            feature[i] = body.get("feature")
-            if isinstance(feature[i], bool) or not isinstance(feature[i], int) or feature[i] < 0:
-                raise SerializationError(
-                    f"split feature must be a nonnegative integer, got {feature[i]!r}")
-            threshold[i] = _number(body.get("threshold"), "split threshold")
+            feature[i] = require_integer(body.get("feature"), "split feature")
+            threshold[i] = require_number(body.get("threshold"), "split threshold")
             left[i] = rec(body["left"])
             right[i] = rec(body["right"])
             return i
@@ -442,7 +433,8 @@ class GBDTModel:
         if any(t.feature.max() >= width for t in trees):
             raise SerializationError(
                 f"gbdt split feature out of range for {width} encoded columns")
-        return cls(spec, encoder, trees, _number(doc["base_logit"], "base_logit"))
+        return cls(spec, encoder, trees,
+                   float(require_number(doc["base_logit"], "base_logit")))
 
 
 def train_gbdt(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget) -> GBDTModel:

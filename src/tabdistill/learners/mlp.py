@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from tabdistill.errors import SerializationError
+from tabdistill.errors import SerializationError, require_integer
 from tabdistill.learners import (
     LearnerSpec,
     TrainingTarget,
@@ -16,7 +16,7 @@ from tabdistill.learners import (
     encode_features,
     training_inputs,
 )
-from tabdistill.metrics import roc_auc, weighted_log_loss
+from tabdistill.metrics import roc_auc
 from tabdistill.tabular import Dataset, FeatureEncoder
 
 _BN_EPS = 1e-5
@@ -103,15 +103,6 @@ def _forward(params: dict, x: np.ndarray, training: bool) -> tuple[np.ndarray, l
     logit = (a @ out["W"] + out["b"]).ravel()
     caches.append({"a_in": a, "logit": logit})
     return _sigmoid(logit), caches
-
-
-def loss_and_gradients(params: dict, x: np.ndarray, w_pos: np.ndarray,
-                       w_neg: np.ndarray, training: bool = True):
-    """Mean weighted cross-entropy over the batch and its parameter
-    gradients. Exposed separately so the analytic gradients can be checked
-    against finite differences."""
-    probs, grads = _forward_backward(params, x, w_pos, w_neg, training)
-    return weighted_log_loss(probs, w_pos, w_neg), grads
 
 
 def _forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray,
@@ -226,18 +217,19 @@ class MLPModel:
             spec=spec,
             encoder=encoder,
             params={"layers": layers, "running": running},
-            epochs_run=int(doc["epochs_run"]),
-            best_epoch=int(doc["best_epoch"]),
+            epochs_run=require_integer(doc["epochs_run"], "epochs_run"),
+            best_epoch=require_integer(doc["best_epoch"], "best_epoch"),
         )
 
 
 def _checked_array(values, shape: tuple, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    """Finite numbers (no bools or strings) of ``shape`` as a float64 array."""
+    arr = np.array(values)
     if arr.shape != shape:
         raise SerializationError(f"mlp {name} has shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise SerializationError(f"mlp {name} has non-finite values")
-    return arr
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise SerializationError(f"mlp {name} has non-finite or non-numeric values")
+    return arr.astype(np.float64)
 
 
 def train_mlp(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,

@@ -27,14 +27,7 @@ from typing import Optional
 import numpy as np
 
 from tabdistill import __version__
-from tabdistill.distill import (
-    DistillConfig,
-    check_beta,
-    check_threshold,
-    distill_step,
-    run_generations,
-    write_ledger_csv,
-)
+from tabdistill.distill import DistillConfig, distill_step, run_generations, write_ledger_csv
 from tabdistill.ensemble import (
     DEConfig,
     EnsembleModel,
@@ -43,7 +36,14 @@ from tabdistill.ensemble import (
     optimize_weights_detailed,
     save_ensemble,
 )
-from tabdistill.errors import DataError, TabDistillError, require_integer
+from tabdistill.errors import (
+    DataError,
+    TabDistillError,
+    require_choice,
+    require_flag,
+    require_integer,
+    require_number,
+)
 from tabdistill.learners import LearnerSpec, save_model, train
 # benchmarks/tracer.py looks up and wraps roc_auc in this module, so it stays
 # imported although nothing here calls it
@@ -108,44 +108,37 @@ def _section(doc: dict, path: str, default=_REQUIRED, nullable: bool = False, ke
     return value
 
 
-def _typed(kind: type, doc: dict, path: str, default=_REQUIRED):
-    value = _entry(doc, path, default)
-    if not isinstance(value, kind):
-        raise DataError(f"pipeline config {path!r} must be of type {kind.__name__}")
-    return value
-
-
-def _convert(convert, doc: dict, path: str, default):
-    """``convert`` of the entry; its TypeError, ValueError or DataError
-    becomes a DataError naming ``path``."""
+def _at(path: str, rule, *args, **kwargs):
+    """``rule(*args, **kwargs)``; its DataError gets the dotted ``path``."""
     try:
-        return convert(_entry(doc, path, default))
-    except (TypeError, ValueError, DataError) as exc:
+        return rule(*args, **kwargs)
+    except DataError as exc:
         raise DataError(f"pipeline config {path!r}: {exc}") from None
 
 
-def _seed(doc: dict, path: str, default: int) -> int:
-    return require_integer(_entry(doc, path, default), f"pipeline config {path!r}")
+def _value(doc: dict, path: str, default, rule, *args):
+    """``rule`` of the entry at ``path`` and ``args``, named as ``_at`` does."""
+    return _at(path, rule, _entry(doc, path, default), *args)
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise DataError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def _build(cls, doc: dict, path: str):
     """A config dataclass from its section; unknown keys raise DataError."""
     _known(doc, path, [f.name for f in fields(cls)])
-    try:
-        return cls(**doc)
-    except (TypeError, DataError) as exc:  # TypeError: an ill-typed value met a comparison
-        raise DataError(f"pipeline config {path!r}: {exc}") from None
+    return _at(path, cls, **doc)
 
 
 def _learner(doc: dict, path: str, default_seed: int) -> LearnerSpec:
     section = _section(doc, path, keys=("kind", "params", "seed"))
     params = _section(section, f"{path}.params", {})
     kind = _entry(section, f"{path}.kind")
-    seed = _seed(section, f"{path}.seed", default_seed)
-    try:
-        return LearnerSpec(kind=kind, params=dict(params), seed=seed)
-    except DataError as exc:
-        raise DataError(f"pipeline config {path!r}: {exc}") from None
+    seed = _value(section, f"{path}.seed", default_seed, require_integer, "seed")
+    return _at(path, LearnerSpec, kind=kind, params=dict(params), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -185,20 +178,18 @@ class PipelineConfig:
             raise DataError("pipeline config must be a JSON object")
         _known(doc, "", ("data", "split", "preprocess", "families", "ensemble_opt",
                          "final_distill", "output_dir", "seed"))
-        seed = _seed(doc, "seed", 0)
+        seed = _value(doc, "seed", 0, require_integer, "seed")
         data = _section(doc, "data", keys=("path", "label_column"))
         split_doc = _section(doc, "split", {},
                              keys=("train_fraction", "valid_fraction", "seed"))
-        split = SplitSpec(
-            train_fraction=_convert(float, split_doc, "split.train_fraction", 0.6),
-            valid_fraction=_convert(float, split_doc, "split.valid_fraction", 0.2),
-            seed=_seed(split_doc, "split.seed", seed),
-        )
+        # each fraction is a float only once its rule has accepted it
+        split = SplitSpec(*(
+            float(_value(split_doc, f"split.{name}", default, require_number, name, 0, 1, "()"))
+            for name, default in (("train_fraction", 0.6), ("valid_fraction", 0.2))),
+            seed=_value(split_doc, "split.seed", seed, require_integer, "seed"))
         pre = _section(doc, "preprocess", {}, keys=("remove_constant_columns", "transform"))
-        transform = pre.get("transform")
-        if transform is not None and transform not in TRANSFORM_KINDS:
-            raise DataError("pipeline config 'preprocess.transform' must be null or one of "
-                            f"{list(TRANSFORM_KINDS)}, got {transform!r}")
+        transform = _value(pre, "preprocess.transform", None, require_choice, "transform",
+                           (None, *TRANSFORM_KINDS))
         families_doc = _section(doc, "families", {}, keys=FAMILY_TAGS)
         families = []
         for i, tag in enumerate(FAMILY_TAGS):
@@ -218,24 +209,25 @@ class PipelineConfig:
             {"learner": {"kind": "gbdt", "params": {}}, **final},
             "final_distill.learner", seed + _SEED_FINAL)
 
-        data_path = _typed(str, data, "data.path")
+        data_path = _value(data, "data.path", _REQUIRED, _text, "path")
         if base_dir is not None and not os.path.isabs(data_path):
             data_path = str(base_dir / data_path)
 
         return cls(
             data_path=data_path,
-            label_column=_typed(str, data, "data.label_column"),
+            label_column=_value(data, "data.label_column", _REQUIRED, _text, "label_column"),
             split=split,
-            remove_constants=_typed(bool, pre, "preprocess.remove_constant_columns", True),
+            remove_constants=_value(pre, "preprocess.remove_constant_columns", True,
+                                    require_flag, "remove_constant_columns"),
             transform=transform,
             families=tuple(families),
             ensemble_opt=de_cfg,
             final_learner=final_learner,
-            final_beta=_convert(lambda v: check_beta(float(v)), final,
-                                "final_distill.beta", 0.7),
-            final_threshold=_convert(lambda v: check_threshold(float(v)), final,
-                                     "final_distill.threshold", 0.99),
-            output_dir=_typed(str, doc, "output_dir", "out"),
+            final_beta=float(_value(final, "final_distill.beta", 0.7,
+                                    require_number, "beta", 0, 1)),
+            final_threshold=float(_value(final, "final_distill.threshold", 0.99,
+                                         require_number, "denoise threshold", 0, 1, "(]")),
+            output_dir=_value(doc, "output_dir", "out", _text, "output_dir"),
             seed=seed,
         )
 

@@ -17,7 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from tabdistill.errors import DataError, SchemaMismatchError, SerializationError, require_integer
+from tabdistill.errors import (
+    DataError,
+    SchemaMismatchError,
+    SerializationError,
+    require_choice,
+    require_integer,
+    require_number,
+)
 
 COLUMN_KINDS = ("bool", "int", "float", "categorical")
 
@@ -49,8 +56,7 @@ class Column:
     categories: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in COLUMN_KINDS:
-            raise DataError(f"unknown column kind {self.kind!r} for {self.name!r}")
+        require_choice(self.kind, f"column {self.name!r} kind", COLUMN_KINDS)
         if (self.kind == "categorical") != (self.categories is not None):
             raise DataError(f"column {self.name!r}: categories <=> kind categorical")
 
@@ -74,8 +80,7 @@ class Schema:
             label = self.column(self.label_column)
         except KeyError:
             raise DataError(f"label column {self.label_column!r} not in schema") from None
-        if label.kind not in ("bool", "int"):
-            raise DataError("label column must be of kind bool or int")
+        require_choice(label.kind, "label column kind", ("bool", "int"))
 
     def column(self, name: str) -> Column:
         for c in self.columns:
@@ -124,8 +129,8 @@ class SplitSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", require_integer(self.seed, "split seed"))
-        if not (0.0 < self.train_fraction < 1.0 and 0.0 < self.valid_fraction < 1.0):
-            raise DataError("split fractions must lie in (0, 1)")
+        for name in ("train_fraction", "valid_fraction"):
+            require_number(getattr(self, name), name, 0, 1, "()")
         if self.train_fraction + self.valid_fraction >= 1.0:
             raise DataError("train_fraction + valid_fraction must be < 1")
 
@@ -162,12 +167,6 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return len(self.labels)
-
-    def column_values(self, name: str) -> np.ndarray:
-        for col, arr in zip(self.schema.feature_columns, self.feature_arrays):
-            if col.name == name:
-                return arr
-        raise KeyError(name)
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """Positional row selection; row ids travel with their rows."""
@@ -401,8 +400,7 @@ def apply_transform(ds: Dataset, kind: str, fit_rows: Sequence[int]) -> Dataset:
     quantile: mid-rank empirical CDF r / (n + 1) over the fit values,
     mapping every value into (0, 1).
     """
-    if kind not in TRANSFORM_KINDS:
-        raise DataError(f"unknown transform kind {kind!r}")
+    require_choice(kind, "transform", TRANSFORM_KINDS)
     fit_rows = np.asarray(fit_rows, dtype=np.intp)
     if len(fit_rows) == 0 or fit_rows.min() < 0 or fit_rows.max() >= ds.n_rows:
         raise DataError(f"fit_rows must be a non-empty list of positions below {ds.n_rows}")

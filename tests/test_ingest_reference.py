@@ -268,8 +268,8 @@ class TestTokens:
         })
         ds = _check_against_reference(path)
         assert [c.kind for c in ds.schema.feature_columns] == ["int", "float"]
-        np.testing.assert_array_equal(ds.column_values("i"), [3, -2, 7, 1000, 0, 0])
-        assert ds.column_values("f")[-1] == np.inf
+        np.testing.assert_array_equal(ds.feature_arrays[0], [3, -2, 7, 1000, 0, 0])
+        assert ds.feature_arrays[1][-1] == np.inf
 
     def test_one_float_makes_an_integer_column_float(self, tmp_path):
         path = _write_columns(tmp_path / "a.csv", {
@@ -283,7 +283,7 @@ class TestTokens:
             "b": spellings, "label": spellings[::-1]})
         ds = _check_against_reference(path)
         assert ds.schema.column("b").kind == "bool"
-        np.testing.assert_array_equal(ds.column_values("b"), [1, 0, 1, 0, 1, 0])
+        np.testing.assert_array_equal(ds.feature_arrays[0], [1, 0, 1, 0, 1, 0])
 
     def test_near_bool_tokens_are_categorical(self, tmp_path):
         path = _write_columns(tmp_path / "a.csv", {
@@ -410,7 +410,7 @@ class TestNewCellErrors:
         path = _write_columns(tmp_path / "a.csv", {
             "i": ["-9223372036854775808", "9223372036854775807"], "label": ["0", "1"]})
         ds = _check_against_reference(path)
-        assert ds.column_values("i").tolist() == [-2**63, 2**63 - 1]
+        assert ds.feature_arrays[0].tolist() == [-2**63, 2**63 - 1]
 
     @pytest.mark.parametrize("values,kind_text", [
         (["1", "2", "", "4"], "'' is not an integer"),

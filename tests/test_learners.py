@@ -22,8 +22,8 @@ from tabdistill.learners import (
     train,
 )
 from tabdistill.learners import GBDT_DEFAULTS, MLP_DEFAULTS, resolve_weight_pairs
-from tabdistill.learners.mlp import EarlyStopTracker, _init_params, loss_and_gradients
-from tabdistill.metrics import roc_auc
+from tabdistill.learners.mlp import EarlyStopTracker, _forward_backward, _init_params
+from tabdistill.metrics import roc_auc, weighted_log_loss
 from tabdistill.tabular import FeatureEncoder
 
 from helpers import dataset_from_arrays, first_leaf, noisy_nonlinear_dataset, separable_dataset
@@ -220,7 +220,7 @@ class TestGBDTPredict:
 
     def test_constant_columns_do_not_change_predictions(self):
         base = separable_dataset(2000, seed=6)
-        feats = {name: base.column_values(name) for name in base.schema.feature_names}
+        feats = dict(zip(base.schema.feature_names, base.feature_arrays))
         with_consts = dict(feats)
         for j in range(5):
             with_consts[f"one{j}"] = np.ones(base.n_rows)
@@ -290,13 +290,20 @@ class TestGBDTInvariances:
         spec = gbdt_spec(rounds=20)
 
         def cubed(ds):
-            feats = {name: ds.column_values(name) ** 3 + ds.column_values(name)
-                     for name in ds.schema.feature_names}
+            feats = {name: arr ** 3 + arr
+                     for name, arr in zip(ds.schema.feature_names, ds.feature_arrays)}
             return dataset_from_arrays(feats, ds.labels)
 
         m = train(spec, train_ds, TrainingTarget.hard())
         m_t = train(spec, cubed(train_ds), TrainingTarget.hard())
         np.testing.assert_array_equal(m.predict(test_ds), m_t.predict(cubed(test_ds)))
+
+
+def _loss_and_gradients(params, x, w_pos, w_neg):
+    """A batch's mean weighted cross-entropy and its analytic gradients, in
+    evaluation mode so that finite differences can check them."""
+    probs, grads = _forward_backward(params, x, w_pos, w_neg, training=False)
+    return weighted_log_loss(probs, w_pos, w_neg), grads
 
 
 class TestMLP:
@@ -307,7 +314,7 @@ class TestMLP:
         w_neg = 1.0 - w_pos
         params = _init_params(rng, [3, 4, 1], batch_norm=False)
 
-        loss0, grads = loss_and_gradients(params, x, w_pos, w_neg, training=False)
+        loss0, grads = _loss_and_gradients(params, x, w_pos, w_neg)
         h = 1e-6
         for li, layer in enumerate(params["layers"]):
             for key in ("W", "b"):
@@ -316,9 +323,9 @@ class TestMLP:
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + h
-                    up = loss_and_gradients(params, x, w_pos, w_neg, training=False)[0]
+                    up = _loss_and_gradients(params, x, w_pos, w_neg)[0]
                     flat[idx] = orig - h
-                    down = loss_and_gradients(params, x, w_pos, w_neg, training=False)[0]
+                    down = _loss_and_gradients(params, x, w_pos, w_neg)[0]
                     flat[idx] = orig
                     fd = (up - down) / (2 * h)
                     assert grad_flat[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
@@ -334,7 +341,7 @@ class TestMLP:
         params["running"][0]["mean"] = rng.standard_normal(4) * 0.1
         params["running"][0]["var"] = 1.0 + rng.random(4)
 
-        _, grads = loss_and_gradients(params, x, w_pos, w_neg, training=False)
+        _, grads = _loss_and_gradients(params, x, w_pos, w_neg)
         h = 1e-6
         for li, layer in enumerate(params["layers"]):
             for key in layer:
@@ -343,11 +350,9 @@ class TestMLP:
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + h
-                    up = loss_and_gradients(params, x, w_pos, w_neg,
-                                            training=False)[0]
+                    up = _loss_and_gradients(params, x, w_pos, w_neg)[0]
                     flat[idx] = orig - h
-                    down = loss_and_gradients(params, x, w_pos, w_neg,
-                                              training=False)[0]
+                    down = _loss_and_gradients(params, x, w_pos, w_neg)[0]
                     flat[idx] = orig
                     fd = (up - down) / (2 * h)
                     assert grad_flat[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
@@ -483,6 +488,13 @@ class TestMalformedGBDTDocument:
         with pytest.raises(SerializationError, match="finite"):
             deserialize_model(bad)
 
+    @pytest.mark.parametrize("seed", [2.7, True, "5", -0.5])
+    def test_spec_seed_not_an_integer(self, doc, seed):
+        bad = json.loads(json.dumps(doc))
+        bad["spec"]["seed"] = seed
+        with pytest.raises(SerializationError, match="learner seed must be an integer"):
+            deserialize_model(bad)
+
     def test_spec_of_another_kind(self, doc):
         mlp_doc = {**doc, "spec": mlp_spec().to_json_dict()}
         with pytest.raises(SerializationError, match="gbdt model document holds a mlp spec"):
@@ -548,6 +560,21 @@ class TestMalformedMLPDocument:
         bad = json.loads(json.dumps(doc))
         change(bad)
         with pytest.raises(SerializationError):
+            deserialize_model(bad)
+
+    @pytest.mark.parametrize("name, value", [("epochs_run", 2.9), ("best_epoch", -7),
+                                             ("epochs_run", True), ("best_epoch", "1")])
+    def test_epoch_counts_must_be_integers(self, doc, name, value):
+        bad = json.loads(json.dumps(doc))
+        bad[name] = value
+        with pytest.raises(SerializationError, match=f"{name} must be an integer >= 0"):
+            deserialize_model(bad)
+
+    @pytest.mark.parametrize("value", [[["1.0"]], [[True]], [[None]]])
+    def test_parameter_that_is_not_a_number(self, doc, value):
+        bad = json.loads(json.dumps(doc))
+        bad["layers"][2]["W"] = value * len(bad["layers"][2]["W"])
+        with pytest.raises(SerializationError, match="non-numeric"):
             deserialize_model(bad)
 
     def test_non_finite_parameter(self, doc):

@@ -151,9 +151,10 @@ class TestFullPipeline:
         _, _, test_idx = split_indices(300, spec)
 
         swapped_feats = {}
-        for name in base.schema.feature_names:
-            col = base.column_values(name).copy()
-            col[test_idx] = fresh.column_values(name)[test_idx]
+        for name, base_col, fresh_col in zip(base.schema.feature_names,
+                                             base.feature_arrays, fresh.feature_arrays):
+            col = base_col.copy()
+            col[test_idx] = fresh_col[test_idx]
             swapped_feats[name] = col
         labels = base.labels.copy()
         labels[test_idx] = fresh.labels[test_idx]
@@ -583,6 +584,23 @@ class TestMalformedConfig:
          "pipeline config 'final_distill' has unknown keys ['treshold']"),
         (_put(1, "final_distill", "learner", "sead"),
          "pipeline config 'final_distill.learner' has unknown keys ['sead']"),
+        # a string or bool where a number or a flag belongs; explicit ids keep
+        # the generated ids above unchanged
+        pytest.param(_put({"include_original": "no"}, "families", "a", "distill"),
+                     "pipeline config 'families.a.distill': include_original must be "
+                     "true or false", id="include_original-str"),
+        pytest.param(_put({"beta": True}, "families", "a", "distill"),
+                     "pipeline config 'families.a.distill': beta must lie in [0, 1]",
+                     id="distill-beta-bool"),
+        pytest.param(_put(True, "final_distill", "beta"),
+                     "pipeline config 'final_distill.beta': beta must lie in [0, 1]",
+                     id="final_distill-beta-bool"),
+        pytest.param(_put("0.5", "split", "train_fraction"),
+                     "pipeline config 'split.train_fraction': train_fraction must lie in "
+                     "(0, 1)", id="train_fraction-str"),
+        pytest.param(_put({"mutation_factor": True}, "ensemble_opt"),
+                     "pipeline config 'ensemble_opt': mutation factor must lie in (0, 2]",
+                     id="mutation_factor-bool"),
     ])
     def test_cli_names_the_bad_entry(self, tmp_path, capsys, edit, named):
         doc = _minimal_config(tmp_path)
@@ -672,6 +690,10 @@ class TestMalformedConfig:
         lambda: DistillConfig(generations=2.0),
         lambda: DistillConfig(generations=0),
         lambda: DistillConfig(seed=-3),
+        lambda: DEConfig(crossover_rate="0.5"),
+        lambda: SplitSpec("0.5", 0.2, 0),
+        lambda: DistillConfig(denoise_threshold="0.5"),
+        lambda: DistillConfig(include_original="no"),
     ])
     def test_integer_fields_are_checked_when_built(self, make):
         with pytest.raises(DataError):

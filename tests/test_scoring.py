@@ -26,8 +26,8 @@ from tabdistill.learners.mlp import (
     EarlyStopTracker,
     _copy_params,
     _forward,
+    _forward_backward,
     _init_params,
-    loss_and_gradients,
 )
 from tabdistill.metrics import roc_auc
 from tabdistill.tabular import MAX_ONE_HOT, Dataset, FeatureEncoder, ingest_csv
@@ -277,7 +277,7 @@ def _reference_train_mlp(spec, ds, target, valid):
         order = rng.permutation(len(x))
         for start in range(0, len(x), bs):
             batch = order[start:start + bs]
-            _, grads = loss_and_gradients(params, x[batch], w_pos[batch], w_neg[batch])
+            _, grads = _forward_backward(params, x[batch], w_pos[batch], w_neg[batch])
             for layer, vel, grad in zip(params["layers"], velocity, grads):
                 for key in layer:
                     vel[key] = mu * vel[key] - lr * grad[key].reshape(layer[key].shape)

@@ -43,7 +43,7 @@ class TestIngest:
         col = ds.schema.column("c")
         assert col.kind == "categorical"
         assert col.categories == ("a", "b")
-        np.testing.assert_array_equal(ds.column_values("c"), [0, 1, 0])
+        np.testing.assert_array_equal(ds.feature_arrays[0], [0, 1, 0])
 
     def test_bool_and_int_inference(self, tmp_path):
         p = _write(tmp_path, "a.csv", "b,i,label\ntrue,3,0\nfalse,-2,1\ntrue,7,0\n")
@@ -126,24 +126,24 @@ class TestTransforms:
         out = apply_transform(ds, "standardize", fit_rows=np.arange(ds.n_rows))
         # population std of {1,2,3} is sqrt(2/3)
         expected = (np.array([1.0, 2.0, 3.0]) - 2.0) / np.sqrt(2.0 / 3.0)
-        np.testing.assert_allclose(out.column_values("a"), expected, atol=1e-6)
-        np.testing.assert_allclose(out.column_values("a"),
+        np.testing.assert_allclose(out.feature_arrays[0], expected, atol=1e-6)
+        np.testing.assert_allclose(out.feature_arrays[0],
                                    [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_standardize_constant_column_guard(self):
         ds = dataset_from_arrays({"a": [4.0, 4.0, 4.0]}, [0, 1, 0])
         out = apply_transform(ds, "standardize", fit_rows=np.arange(ds.n_rows))
-        np.testing.assert_array_equal(out.column_values("a"), [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out.feature_arrays[0], [0.0, 0.0, 0.0])
 
     def test_quantile_midrank(self):
         ds = dataset_from_arrays({"a": [10.0, 20.0, 30.0]}, [0, 1, 0])
         out = apply_transform(ds, "quantile", fit_rows=np.arange(ds.n_rows))
-        np.testing.assert_allclose(out.column_values("a"), [0.25, 0.5, 0.75])
+        np.testing.assert_allclose(out.feature_arrays[0], [0.25, 0.5, 0.75])
 
     def test_quantile_ties_share_midrank(self):
         ds = dataset_from_arrays({"a": [1.0, 1.0, 2.0, 3.0]}, [0, 1, 0, 1])
         out = apply_transform(ds, "quantile", fit_rows=np.arange(ds.n_rows))
-        vals = out.column_values("a")
+        vals = out.feature_arrays[0]
         assert vals[0] == vals[1]
         np.testing.assert_allclose(vals, [1.5 / 5, 1.5 / 5, 3 / 5, 4 / 5])
 
@@ -151,14 +151,14 @@ class TestTransforms:
         ds = dataset_from_arrays({"a": [0.0, 1.0, 100.0]}, [0, 1, 0])
         out = apply_transform(ds, "standardize", fit_rows=[0, 1])
         # mean 0.5, std 0.5 from the two fit rows
-        np.testing.assert_allclose(out.column_values("a"), [-1.0, 1.0, 199.0])
+        np.testing.assert_allclose(out.feature_arrays[0], [-1.0, 1.0, 199.0])
 
     def test_fit_rows_are_positions_not_row_ids(self):
         base = dataset_from_arrays({"a": [0.0, 1.0, 2.0, 3.0, 40.0]}, [0, 1, 0, 1, 0])
         ds = base.take(np.array([4, 2, 0, 3, 1]))  # ids 4, 2, 0, 3, 1 at positions 0..4
         out = apply_transform(ds, "standardize", fit_rows=[1, 2])
         # positions 1 and 2 hold 2.0 and 0.0: mean 1, std 1
-        np.testing.assert_array_equal(out.column_values("a"), [39.0, 1.0, -1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(out.feature_arrays[0], [39.0, 1.0, -1.0, 2.0, 0.0])
         np.testing.assert_array_equal(out.row_ids, ds.row_ids)
 
     def test_standardize_preserves_order(self):
@@ -166,7 +166,7 @@ class TestTransforms:
         vals = rng.standard_normal(60)
         ds = dataset_from_arrays({"a": vals}, rng.integers(0, 2, 60))
         out = apply_transform(ds, "standardize", fit_rows=np.arange(ds.n_rows))
-        assert (np.argsort(out.column_values("a")) == np.argsort(vals)).all()
+        assert (np.argsort(out.feature_arrays[0]) == np.argsort(vals)).all()
 
     def test_empty_fit_rows(self):
         ds = dataset_from_arrays({"a": [1.0, 2.0]}, [0, 1])
@@ -186,7 +186,7 @@ class TestTransforms:
         ds = dataset_from_arrays({"b": np.array([True, False, True]),
                                   "x": [1.0, 2.0, 3.0]}, [0, 1, 0])
         out = apply_transform(ds, "quantile", fit_rows=np.arange(ds.n_rows))
-        np.testing.assert_array_equal(out.column_values("b"), [True, False, True])
+        np.testing.assert_array_equal(out.feature_arrays[0], [True, False, True])
         assert out.schema.column("b").kind == "bool"
 
 

@@ -80,6 +80,11 @@ PIPELINES = {
     "batch_norm": ("mixed.csv", {"a": {"learner": MLP_BN, "distill": DISTILL},
                                  "b": {"learner": GBDT, "distill": DISTILL}},
                    None, MLP_BN),
+    # integers where the others hold floats: the distill beta here, and the
+    # final beta and the DE mutation factor in the loop below. The echo keeps
+    # the first two as given and the final beta as 1.0, and the run id with it
+    "integer_numbers": ("numeric.csv", {"a": {"learner": GBDT, "distill": {
+        "generations": 2, "beta": 1}}}, None, GBDT),
 }
 ENSEMBLE_OPT = {"max_iterations": 8, "prune_epsilon": 0.05}
 # the pipeline whose ensemble deploy-distill and ensemble-opt start from
@@ -103,11 +108,14 @@ def write_outputs() -> None:
                       "mixed_valid.csv")
     run_ids = {}
     for name, (data, families, transform, final) in PIPELINES.items():
-        for suffix, de in (("", None), ("+de", ENSEMBLE_OPT)):
+        integers = name == "integer_numbers"
+        de_opt = {**ENSEMBLE_OPT, "mutation_factor": 1} if integers else ENSEMBLE_OPT
+        for suffix, de in (("", None), ("+de", de_opt)):
             doc = {"data": {"path": data, "label_column": "label"},
                    "preprocess": {"transform": transform},
                    "families": families, "ensemble_opt": de,
-                   "final_distill": {"learner": final, "beta": 0.7, "threshold": 0.99},
+                   "final_distill": {"learner": final, "beta": 1 if integers else 0.7,
+                                     "threshold": 0.99},
                    "output_dir": "out", "seed": 7}
             config = f"{name}{suffix}.json"
             Path(config).write_text(json.dumps(doc, indent=2))
