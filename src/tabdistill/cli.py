@@ -12,22 +12,29 @@ import sys
 from pathlib import Path
 
 from tabdistill import __version__
-from tabdistill.distill import DistillConfig, run_generations, write_ledger_csv
+from tabdistill.distill import (
+    TARGET_MODES,
+    TEACHER_MODES,
+    DistillConfig,
+    run_generations,
+    write_ledger_csv,
+)
 from tabdistill.ensemble import (
     DEConfig,
     load_ensemble,
     optimize_weights_detailed,
     save_ensemble,
 )
-from tabdistill.errors import (
-    DataError,
-    SchemaMismatchError,
-    SerializationError,
-    TrainingError,
-    VerificationError,
-)
+from tabdistill.errors import DataError, TabDistillError, TrainingError, VerificationError
 from tabdistill.kdcore import run_verification
-from tabdistill.learners import LearnerSpec, TrainingTarget, load_model, save_model, train
+from tabdistill.learners import (
+    LEARNER_KINDS,
+    LearnerSpec,
+    TrainingTarget,
+    load_model,
+    save_model,
+    train,
+)
 from tabdistill.metrics import evaluate
 from tabdistill.pipeline import (
     StageError,
@@ -58,7 +65,8 @@ def _cmd_ingest(args) -> int:
     schema = ds.schema.to_json_dict()
     print(json.dumps({**schema, "rows": ds.n_rows}, indent=2, sort_keys=True))
     if args.schema_out:
-        Path(args.schema_out).write_text(json.dumps(schema, indent=2, sort_keys=True))
+        Path(args.schema_out).write_text(json.dumps(schema, indent=2, sort_keys=True),
+                                         encoding="utf-8")
     return EXIT_OK
 
 
@@ -126,7 +134,8 @@ def _cmd_verify(args) -> int:
     report = run_verification(seed=args.seed, fast=args.fast)
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True))
+        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True),
+                                  encoding="utf-8")
     if not report["passed"]:
         raise VerificationError("verification suite reported failures")
     return EXIT_OK
@@ -148,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_learner_flags(p):
-        p.add_argument("--kind", choices=("gbdt", "mlp"), default="gbdt")
+        p.add_argument("--kind", choices=LEARNER_KINDS, default="gbdt")
         p.add_argument("--params", help="hyperparameters as a JSON object")
         p.add_argument("--seed", type=int, default=0)
 
@@ -169,15 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--generations", type=int, default=5)
-    p.add_argument("--beta", type=float, default=0.7)
-    p.add_argument("--threshold", type=float, default=0.99)
-    p.add_argument("--teacher-mode", choices=("from_last", "from_ensemble"),
-                   default="from_last")
-    p.add_argument("--target-mode", choices=("row_weighted", "label_sampled"),
-                   default="row_weighted")
-    p.add_argument("--train-fraction", type=float, default=0.6)
-    p.add_argument("--valid-fraction", type=float, default=0.2)
+    p.add_argument("--generations", type=int, default=DistillConfig.generations)
+    p.add_argument("--beta", type=float, default=DistillConfig.beta)
+    p.add_argument("--threshold", type=float, default=DistillConfig.denoise_threshold)
+    p.add_argument("--teacher-mode", choices=TEACHER_MODES, default=DistillConfig.teacher_mode)
+    p.add_argument("--target-mode", choices=TARGET_MODES, default=DistillConfig.target_mode)
+    p.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
+    p.add_argument("--valid-fraction", type=float, default=SplitSpec.valid_fraction)
     add_learner_flags(p)
     p.set_defaults(func=_cmd_distill)
 
@@ -195,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--beta", type=float, default=0.7)
-    p.add_argument("--threshold", type=float, default=0.99)
+    p.add_argument("--beta", type=float, default=DistillConfig.beta)
+    p.add_argument("--threshold", type=float, default=DistillConfig.denoise_threshold)
     add_learner_flags(p)
     p.set_defaults(func=_cmd_deploy_distill)
 
@@ -230,18 +237,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except StageError as exc:
+    except (TabDistillError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING if isinstance(exc.cause, TrainingError) else EXIT_DATA
-    except (DataError, SchemaMismatchError, SerializationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        if isinstance(cause, TrainingError):
+            return EXIT_TRAINING
+        return EXIT_VERIFICATION if isinstance(cause, VerificationError) else EXIT_DATA
 
 
 if __name__ == "__main__":

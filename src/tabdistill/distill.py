@@ -30,16 +30,16 @@ from tabdistill.learners import LearnerSpec, TrainingTarget, train
 from tabdistill.metrics import roc_auc
 from tabdistill.tabular import Dataset
 
-DEFAULT_BETA = 0.7
-DEFAULT_DENOISE_THRESHOLD = 0.99
-DEFAULT_GENERATIONS = 5
+# where a generation's teacher scores come from, and how they become targets
+TEACHER_MODES = ("from_last", "from_ensemble")
+TARGET_MODES = ("row_weighted", "label_sampled")
 
 
 @dataclass(frozen=True)
 class DistillConfig:
-    beta: float = DEFAULT_BETA
-    denoise_threshold: float = DEFAULT_DENOISE_THRESHOLD
-    generations: int = DEFAULT_GENERATIONS
+    beta: float = 0.7
+    denoise_threshold: float = 0.99
+    generations: int = 5
     teacher_mode: str = "from_last"
     target_mode: str = "row_weighted"
     include_original: bool = False
@@ -51,8 +51,8 @@ class DistillConfig:
         # stored as int, so a config built from numpy integers serializes
         for name, low in (("generations", 1), ("seed", 0)):
             object.__setattr__(self, name, require_integer(getattr(self, name), name, low))
-        require_choice(self.teacher_mode, "teacher_mode", ("from_last", "from_ensemble"))
-        require_choice(self.target_mode, "target_mode", ("row_weighted", "label_sampled"))
+        require_choice(self.teacher_mode, "teacher_mode", TEACHER_MODES)
+        require_choice(self.target_mode, "target_mode", TARGET_MODES)
         require_flag(self.include_original, "include_original")
 
 

@@ -230,7 +230,7 @@ def combine_families(families: Sequence[Sequence], valid: Dataset,
 
 def save_ensemble(ens: EnsembleModel, member_files: Sequence[str], path: str | Path) -> None:
     Path(path).write_text(json.dumps(ens.to_json_dict(member_files), indent=2,
-                                     sort_keys=True))
+                                     sort_keys=True), encoding="utf-8")
 
 
 def load_ensemble(path: str | Path) -> EnsembleModel:
@@ -239,7 +239,7 @@ def load_ensemble(path: str | Path) -> EnsembleModel:
     document that is not a well-formed ensemble raises SerializationError."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise SerializationError(f"{path}: unreadable ensemble document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != ENSEMBLE_FORMAT:

@@ -25,6 +25,7 @@ from tabdistill.errors import (
 from tabdistill.tabular import Dataset, FeatureEncoder
 
 MODEL_FORMAT = "tabdistill.model/v1"
+LEARNER_KINDS = ("gbdt", "mlp")
 
 GBDT_DEFAULTS = {
     "rounds": 100,
@@ -58,7 +59,7 @@ class LearnerSpec:
 
     def __post_init__(self):
         """Every malformed kind, hyperparameter or seed raises DataError."""
-        require_choice(self.kind, "learner kind", ("gbdt", "mlp"))
+        require_choice(self.kind, "learner kind", LEARNER_KINDS)
         if not isinstance(self.params, dict):
             raise DataError(f"hyperparameters must be a JSON object, got {self.params!r}")
         object.__setattr__(self, "seed", require_integer(self.seed, "learner seed"))
@@ -228,7 +229,7 @@ def deserialize_model(doc: dict):
     kind = doc.get("kind")
     try:
         require_choice(doc.get("format"), "model document version", (MODEL_FORMAT,))
-        require_choice(kind, "model kind", ("gbdt", "mlp"))
+        require_choice(kind, "model kind", LEARNER_KINDS)
         spec = LearnerSpec.from_json_dict(doc["spec"])
         if spec.kind != kind:
             raise SerializationError(f"{kind} model document holds a {spec.kind} spec")
@@ -242,12 +243,12 @@ def deserialize_model(doc: dict):
 
 
 def save_model(model, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(serialize_model(model), sort_keys=True))
+    Path(path).write_text(json.dumps(serialize_model(model), sort_keys=True), encoding="utf-8")
 
 
 def load_model(path: str | Path):
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise SerializationError(f"{path}: unreadable model document: {exc}") from exc
     return deserialize_model(doc)

@@ -93,8 +93,7 @@ def _forward(params: dict, x: np.ndarray, training: bool) -> tuple[np.ndarray, l
                 var = running[i]["var"]
             inv_std = 1.0 / np.sqrt(var + _BN_EPS)
             z_hat = (z - mean) * inv_std
-            cache.update({"z_hat": z_hat, "inv_std": inv_std, "mean": mean,
-                          "batch_stats": training})
+            cache.update({"z_hat": z_hat, "inv_std": inv_std, "mean": mean})
             z = layer["gamma"] * z_hat + layer["beta"]
             cache["z_bn"] = z
         a = np.maximum(z, 0.0)
@@ -105,10 +104,10 @@ def _forward(params: dict, x: np.ndarray, training: bool) -> tuple[np.ndarray, l
     return _sigmoid(logit), caches
 
 
-def _forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray,
-                      w_neg: np.ndarray, training: bool = True):
-    """A batch's probabilities and its mean weighted cross-entropy gradients."""
-    probs, caches = _forward(params, x, training)
+def _forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray):
+    """A training batch's probabilities and mean weighted cross-entropy
+    gradients, taken through the batch's own normalization statistics."""
+    probs, caches = _forward(params, x, training=True)
     n = len(x)
     layers = params["layers"]
     grads = [dict() for _ in layers]
@@ -126,23 +125,17 @@ def _forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray,
         pre_relu = cache["z_bn"] if "z_bn" in cache else cache["z"]
         dz = da * (pre_relu > 0)
         if "gamma" in layer:
-            m = len(x)
             z_hat = cache["z_hat"]
             inv_std = cache["inv_std"]
             grads[i]["gamma"] = (dz * z_hat).sum(axis=0)
             grads[i]["beta"] = dz.sum(axis=0)
             dz_hat = dz * layer["gamma"]
-            if cache["batch_stats"]:
-                # mean and var were computed from this batch, so they carry
-                # gradient; with running statistics they are constants
-                dvar = (dz_hat * (cache["z"] - cache["mean"])).sum(axis=0) \
-                    * (-0.5) * inv_std ** 3
-                dmean = (-dz_hat * inv_std).sum(axis=0) + dvar * (-2.0 / m) * (
-                    cache["z"] - cache["mean"]).sum(axis=0)
-                dz = (dz_hat * inv_std + dvar * 2.0 * (cache["z"] - cache["mean"]) / m
-                      + dmean / m)
-            else:
-                dz = dz_hat * inv_std
+            dvar = (dz_hat * (cache["z"] - cache["mean"])).sum(axis=0) \
+                * (-0.5) * inv_std ** 3
+            dmean = (-dz_hat * inv_std).sum(axis=0) + dvar * (-2.0 / n) * (
+                cache["z"] - cache["mean"]).sum(axis=0)
+            dz = (dz_hat * inv_std + dvar * 2.0 * (cache["z"] - cache["mean"]) / n
+                  + dmean / n)
         grads[i]["W"] = cache["a_in"].T @ dz
         grads[i]["b"] = dz.sum(axis=0)
         if i > 0:

@@ -184,8 +184,9 @@ class PipelineConfig:
                              keys=("train_fraction", "valid_fraction", "seed"))
         # each fraction is a float only once its rule has accepted it
         split = SplitSpec(*(
-            float(_value(split_doc, f"split.{name}", default, require_number, name, 0, 1, "()"))
-            for name, default in (("train_fraction", 0.6), ("valid_fraction", 0.2))),
+            float(_value(split_doc, f"split.{name}", getattr(SplitSpec, name),
+                         require_number, name, 0, 1, "()"))
+            for name in ("train_fraction", "valid_fraction")),
             seed=_value(split_doc, "split.seed", seed, require_integer, "seed"))
         pre = _section(doc, "preprocess", {}, keys=("remove_constant_columns", "transform"))
         transform = _value(pre, "preprocess.transform", None, require_choice, "transform",
@@ -223,9 +224,10 @@ class PipelineConfig:
             families=tuple(families),
             ensemble_opt=de_cfg,
             final_learner=final_learner,
-            final_beta=float(_value(final, "final_distill.beta", 0.7,
+            final_beta=float(_value(final, "final_distill.beta", DistillConfig.beta,
                                     require_number, "beta", 0, 1)),
-            final_threshold=float(_value(final, "final_distill.threshold", 0.99,
+            final_threshold=float(_value(final, "final_distill.threshold",
+                                         DistillConfig.denoise_threshold,
                                          require_number, "denoise threshold", 0, 1, "(]")),
             output_dir=_value(doc, "output_dir", "out", _text, "output_dir"),
             seed=seed,
@@ -261,12 +263,10 @@ class PipelineConfig:
 def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineConfig:
     """Read a config file; ``overrides`` replace its top-level entries."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {path} is not valid JSON: {exc}") from None
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise DataError(f"config file {path} is unreadable or not valid JSON: {exc}") from None
     if overrides and isinstance(doc, dict):
         doc = {**doc, **overrides}
     return PipelineConfig.from_json_dict(doc, base_dir=path.parent)
@@ -274,7 +274,7 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineC
 
 def _atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -299,7 +299,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     ``output_dir/<run-id>/``. Returns the run report as a dict."""
     run_dir = Path(cfg.output_dir) / cfg.run_id()
     models_dir = run_dir / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
 
     stage = "ingest"
     try:
@@ -316,6 +315,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         train_ds = ds.take(train_idx)
         valid_ds = ds.take(valid_idx)
         test_ds = ds.take(test_idx)
+        # made only now, so a run that fails on its data leaves no directory
+        models_dir.mkdir(parents=True, exist_ok=True)
 
         families: dict[str, dict] = {}
         member_groups = []  # one list of members per tag, empty for an absent family
@@ -370,8 +371,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                            json.dumps(report, indent=2, sort_keys=True))
         return report
     except TabDistillError as exc:
-        if isinstance(exc, StageError):
-            raise
         raise StageError(stage, exc) from exc
 
 

@@ -10,7 +10,6 @@ and splitting so dropped rows stay traceable.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -42,7 +41,6 @@ _BOOL_TOKENS = {"true": True, "false": False, "True": True, "False": False,
 # label cells after stripping: 0/1 or a bool token
 _LABEL_TOKENS = {"0": 0, "1": 1, **{k: int(v) for k, v in _BOOL_TOKENS.items()}}
 
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _DTYPES = {"bool": bool, "int": np.int64, "float": np.float64}
 
 
@@ -123,9 +121,9 @@ class Schema:
 class SplitSpec:
     """Train/valid fractions; the remainder is the test split."""
 
-    train_fraction: float
-    valid_fraction: float
-    seed: int
+    train_fraction: float = 0.6
+    valid_fraction: float = 0.2
+    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "seed", require_integer(self.seed, "split seed"))
@@ -184,8 +182,8 @@ class Dataset:
 
 
 def _parse_column(kind: str, values: Sequence[str]) -> list:
-    """Every cell of a column parsed as ``kind`` with the same rules as the
-    per-cell parsers below; KeyError or ValueError when any cell does not."""
+    """Every cell of a column parsed as ``kind``; KeyError or ValueError when
+    any cell does not parse."""
     if kind == "bool":
         return list(map(_BOOL_TOKENS.__getitem__, values))
     return list(map(int if kind == "int" else float, map(str.strip, values)))
@@ -202,47 +200,27 @@ def _infer_column(values: Sequence[str]) -> tuple[str, Optional[list]]:
     return "categorical", None
 
 
-def _cell_problem(kind: str, raw: str) -> Optional[str]:
-    """Why ``raw`` is not a valid cell of a ``kind`` column, or None."""
-    if kind == "bool":
-        return None if raw in _BOOL_TOKENS else f"{raw!r} is not a boolean"
-    if kind == "int":
-        v = _parse_number(int, raw)
-        if v is None:
-            return f"{raw!r} is not an integer"
-        return None if _INT64_MIN <= v <= _INT64_MAX else f"{raw!r} is outside the int64 range"
-    v = _parse_number(float, raw)
-    if v is None:
-        return f"{raw!r} is not a number"
-    return f"{raw!r} parses as NaN, a missing value" if math.isnan(v) else None
-
-
 def _bad_cell(path: Path, name: str, kind: str, values: Sequence[str]) -> DataError:
-    """The error for the first cell of a column that ``kind`` rejects."""
-    row, problem = next((i, p) for i, v in enumerate(values, 1)
-                        if (p := _cell_problem(kind, v)) is not None)
-    return DataError(f"{path}: row {row}, column {name!r}: {problem}")
-
-
-def _parse_number(convert, s: str):
-    """``convert`` (int or float) of the stripped cell; None when it raises,
-    as it does for a blank cell."""
-    try:
-        return convert(s.strip())
-    except ValueError:
-        return None
-
-
-def _parse_label(raw: str, row: int, column: str) -> int:
-    v = _LABEL_TOKENS.get(raw.strip())
-    if v is None:
-        raise DataError(f"row {row}, column {column!r}: label {raw!r} is not 0/1")
-    return v
+    """The error for the first cell of a column that ``kind`` rejects: the
+    column's own parser and cast, run on one cell at a time."""
+    for row, raw in enumerate(values, 1):
+        try:
+            value = np.array(_parse_column(kind, [raw]), dtype=_DTYPES[kind])[0]
+        except (KeyError, ValueError):
+            problem = {"bool": "is not a boolean", "int": "is not an integer",
+                       "float": "is not a number"}[kind]
+        except OverflowError:
+            problem = "is outside the int64 range"
+        else:
+            if not (kind == "float" and np.isnan(value)):
+                continue
+            problem = "parses as NaN, a missing value"
+        return DataError(f"{path}: row {row}, column {name!r}: {raw!r} {problem}")
 
 
 def ingest_csv(path: str | Path, label_column: str,
                schema_hint: Optional[Schema] = None) -> Dataset:
-    """Read an RFC-4180-style CSV (header mandatory) into a Dataset.
+    """Read an RFC-4180-style UTF-8 CSV (header mandatory) into a Dataset.
 
     Without ``schema_hint`` each feature column gets the first kind, tried
     in this order, whose parser accepts every cell:
@@ -255,21 +233,24 @@ def ingest_csv(path: str | Path, label_column: str,
     4. categorical otherwise, with values interned to dense integer codes
        in order of first appearance.
 
-    Labels are 0/1 or a bool token. Every error is a DataError; a bad cell
-    is reported with its row and column. Besides cells a hinted kind
-    rejects and labels that are not 0/1, these are errors: an integer
-    outside the int64 range, a float cell that parses as NaN, and a blank
-    cell in a column whose other cells all parse as bool, int or float (a
-    column of blank cells only stays categorical).
+    Labels are 0/1 or a bool token. Every error is a DataError; a file that
+    cannot be read (not UTF-8, a field past the csv module's limit) is
+    reported with its path, a bad cell with its row and column. Besides
+    cells a hinted kind rejects and labels that are not 0/1, these are
+    errors: an integer outside the int64 range, a float cell that parses as
+    NaN, and a blank cell in a column whose other cells all parse as bool,
+    int or float (a column of blank cells only stays categorical).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (ValueError, csv.Error) as exc:  # also not UTF-8, or a NUL byte in the path
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
 
     if label_column not in header:
         raise DataError(f"{path}: label column {label_column!r} not found "
@@ -299,8 +280,9 @@ def ingest_csv(path: str | Path, label_column: str,
         labels = np.array(list(map(_LABEL_TOKENS.__getitem__, map(str.strip, raw_labels))),
                           dtype=np.int64)
     except KeyError:
-        labels = np.array([_parse_label(v, i + 1, label_column)
-                           for i, v in enumerate(raw_labels)], dtype=np.int64)
+        row, raw = next((i, v) for i, v in enumerate(raw_labels, 1)
+                        if v.strip() not in _LABEL_TOKENS)
+        raise DataError(f"row {row}, column {label_column!r}: label {raw!r} is not 0/1") from None
 
     columns: list[Column] = []
     arrays: list[np.ndarray] = []
@@ -549,8 +531,18 @@ class FeatureEncoder:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FeatureEncoder":
-        return cls(
-            column_names=tuple(doc["column_names"]),
-            column_kinds=tuple(doc["column_kinds"]),
-            kept_categories={k: tuple(v) for k, v in doc["kept_categories"].items()},
-        )
+        """The encoder from its document; names, kinds and category lists that
+        are not lists of strings or break the ``Column`` rules raise DataError."""
+        names, kinds, kept = doc["column_names"], doc["column_kinds"], doc["kept_categories"]
+        if not (_strings(names) and isinstance(kinds, list) and len(kinds) == len(names)
+                and isinstance(kept, dict) and set(kept) <= set(names)
+                and all(map(_strings, kept.values()))):
+            raise DataError("encoder must hold one name and kind per column and "
+                            "lists of category strings keyed by column name")
+        for name, kind in zip(names, kinds):
+            Column(name, kind, tuple(kept[name]) if name in kept else None)
+        return cls(tuple(names), tuple(kinds), {k: tuple(v) for k, v in kept.items()})
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)

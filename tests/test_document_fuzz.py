@@ -1,10 +1,12 @@
 """Mutated pipeline configs, model documents and ensemble documents either
-load or raise a TabDistillError; no other exception escapes.
+load or raise a TabDistillError; no other exception escapes. So do random
+CSV bytes through ``ingest_csv``.
 
-Each case starts from a well-formed document and applies one mutation at a
-drawn place in it: a value replaced by any JSON value, an entry dropped, or
-an unknown entry added. The runs are derandomized, so CI sees the same cases
-every time."""
+Each document case starts from a well-formed document and applies one
+mutation at a drawn place in it: a value replaced by any JSON value, an
+entry dropped, or an unknown entry added. A model whose mutated encoder
+loads must hold that encoder as written. The runs are derandomized, so CI
+sees the same cases every time."""
 
 import json
 import tempfile
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabdistill.ensemble import load_ensemble
-from tabdistill.errors import TabDistillError
+from tabdistill.errors import DataError, TabDistillError
 from tabdistill.learners import (
     TrainingTarget,
     deserialize_model,
@@ -25,6 +27,7 @@ from tabdistill.learners import (
     train,
 )
 from tabdistill.pipeline import PipelineConfig
+from tabdistill.tabular import COLUMN_KINDS, Dataset, ingest_csv
 
 from helpers import separable_dataset
 
@@ -130,6 +133,20 @@ def test_mutated_mlp_document_loads_or_is_tabdistill_error(data):
         pass
 
 
+@_FUZZ
+@given(data=st.data(), which=st.sampled_from([0, 1]))
+def test_mutated_encoder_loads_as_written_or_is_tabdistill_error(data, which):
+    doc = json.loads(_model_docs()[which])
+    doc["encoder"] = data.draw(_mutated(doc["encoder"]))
+    try:
+        encoder = deserialize_model(doc).encoder
+    except TabDistillError:
+        return
+    fields = ("column_names", "column_kinds", "kept_categories")
+    assert encoder.to_json_dict() == {key: doc["encoder"][key] for key in fields}
+    assert set(encoder.column_kinds) <= set(COLUMN_KINDS)
+
+
 def _load_ensemble(doc) -> None:
     """``load_ensemble`` of ``doc`` next to the two model documents."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -159,3 +176,38 @@ def test_mutated_ensemble_document_loads_or_is_tabdistill_error(data):
 def test_any_member_name_loads_or_is_tabdistill_error(name):
     # a directory, a missing file, a NUL byte or a document of another kind
     _load_ensemble({**_ENSEMBLE, "members": ["gbdt.json", name]})
+
+
+# CSV bytes biased toward what the reader and the column parsers act on:
+# separators, quotes, line ends, bool, int and float tokens, blank cells and
+# bytes that are not UTF-8
+_CELLS = st.sampled_from([
+    b"", b" ", b"true", b"FALSE", b"0", b" 1 ", b"-3", b"1_000", b"99999999999999999999",
+    b"2.5", b"-1e3", b"1e400", b"nan", b"inf", b"red", b'"a,b"', b'"', b'""', b"\xe9",
+    b"\x00"])
+_LABELS = st.sampled_from([b"0", b"1", b"True", b" 0 ", b"2", b""])
+
+
+@st.composite
+def _csv_bytes(draw) -> bytes:
+    """A header of one to three names ending in ``label``, then rows of
+    cells that mostly match its width."""
+    width = draw(st.integers(1, 3))
+    lines = [b",".join([b"a", b"b"][:width - 1] + [b"label"])]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = draw(st.sampled_from([width] * 6 + [width + 1, width - 1]))
+        lines.append(b",".join([*(draw(_CELLS) for _ in range(cells - 1)), draw(_LABELS)]))
+    return draw(st.sampled_from([b"\n", b"\r\n", b"\r"])).join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(content=_csv_bytes())
+def test_random_csv_bytes_ingest_or_are_data_error(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(content)
+        try:
+            ds = ingest_csv(path, "label")
+        except DataError:
+            return
+    assert isinstance(ds, Dataset)

@@ -300,9 +300,9 @@ class TestGBDTInvariances:
 
 
 def _loss_and_gradients(params, x, w_pos, w_neg):
-    """A batch's mean weighted cross-entropy and its analytic gradients, in
-    evaluation mode so that finite differences can check them."""
-    probs, grads = _forward_backward(params, x, w_pos, w_neg, training=False)
+    """A batch's mean weighted cross-entropy and its analytic gradients, as
+    training computes them."""
+    probs, grads = _forward_backward(params, x, w_pos, w_neg)
     return weighted_log_loss(probs, w_pos, w_neg), grads
 
 
@@ -331,15 +331,13 @@ class TestMLP:
                     assert grad_flat[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
     def test_batch_norm_gradient_matches_finite_differences(self):
-        # eval mode: the normalization statistics are constants, so the
-        # analytic gradients must match finite differences exactly
+        # training mode: the normalization statistics are the batch's own,
+        # so the analytic gradients carry their derivatives too
         rng = np.random.default_rng(23)
         x = rng.standard_normal((10, 3))
         w_pos = rng.random(10)
         w_neg = 1.0 - w_pos
         params = _init_params(rng, [3, 4, 1], batch_norm=True)
-        params["running"][0]["mean"] = rng.standard_normal(4) * 0.1
-        params["running"][0]["var"] = 1.0 + rng.random(4)
 
         _, grads = _loss_and_gradients(params, x, w_pos, w_neg)
         h = 1e-6
@@ -555,6 +553,8 @@ class TestMalformedMLPDocument:
         lambda d: d["layers"][2].update(gamma=[1.0]),
         lambda d: d.update(running=None),
         lambda d: d["running"].pop(),
+        lambda d: d["encoder"].update(column_names="f1"),
+        lambda d: d["encoder"]["column_kinds"].__setitem__(0, "x"),
     ])
     def test_layers_disagree_with_spec(self, doc, change):
         bad = json.loads(json.dumps(doc))

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tabdistill
 from tabdistill.cli import main as cli_main
 from tabdistill.distill import DistillConfig, distill_step
 from tabdistill.ensemble import DEConfig, EnsembleModel
@@ -511,6 +516,31 @@ class TestCli:
                          str(path), "--label", "label"]) == 2
         assert "shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "train", "evaluate", "pipeline"])
+    @pytest.mark.parametrize("name, content", [
+        pytest.param("latin1.csv", b"x,label\n0.5,0\ncaf\xe9,1\n", id="not-utf-8"),
+        pytest.param("long.csv", b"x,label\n" + b"a" * 200_000 + b",1\n", id="long-field"),
+        pytest.param("d\x00.csv", None, id="nul-in-path"),
+    ])
+    def test_unreadable_csv_exit_2(self, tmp_path, capsys, command, name, content):
+        # one line naming the file, and a pipeline leaves no run directory
+        if content is not None:
+            (tmp_path / name).write_bytes(content)
+        if command == "pipeline":
+            doc = _minimal_config(tmp_path, data_name=name)
+            argv = ["pipeline", "--config", str(_write_config(tmp_path, doc))]
+        else:
+            argv = [command, "--data", str(tmp_path / name), "--label", "label"]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "m.json")]
+        if command == "evaluate":
+            argv += ["--model", str(self._train_model(tmp_path, capsys)[1])]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{name}: unreadable CSV" in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "m.json").exists()
+
 
 def _drop(*path):
     def edit(doc):
@@ -649,6 +679,30 @@ class TestMalformedConfig:
         path.write_text('{"seed": 1,')
         assert cli_main(["pipeline", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seed": 1, "output_dir": "\xff"}')
+        assert cli_main(["pipeline", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_config_is_read_as_utf8_under_any_locale(self, tmp_path):
+        # the data file does not exist, so on every platform the run ends in
+        # exit 2 once the config is read; reading it with the C locale's
+        # ASCII codec would end in a traceback instead
+        doc = _minimal_config(tmp_path, data_name="d\u00e4t\u00e4.csv")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        src = str(Path(tabdistill.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "tabdistill.cli", "pipeline", "--config", str(path)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0", "LC_ALL": "C"},
+            capture_output=True, text=True, errors="replace")
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_overrides_replace_top_level_entries(self, tmp_path):
         doc = _minimal_config(tmp_path, seed=1)

@@ -277,3 +277,27 @@ class TestFeatureEncoder:
         ds = dataset_from_arrays({}, [0, 1, 0])
         with pytest.raises(DataError, match="no feature columns"):
             FeatureEncoder.fit(ds)
+
+    _DOC = {"column_names": ["n", "c"], "column_kinds": ["float", "categorical"],
+            "kept_categories": {"c": ["red", "blue"]}}
+
+    def test_document_round_trips(self):
+        enc = FeatureEncoder.from_json_dict(self._DOC)
+        assert enc.to_json_dict() == self._DOC and enc.width == 4
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("column_names", "nc", id="names-a-string"),
+        pytest.param("column_names", ["n", 3], id="name-not-a-string"),
+        pytest.param("column_kinds", ["float"], id="one-kind-short"),
+        pytest.param("column_kinds", "float", id="kinds-a-string"),
+        pytest.param("column_kinds", ["x", "categorical"], id="unknown-kind"),
+        pytest.param("column_kinds", ["float", "int"], id="categories-of-a-numeric-column"),
+        pytest.param("kept_categories", {}, id="categorical-without-categories"),
+        pytest.param("kept_categories", {"c": ["red"], "z": ["a"]}, id="unknown-column"),
+        pytest.param("kept_categories", {"c": "red"}, id="categories-a-string"),
+        pytest.param("kept_categories", {"c": [1]}, id="category-not-a-string"),
+        pytest.param("kept_categories", [["red"]], id="categories-a-list"),
+    ])
+    def test_malformed_document_is_data_error(self, key, value):
+        with pytest.raises(DataError):
+            FeatureEncoder.from_json_dict({**self._DOC, key: value})

@@ -5,7 +5,10 @@ The script writes seeded numeric and mixed-type CSVs with the generators in
 ``tests/helpers.py`` and runs ``tabdistill pipeline`` on a fixed set of
 configs, each with and without ``ensemble_opt``. It then runs
 ``tabdistill deploy-distill`` and ``tabdistill ensemble-opt`` on one of the
-ensembles, and ``ensemble-opt`` once more on its first member alone, and
+ensembles, and ``ensemble-opt`` once more on its first member alone;
+``tabdistill ingest --schema-out``, ``train`` and ``evaluate``;
+``tabdistill distill`` with its defaults and once more with the
+``from_ensemble`` teacher and ``label_sampled`` targets; and
 ``tabdistill verify --seed 0`` for the loss machinery, at the default
 Monte-Carlo budgets (200,000 resamples, about 2 s) and at ``--fast``'s.
 Every command's stdout is kept as a file too. The manifest, one
@@ -97,7 +100,7 @@ def _run(argv: list[str], stdout_file: str) -> dict:
         code = cli_main(argv)
     if code != 0:
         raise SystemExit(f"tabdistill {' '.join(argv)} exited with {code}")
-    return json.loads(Path(stdout_file).read_text())
+    return json.loads(Path(stdout_file).read_text(encoding="utf-8"))
 
 
 def write_outputs() -> None:
@@ -118,12 +121,12 @@ def write_outputs() -> None:
                                      "threshold": 0.99},
                    "output_dir": "out", "seed": 7}
             config = f"{name}{suffix}.json"
-            Path(config).write_text(json.dumps(doc, indent=2))
+            Path(config).write_text(json.dumps(doc, indent=2), encoding="utf-8")
             out = _run(["pipeline", "--config", config], f"{name}{suffix}.stdout")
             run_ids[name + suffix] = out["run_id"]
 
     run_dir = Path("out") / run_ids[CLI_SOURCE]
-    members = json.loads((run_dir / "ensemble.json").read_text())["members"]
+    members = json.loads((run_dir / "ensemble.json").read_text(encoding="utf-8"))["members"]
     _run(["deploy-distill", "--ensemble", str(run_dir / "ensemble.json"),
           "--data", "mixed.csv", "--label", "label", "--out", "deploy.json",
           "--params", json.dumps(GBDT["params"]), "--seed", "3"], "deploy.stdout")
@@ -133,6 +136,16 @@ def write_outputs() -> None:
     _run(["ensemble-opt", "--models", str(run_dir / members[0]),
           "--valid", "mixed_valid.csv", "--label", "label",
           "--out", "ensemble_opt_one.json", "--seed", "4"], "ensemble_opt_one.stdout")
+    _run(["ingest", "--data", "mixed.csv", "--label", "label", "--schema-out", "schema.json"],
+         "ingest.stdout")
+    _run(["train", "--data", "mixed.csv", "--label", "label", "--out", "train.json",
+          "--params", json.dumps(GBDT["params"]), "--seed", "5"], "train.stdout")
+    _run(["evaluate", "--model", "train.json", "--data", "mixed_valid.csv", "--label", "label"],
+         "evaluate.stdout")
+    for name, modes in (("distill", []), ("distill_from_ensemble", [
+            "--teacher-mode", "from_ensemble", "--target-mode", "label_sampled"])):
+        _run(["distill", "--data", "numeric.csv", "--label", "label", "--out-dir", name,
+              "--params", json.dumps(GBDT["params"]), *modes], f"{name}.stdout")
     _run(["verify", "--fast", "--seed", "0"], "verify_fast.stdout")
     _run(["verify", "--seed", "0"], "verify.stdout")
 
