@@ -452,12 +452,12 @@ def train_gbdt(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget) -> 
     score = np.zeros(train_ds.n_rows)
     trees: list[Tree] = []
     lr = spec["learning_rate"]
-    for _ in range(int(spec["rounds"])):
+    for _ in range(spec["rounds"]):
         p = _sigmoid(score)
         grad = w_sum * p - w_pos
         hess = w_sum * p * (1.0 - p)
         tree, row_value = _TreeBuilder(
-            columns, grad, hess, int(spec["max_depth"]),
+            columns, grad, hess, spec["max_depth"],
             spec["l2_leaf_penalty"], spec["min_child_weight"]).build()
         trees.append(tree)
         score += lr * row_value

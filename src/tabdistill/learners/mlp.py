@@ -238,15 +238,15 @@ def train_mlp(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,
     velocity = [{k: np.zeros_like(v) for k, v in layer.items()}
                 for layer in params["layers"]]
 
-    batch_size = int(spec["batch_size"])
+    batch_size = spec["batch_size"]
     lr = spec["learning_rate"]
     mu = spec["momentum"]
-    tracker = EarlyStopTracker(int(spec["patience"])) if valid is not None else None
+    tracker = EarlyStopTracker(spec["patience"]) if valid is not None else None
     x_valid = encode_features(encoder, valid) if valid is not None else None
     best_params = None
     epochs_run = 0
 
-    for epoch in range(int(spec["epochs"])):
+    for epoch in range(spec["epochs"]):
         order = rng.permutation(len(x))
         for start in range(0, len(x), batch_size):
             batch = order[start:start + batch_size]

@@ -1,6 +1,6 @@
-"""Dataset representation: CSV ingestion, schema inference, feature
-transforms, constant-column pruning, deterministic splitting and feature
-encoding.
+"""Dataset representation: CSV ingestion, which infers the kind of every
+column, feature transforms, constant-column pruning, deterministic splitting
+and feature encoding.
 
 Datasets are immutable after construction. Every operation returns a new
 Dataset; row ids are assigned at ingestion and preserved through filtering
@@ -19,7 +19,6 @@ import numpy as np
 from tabdistill.errors import (
     DataError,
     SchemaMismatchError,
-    SerializationError,
     require_choice,
     require_integer,
     require_number,
@@ -104,17 +103,6 @@ class Schema:
                 for c in self.columns
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Schema":
-        if doc.get("format") != SCHEMA_FORMAT:
-            raise SerializationError(f"unknown schema format {doc.get('format')!r}")
-        cols = tuple(
-            Column(d["name"], d["kind"],
-                   tuple(d["categories"]) if "categories" in d else None)
-            for d in doc["columns"]
-        )
-        return cls(cols, doc["label_column"])
 
 
 @dataclass(frozen=True)
@@ -218,12 +206,11 @@ def _bad_cell(path: Path, name: str, kind: str, values: Sequence[str]) -> DataEr
         return DataError(f"{path}: row {row}, column {name!r}: {raw!r} {problem}")
 
 
-def ingest_csv(path: str | Path, label_column: str,
-               schema_hint: Optional[Schema] = None) -> Dataset:
+def ingest_csv(path: str | Path, label_column: str) -> Dataset:
     """Read an RFC-4180-style UTF-8 CSV (header mandatory) into a Dataset.
 
-    Without ``schema_hint`` each feature column gets the first kind, tried
-    in this order, whose parser accepts every cell:
+    Each feature column gets the first kind, tried in this order, whose
+    parser accepts every cell:
 
     1. bool: the exact tokens true/false, True/False, TRUE/FALSE;
     2. int: Python ``int`` of the whitespace-stripped cell, so signs and
@@ -233,13 +220,13 @@ def ingest_csv(path: str | Path, label_column: str,
     4. categorical otherwise, with values interned to dense integer codes
        in order of first appearance.
 
-    Labels are 0/1 or a bool token. Every error is a DataError; a file that
-    cannot be read (not UTF-8, a field past the csv module's limit) is
-    reported with its path, a bad cell with its row and column. Besides
-    cells a hinted kind rejects and labels that are not 0/1, these are
-    errors: an integer outside the int64 range, a float cell that parses as
-    NaN, and a blank cell in a column whose other cells all parse as bool,
-    int or float (a column of blank cells only stays categorical).
+    Labels are 0/1 or a bool token. Every error is a DataError naming the
+    file; a file that cannot be read (missing, a directory, not UTF-8, a
+    field past the csv module's limit) is reported as unreadable, a bad
+    cell with its row and column. Besides labels that are not 0/1, these
+    are errors: an integer outside the int64 range, a float cell that
+    parses as NaN, and a blank cell in a column whose other cells all parse
+    as bool, int or float (a column of blank cells only stays categorical).
     """
     path = Path(path)
     try:
@@ -247,7 +234,7 @@ def ingest_csv(path: str | Path, label_column: str,
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = list(reader)
-    except (ValueError, csv.Error) as exc:  # also not UTF-8, or a NUL byte in the path
+    except (OSError, ValueError, csv.Error) as exc:  # also not UTF-8, a NUL in the path
         raise DataError(f"{path}: unreadable CSV: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty file")
@@ -266,15 +253,6 @@ def ingest_csv(path: str | Path, label_column: str,
     by_name = dict(zip(header, zip(*rows)))
     del rows  # the column tuples hold the cells now
 
-    if schema_hint is not None:
-        if [c.name for c in schema_hint.columns] != header:
-            raise DataError(f"{path}: header does not match schema hint")
-        if schema_hint.label_column != label_column:
-            raise DataError("schema hint label column disagrees with argument")
-        kinds = {c.name: c.kind for c in schema_hint.columns}
-    else:
-        kinds = {label_column: "int"}
-
     raw_labels = by_name[label_column]
     try:
         labels = np.array(list(map(_LABEL_TOKENS.__getitem__, map(str.strip, raw_labels))),
@@ -282,34 +260,32 @@ def ingest_csv(path: str | Path, label_column: str,
     except KeyError:
         row, raw = next((i, v) for i, v in enumerate(raw_labels, 1)
                         if v.strip() not in _LABEL_TOKENS)
-        raise DataError(f"row {row}, column {label_column!r}: label {raw!r} is not 0/1") from None
+        raise DataError(f"{path}: row {row}, column {label_column!r}: "
+                        f"label {raw!r} is not 0/1") from None
 
     columns: list[Column] = []
     arrays: list[np.ndarray] = []
     for name in header:
         if name == label_column:
-            columns.append(Column(name, kinds[name]))
+            columns.append(Column(name, "int"))
             continue
         values = by_name[name]
-        parsed = None
-        kind = kinds.get(name)
-        if kind is None:
-            kind, parsed = _infer_column(values)
-            if kind == "categorical" and "" in map(str.strip, values):
-                # a blank cell must not turn a bool or numeric column categorical
-                nonblank = [v for v in values if v.strip()]
-                if nonblank:
-                    kind = _infer_column(nonblank)[0]
+        kind, parsed = _infer_column(values)
         if kind == "categorical":
+            # a blank cell must not turn a bool or numeric column categorical;
+            # the blank fails the kind of the other cells, so a bad cell is found
+            nonblank = [v for v in values if v.strip()]
+            if 0 < len(nonblank) < len(values):
+                other = _infer_column(nonblank)[0]
+                if other != "categorical":
+                    raise _bad_cell(path, name, other, values)
             codes = {v: j for j, v in enumerate(dict.fromkeys(values))}
             arrays.append(np.array(list(map(codes.__getitem__, values)), dtype=np.int64))
             columns.append(Column(name, kind, tuple(codes)))
             continue
         try:
-            if parsed is None:
-                parsed = _parse_column(kind, values)
             arr = np.array(parsed, dtype=_DTYPES[kind])
-        except (KeyError, ValueError, OverflowError):
+        except OverflowError:
             raise _bad_cell(path, name, kind, values) from None
         if kind == "float" and np.isnan(arr).any():
             raise _bad_cell(path, name, kind, values)
@@ -319,32 +295,6 @@ def ingest_csv(path: str | Path, label_column: str,
     schema = Schema(tuple(columns), label_column)
     return Dataset(schema=schema, feature_arrays=tuple(arrays), labels=labels,
                    row_ids=np.arange(len(labels), dtype=np.int64))
-
-
-def write_csv(ds: Dataset, path: str | Path) -> None:
-    """Write a Dataset back to CSV; inverse of ingest_csv up to formatting."""
-    path = Path(path)
-    feature_cols = {c.name: (c, arr) for c, arr in
-                    zip(ds.schema.feature_columns, ds.feature_arrays)}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in ds.schema.columns])
-        for i in range(ds.n_rows):
-            row = []
-            for c in ds.schema.columns:
-                if c.name == ds.schema.label_column:
-                    row.append(str(int(ds.labels[i])))
-                    continue
-                col, arr = feature_cols[c.name]
-                if col.kind == "bool":
-                    row.append("true" if arr[i] else "false")
-                elif col.kind == "int":
-                    row.append(str(int(arr[i])))
-                elif col.kind == "float":
-                    row.append(repr(float(arr[i])))
-                else:
-                    row.append(col.categories[int(arr[i])])
-            writer.writerow(row)
 
 
 def remove_constant_columns(ds: Dataset) -> tuple[Dataset, list[str]]:
@@ -507,20 +457,10 @@ class FeatureEncoder:
 
     @property
     def width(self) -> int:
-        """``len(output_names)`` without formatting the names."""
+        """The number of matrix columns: one per bool or numeric column, and
+        per categorical column one per kept category plus "other"."""
         return sum(len(self.kept_categories[name]) + 1 if kind == "categorical" else 1
                    for name, kind in zip(self.column_names, self.column_kinds))
-
-    @property
-    def output_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for name, kind in zip(self.column_names, self.column_kinds):
-            if kind == "categorical":
-                names.extend(f"{name}={cat}" for cat in self.kept_categories[name])
-                names.append(f"{name}=<other>")
-            else:
-                names.append(name)
-        return tuple(names)
 
     def to_json_dict(self) -> dict:
         return {

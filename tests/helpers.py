@@ -1,12 +1,17 @@
-"""Shared test fixtures: synthetic dataset builders and independent
-oracles (pair-counting AUC, scalar loss evaluation) kept deliberately
-separate from the implementations they check."""
+"""Shared test fixtures: synthetic dataset builders, a Dataset CSV writer,
+the README's quick-start code, and independent oracles (pair-counting AUC,
+scalar loss evaluation) kept deliberately separate from the implementations
+they check."""
 
 from __future__ import annotations
 
+import csv
+import re
+from pathlib import Path
+
 import numpy as np
 
-from tabdistill.tabular import Column, Dataset, Schema, write_csv
+from tabdistill.tabular import Column, Dataset, FeatureEncoder, Schema
 
 
 def dataset_from_arrays(features: dict[str, np.ndarray], labels,
@@ -129,7 +134,49 @@ def pair_counting_auc(scores, labels) -> float:
 
 
 def write_dataset_csv(ds: Dataset, path) -> None:
-    write_csv(ds, path)
+    """Write a Dataset back to CSV; inverse of ingest_csv up to formatting."""
+    feature_cols = {c.name: (c, arr) for c, arr in
+                    zip(ds.schema.feature_columns, ds.feature_arrays)}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([c.name for c in ds.schema.columns])
+        for i in range(ds.n_rows):
+            row = []
+            for c in ds.schema.columns:
+                if c.name == ds.schema.label_column:
+                    row.append(str(int(ds.labels[i])))
+                    continue
+                col, arr = feature_cols[c.name]
+                if col.kind == "bool":
+                    row.append("true" if arr[i] else "false")
+                elif col.kind == "int":
+                    row.append(str(int(arr[i])))
+                elif col.kind == "float":
+                    row.append(repr(float(arr[i])))
+                else:
+                    row.append(col.categories[int(arr[i])])
+            writer.writerow(row)
+
+
+def encoder_output_names(enc: FeatureEncoder) -> tuple[str, ...]:
+    """The name of each column of ``enc.transform``'s matrix: a bool or
+    numeric column's own name, ``name=category`` per kept category and
+    ``name=<other>`` for a categorical column's other bucket."""
+    names: list[str] = []
+    for name, kind in zip(enc.column_names, enc.column_kinds):
+        if kind == "categorical":
+            names.extend(f"{name}={cat}" for cat in enc.kept_categories[name])
+            names.append(f"{name}=<other>")
+        else:
+            names.append(name)
+    return tuple(names)
+
+
+def readme_quick_start() -> str:
+    """The code block of the README's "Library quick start" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
 def first_leaf(tree: dict) -> dict:

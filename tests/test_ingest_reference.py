@@ -14,7 +14,6 @@ import importlib.util
 import json
 import math
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -73,16 +72,16 @@ def _ref_parse_float(s):
         return None
 
 
-def _ref_parse_label(raw, row, column):
+def _ref_parse_label(path, raw, row, column):
     v = raw.strip()
     if v in ("0", "1"):
         return int(v)
     if v in _REF_BOOL_TOKENS:
         return int(_REF_BOOL_TOKENS[v])
-    raise DataError(f"row {row}, column {column!r}: label {raw!r} is not 0/1")
+    raise DataError(f"{path}: row {row}, column {column!r}: label {raw!r} is not 0/1")
 
 
-def reference_ingest_csv(path, label_column, schema_hint=None):
+def reference_ingest_csv(path, label_column):
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -104,19 +103,12 @@ def reference_ingest_csv(path, label_column, schema_hint=None):
 
     by_name = {name: [r[j] for r in rows] for j, name in enumerate(header)}
 
-    if schema_hint is not None:
-        if [c.name for c in schema_hint.columns] != header:
-            raise DataError(f"{path}: header does not match schema hint")
-        if schema_hint.label_column != label_column:
-            raise DataError("schema hint label column disagrees with argument")
-        kinds = {c.name: c.kind for c in schema_hint.columns}
-    else:
-        kinds = {name: _ref_infer_kind(by_name[name])
-                 for name in header if name != label_column}
-        kinds[label_column] = "int"
+    kinds = {name: _ref_infer_kind(by_name[name])
+             for name in header if name != label_column}
+    kinds[label_column] = "int"
 
     labels = np.array(
-        [_ref_parse_label(v, i + 1, label_column) for i, v in enumerate(by_name[label_column])],
+        [_ref_parse_label(path, v, i + 1, label_column) for i, v in enumerate(by_name[label_column])],
         dtype=np.int64,
     )
 
@@ -209,11 +201,11 @@ def _assert_same_dataset(got, want):
     _assert_same_bytes(got.row_ids, want.row_ids)
 
 
-def _check_against_reference(path, label="label", hint=None, fit_on=None):
+def _check_against_reference(path, label="label", fit_on=None):
     """Ingest ``path`` both ways and compare datasets and encodings; the
     encoder is fit on ``fit_on`` (another CSV) when given, else on the data."""
-    got = ingest_csv(path, label, schema_hint=hint)
-    want = reference_ingest_csv(path, label, schema_hint=hint)
+    got = ingest_csv(path, label)
+    want = reference_ingest_csv(path, label)
     _assert_same_dataset(got, want)
     fit_ds = ingest_csv(fit_on, label) if fit_on is not None else got
     enc = FeatureEncoder.fit(fit_ds)
@@ -318,18 +310,6 @@ class TestTokens:
         assert x.shape == (900, MAX_ONE_HOT + 1)
         assert x[:, -1].sum() > 0  # the other bucket is used
 
-    def test_schema_hinted_read(self, tmp_path):
-        path = _write_columns(tmp_path / "a.csv", {
-            "b": ["TRUE", "false", "True"],
-            "i": ["1", " 2", "3"],  # int values read as float
-            "f": ["1", "2", "3"],   # int tokens read as categorical
-            "label": ["true", "false", "1"]})
-        hint = Schema((Column("b", "bool"), Column("i", "float"),
-                       Column("f", "categorical", ("ignored",)), Column("label", "bool")),
-                      "label")
-        ds = _check_against_reference(path, hint=hint)
-        assert [c.kind for c in ds.schema.columns] == ["bool", "float", "categorical", "bool"]
-
     def test_duplicate_header_names_rejected_alike(self, tmp_path):
         path = _write_rows(tmp_path / "a.csv", ["x", "x", "label"], [["1", "a", "0"]])
         with pytest.raises(DataError) as want:
@@ -340,32 +320,17 @@ class TestTokens:
 
 
 class TestErrorMessages:
-    def _same_error(self, path, label="label", hint=None):
+    def _same_error(self, path, label="label"):
         with pytest.raises(DataError) as want:
-            reference_ingest_csv(path, label, schema_hint=hint)
+            reference_ingest_csv(path, label)
         with pytest.raises(DataError) as got:
-            ingest_csv(path, label, schema_hint=hint)
+            ingest_csv(path, label)
         assert str(got.value) == str(want.value)
         return str(got.value)
 
-    @pytest.mark.parametrize("kind,bad,text", [
-        ("bool", "yes", "is not a boolean"),
-        ("int", "1.5", "is not an integer"),
-        ("float", "abc", "is not a number"),
-        ("int", "", "is not an integer"),
-    ])
-    def test_bad_hinted_cell(self, tmp_path, kind, bad, text):
-        good = {"bool": "true", "int": "4", "float": "0.5"}[kind]
-        path = _write_columns(tmp_path / "a.csv", {
-            "ok": ["1", "2", "3"], "x": [good, bad, bad], "label": ["0", "1", "0"]})
-        hint = Schema((Column("ok", "int"), Column("x", kind), Column("label", "int")),
-                      "label")
-        msg = self._same_error(path, hint=hint)
-        assert msg == f"{path}: row 2, column 'x': {bad!r} {text}"
-
     def test_bad_label(self, tmp_path):
         path = _write_columns(tmp_path / "a.csv", {"x": ["1", "2"], "label": ["1", "2"]})
-        assert self._same_error(path) == "row 2, column 'label': label '2' is not 0/1"
+        assert self._same_error(path) == f"{path}: row 2, column 'label': label '2' is not 0/1"
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -379,21 +344,14 @@ class TestErrorMessages:
         (tmp_path / "c.csv").write_text("x,label\n")
         self._same_error(tmp_path / "c.csv")
 
-    def test_hint_mismatches(self, tmp_path):
-        path = _write_columns(tmp_path / "a.csv", {"x": ["1"], "label": ["0"]})
-        other = Schema((Column("y", "int"), Column("label", "int")), "label")
-        self._same_error(path, hint=other)
-        relabel = Schema((Column("x", "int"), Column("label", "int")), "x")
-        self._same_error(path, hint=relabel)
-
 
 class TestNewCellErrors:
     """Cells the per-cell ingest accepted silently or crashed on."""
 
-    def _error(self, tmp_path, columns, hint=None):
+    def _error(self, tmp_path, columns):
         path = _write_columns(tmp_path / "a.csv", columns)
         with pytest.raises(DataError) as got:
-            ingest_csv(path, "label", schema_hint=hint)
+            ingest_csv(path, "label")
         return str(got.value).removeprefix(f"{path}: ")
 
     def test_integer_beyond_int64(self, tmp_path):
@@ -432,9 +390,6 @@ class TestNewCellErrors:
     def test_nan_cell(self, tmp_path, token):
         assert self._error(tmp_path, {"f": ["0.5", token], "label": ["0", "1"]}) == \
             f"row 2, column 'f': {token!r} parses as NaN, a missing value"
-        hint = Schema((Column("f", "float"), Column("label", "int")), "label")
-        assert self._error(tmp_path, {"f": ["0.5", token], "label": ["0", "1"]},
-                           hint=hint).startswith("row 2, column 'f'")
 
     def test_first_bad_column_and_row_is_named(self, tmp_path):
         assert self._error(tmp_path, {
@@ -452,15 +407,14 @@ _TOKENS = ["true", "false", "True", "False", "TRUE", "FALSE", " true", "tRUE",
 _LABELS = ["0", "1", " 1", "true", "FALSE"]
 
 
-def _oracle_error(columns: dict, label: str, hint: Optional[Schema]):
+def _oracle_error(columns: dict, label: str):
     """(row, column) of the first cell the column-wise ingest must reject
     beyond what the reference rejects, in header order; None if there is none."""
-    hint_kinds = {c.name: c.kind for c in hint.columns} if hint is not None else {}
     for name, values in columns.items():
         if name == label:
             continue
-        kind = hint_kinds.get(name) or _ref_infer_kind(values)
-        if name not in hint_kinds and kind == "categorical":
+        kind = _ref_infer_kind(values)
+        if kind == "categorical":
             nonblank = [v for v in values if v.strip()]
             if nonblank and len(nonblank) < len(values):
                 kind = _ref_infer_kind(nonblank)
@@ -496,39 +450,28 @@ def _tables(draw):
     labels = _LABELS + ["2"] if draw(st.integers(0, 9)) == 0 else _LABELS
     columns["label"] = draw(st.lists(st.sampled_from(labels), min_size=n_rows,
                                      max_size=n_rows))
-    hint = None
-    if draw(st.booleans()):
-        cols = []
-        for name in columns:
-            if name == "label":
-                kind = draw(st.sampled_from(("int", "bool")))
-            else:
-                kind = draw(st.sampled_from(("bool", "int", "float", "categorical")))
-            cols.append(Column(name, kind, () if kind == "categorical" else None))
-        hint = Schema(tuple(cols), "label")
-    return columns, hint
+    return columns
 
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(table=_tables())
-def test_random_token_columns_match_the_reference(tmp_path, table):
-    columns, hint = table
+@given(columns=_tables())
+def test_random_token_columns_match_the_reference(tmp_path, columns):
     path = _write_columns(tmp_path / "t.csv", columns)
     try:
-        want = reference_ingest_csv(path, "label", schema_hint=hint)
+        want = reference_ingest_csv(path, "label")
         want_error = None
     except (DataError, OverflowError) as exc:
         want, want_error = None, exc
     try:
-        got = ingest_csv(path, "label", schema_hint=hint)
+        got = ingest_csv(path, "label")
         got_error = None
     except DataError as exc:
         got, got_error = None, exc
 
     label_ok = all(v.strip() in ("0", "1") or v.strip() in _REF_BOOL_TOKENS
                    for v in columns["label"])
-    expected = _oracle_error(columns, "label", hint) if label_ok else None
+    expected = _oracle_error(columns, "label") if label_ok else None
     if expected is not None:
         row, name = expected
         prefix = f"{path}: row {row}, column {name!r}: "

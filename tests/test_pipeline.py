@@ -521,10 +521,14 @@ class TestCli:
         pytest.param("latin1.csv", b"x,label\n0.5,0\ncaf\xe9,1\n", id="not-utf-8"),
         pytest.param("long.csv", b"x,label\n" + b"a" * 200_000 + b",1\n", id="long-field"),
         pytest.param("d\x00.csv", None, id="nul-in-path"),
+        pytest.param("missing.csv", None, id="missing"),
+        pytest.param("folder.csv", "directory", id="directory"),
     ])
     def test_unreadable_csv_exit_2(self, tmp_path, capsys, command, name, content):
         # one line naming the file, and a pipeline leaves no run directory
-        if content is not None:
+        if content == "directory":
+            (tmp_path / name).mkdir()
+        elif content is not None:
             (tmp_path / name).write_bytes(content)
         if command == "pipeline":
             doc = _minimal_config(tmp_path, data_name=name)
@@ -540,6 +544,17 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{name}: unreadable CSV" in err
         assert not (tmp_path / "out").exists() and not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("name", ["missing.csv", "folder.csv"])
+    def test_missing_or_directory_csv_is_an_ingest_stage_error(self, tmp_path, name):
+        # a library caller gets the stage and a DataError, not a raw OSError
+        (tmp_path / "folder.csv").mkdir()
+        cfg = PipelineConfig.from_json_dict(_minimal_config(tmp_path, data_name=name),
+                                            base_dir=tmp_path)
+        with pytest.raises(StageError) as caught:
+            run_pipeline(cfg)
+        assert caught.value.stage == "ingest" and isinstance(caught.value.cause, DataError)
+        assert not (tmp_path / "out").exists()
 
 
 def _drop(*path):

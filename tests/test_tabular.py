@@ -16,10 +16,14 @@ from tabdistill.tabular import (
     ingest_csv,
     remove_constant_columns,
     split,
-    write_csv,
 )
 
-from helpers import dataset_from_arrays, mixed_type_dataset
+from helpers import (
+    dataset_from_arrays,
+    encoder_output_names,
+    mixed_type_dataset,
+    write_dataset_csv,
+)
 
 
 def _write(tmp_path, name, text):
@@ -57,10 +61,9 @@ class TestIngest:
             ingest_csv(p, "label")
 
     def test_unparseable_cell_reports_row_and_column(self, tmp_path):
-        hint = Schema((Column("f1", "int"), Column("label", "int")), "label")
-        p = _write(tmp_path, "a.csv", "f1,label\n1,0\nxx,1\n")
-        with pytest.raises(DataError, match="row 2.*'f1'"):
-            ingest_csv(p, "label", schema_hint=hint)
+        p = _write(tmp_path, "a.csv", "f1,label\n1,0\n,1\n")
+        with pytest.raises(DataError, match="row 2.*'f1'.*not an integer"):
+            ingest_csv(p, "label")
 
     def test_empty_file(self, tmp_path):
         p = _write(tmp_path, "a.csv", "")
@@ -72,7 +75,7 @@ class TestIngest:
                    "b,i,f,c,label\ntrue,3,1.25,x,0\nfalse,-2,0.5,y,1\ntrue,7,2.0,x,1\n")
         ds = ingest_csv(p, "label")
         out = tmp_path / "b.csv"
-        write_csv(ds, out)
+        write_dataset_csv(ds, out)
         ds2 = ingest_csv(out, "label")
         assert ds2.schema == ds.schema
         np.testing.assert_array_equal(ds2.labels, ds.labels)
@@ -85,7 +88,7 @@ class TestIngest:
         out = tmp_path / "schema.json"
         assert cli_main(["ingest", "--data", str(p), "--label", "label",
                          "--schema-out", str(out)]) == 0
-        assert Schema.from_json_dict(json.loads(out.read_text())) == ds.schema
+        assert json.loads(out.read_text(encoding="utf-8")) == ds.schema.to_json_dict()
 
 
 class TestRemoveConstantColumns:
@@ -270,7 +273,7 @@ class TestFeatureEncoder:
         ds = mixed_type_dataset(500, seed=1, levels=MAX_ONE_HOT + 9,
                                 codes=np.arange(500) % (MAX_ONE_HOT + 9))
         enc = FeatureEncoder.fit(ds)
-        assert enc.width == len(enc.output_names) == 3 + (MAX_ONE_HOT + 1) + (3 + 1)
+        assert enc.width == len(encoder_output_names(enc)) == 3 + (MAX_ONE_HOT + 1) + (3 + 1)
         assert enc.transform(ds).shape == (500, enc.width)
 
     def test_no_feature_columns_is_data_error(self):
