@@ -63,6 +63,8 @@ class EnsembleModel:
         if len(members) != len(weights):
             raise DataError("one weight per member required")
         w = np.asarray(weights, dtype=np.float64)
+        if not np.isfinite(w).all():
+            raise DataError("weights must be finite")
         if (w < 0).any():
             raise DataError("weights must be nonnegative")
         if w.sum() <= 0:
@@ -106,15 +108,14 @@ def _de_maximize(objective: Callable[[np.ndarray], float], n_dims: int,
     population = rng.uniform(lo, hi, size=(pop_size, n_dims))
     for i, seed_vec in enumerate(seeds):
         population[i] = np.clip(seed_vec, lo, hi)
-    fitness = np.array([objective(p) for p in population])
+    fitness = [objective(p) for p in population]
 
     for _ in range(cfg.max_iterations):
         for i in range(pop_size):
             # three distinct members other than i: draw from pop_size - 1
             # slots and step over i
-            abc = rng.choice(pop_size - 1, size=3, replace=False)
-            abc += abc >= i
-            a, b, c = abc
+            a, b, c = [x + (x >= i)
+                       for x in rng.choice(pop_size - 1, size=3, replace=False).tolist()]
             mutant = np.clip(
                 population[a] + cfg.mutation_factor * (population[b] - population[c]),
                 lo, hi)
@@ -125,22 +126,30 @@ def _de_maximize(objective: Callable[[np.ndarray], float], n_dims: int,
             if trial_fit > fitness[i]:
                 population[i] = trial
                 fitness[i] = trial_fit
+        best_fit = max(fitness)
         if trace is not None:
-            trace.append(float(fitness.max()))
-        if fitness.max() == fitness.min():
+            trace.append(float(best_fit))
+        if best_fit == min(fitness):
             break
     best = int(np.argmax(fitness))
     return population[best].copy(), float(fitness[best])
 
 
 def _auc_objective(member_preds: np.ndarray, labels: np.ndarray) -> Callable:
-    """Validation AUC of a weight vector's blend; labels checked once."""
+    """Validation AUC of a weight vector's blend; labels checked once. Each
+    call does ``blend``'s float operations, but into one (members x rows)
+    product buffer allocated here, so a search allocates it once."""
     labels = AUCLabels(labels)
+    products = np.empty_like(member_preds, dtype=np.float64)
 
     def objective(weights: np.ndarray) -> float:
-        if weights.sum() <= 0:
+        total = weights.sum()
+        if total <= 0:
             return -np.inf
-        return roc_auc(blend(member_preds, weights), labels)
+        np.multiply(weights[:, None], member_preds, out=products)
+        scores = np.add.reduce(products, axis=0)
+        scores /= total
+        return roc_auc(scores, labels)
     return objective
 
 

@@ -3,8 +3,9 @@ correlation. All kernels are pure functions.
 
 The ROC AUC is a rank sum over a single sort of the scores, exact under
 ties, and rejects non-finite scores with DataError; ``evaluate`` inherits
-that check. Its label step, ``AUCLabels``, checks and counts the labels;
-the ensemble weight search runs it once and scores every blend against it."""
+that check. Its label step, ``AUCLabels``, checks and counts the labels
+and builds the integer vectors of the untied rank sum; the ensemble weight
+search runs it once and scores every blend against it."""
 
 from __future__ import annotations
 
@@ -31,16 +32,19 @@ class EvalReport:
 
 
 class AUCLabels:
-    """The label step of ``roc_auc``: 0/1 labels, checked, with their positive
-    mask and class counts. ``np.asarray`` turns it back into the labels."""
+    """The label step of ``roc_auc``: 0/1 labels, checked, with their class
+    counts, the positives as an int64 0/1 vector and the ranks 1..n as int64,
+    so that an untied rank sum is one integer dot product. ``np.asarray``
+    turns it back into the labels."""
 
     def __init__(self, labels):
         self.labels = np.asarray(labels)
-        self.pos = self.labels == 1
+        self.pos = (self.labels == 1).astype(np.int64)
         self.n_pos = np.count_nonzero(self.pos)
         self.n_neg = np.count_nonzero(self.labels == 0)
         if self.n_pos == 0 or self.n_neg == 0:
             raise DataError("ROC AUC needs both classes present")
+        self.ranks = np.arange(1, len(self.pos) + 1, dtype=np.int64)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.labels, dtype=dtype, copy=copy)
@@ -52,29 +56,32 @@ def roc_auc(scores, labels) -> float:
     be an ``AUCLabels``, built once by a caller that scores many vectors.
 
     One sort ranks the scores. Without ties, sorted position i has rank
-    i + 1 and the positives' rank sum is an exact integer. Otherwise each
-    tie group adds its mid-rank times its count of positives; mid-ranks are
-    half-integers, so that sum is exact whatever the sort kind or the order
-    within a group. Non-finite scores raise DataError."""
+    i + 1 and the positives' rank sum is the exact integer dot product of
+    the sorted 0/1 positives with the ranks. Otherwise each tie group adds
+    its mid-rank times its count of positives; mid-ranks are half-integers,
+    so that sum is exact whatever the sort kind or the order within a group.
+    Non-finite scores raise DataError."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != np.shape(labels):
+    bound = isinstance(labels, AUCLabels)
+    # np.shape would copy an AUCLabels' labels through __array__
+    if scores.shape != (labels.labels.shape if bound else np.shape(labels)):
         raise DataError("scores and labels must have equal length")
-    if not isinstance(labels, AUCLabels):
+    if not bound:
         labels = AUCLabels(labels)
-    pos, n_pos, n_neg = labels.pos, labels.n_pos, labels.n_neg
+    n_pos, n_neg = labels.n_pos, labels.n_neg
     if not np.isfinite(scores).all():
         raise DataError("ROC AUC needs finite scores")
     order = np.argsort(scores)
     sorted_scores = scores[order]
-    # edges of the tie groups in sorted order: group k spans edges[k]..edges[k+1]
-    boundary = np.ones(len(scores) + 1, dtype=bool)
-    np.not_equal(sorted_scores[1:], sorted_scores[:-1], out=boundary[1:-1])
-    if boundary.all():
-        rank_sum_pos = np.flatnonzero(pos[order]).sum() + n_pos
+    pos_sorted = labels.pos[order]
+    distinct = sorted_scores[1:] != sorted_scores[:-1]
+    if distinct.all():
+        rank_sum_pos = pos_sorted @ labels.ranks
     else:
-        edges = np.flatnonzero(boundary)
+        # edges of the tie groups in sorted order: group k spans edges[k]..edges[k+1]
+        edges = np.flatnonzero(np.concatenate(([True], distinct, [True])))
         group_rank = (edges[:-1] + edges[1:] + 1) / 2.0  # mean of ranks start+1 .. end
-        rank_sum_pos = group_rank @ np.add.reduceat(pos[order], edges[:-1], dtype=np.int64)
+        rank_sum_pos = group_rank @ np.add.reduceat(pos_sorted, edges[:-1])
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -208,6 +208,7 @@ def _bad_cell(path: Path, name: str, kind: str, values: Sequence[str]) -> DataEr
 
 def ingest_csv(path: str | Path, label_column: str) -> Dataset:
     """Read an RFC-4180-style UTF-8 CSV (header mandatory) into a Dataset.
+    A leading UTF-8 byte-order mark is skipped.
 
     Each feature column gets the first kind, tried in this order, whose
     parser accepts every cell:
@@ -230,7 +231,7 @@ def ingest_csv(path: str | Path, label_column: str) -> Dataset:
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = list(reader)

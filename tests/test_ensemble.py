@@ -6,6 +6,7 @@ import pytest
 from tabdistill.ensemble import (
     DEConfig,
     EnsembleModel,
+    _auc_objective,
     _de_maximize,
     blend,
     combine_families,
@@ -69,6 +70,13 @@ class TestPredictEnsemble:
         with pytest.raises(DataError):
             EnsembleModel([FixedModel([0.1])], [0.0])
 
+    @pytest.mark.parametrize("weights", [[np.inf, 1.0], [1.0, np.nan], [-np.inf, 1.0]])
+    def test_non_finite_weight_rejected(self, weights):
+        # an infinite or NaN weight would blend every row to NaN
+        members = [FixedModel([0.1, 0.9]), FixedModel([0.3, 0.5])]
+        with pytest.raises(DataError, match="weights must be finite"):
+            EnsembleModel(members, weights)
+
     def test_blend_scale_invariance_random(self):
         rng = np.random.default_rng(0)
         preds = rng.random((4, 30))
@@ -98,6 +106,49 @@ class TestDEMaximize:
         _, fit = _de_maximize(objective, 2, [seed_vec],
                               DEConfig(max_iterations=5), rng)
         assert fit >= objective(seed_vec)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestAUCObjective:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 3, 5])
+    def test_non_finite_member_score_rejected(self, bad, at):
+        preds = np.random.default_rng(0).random((3, 6))
+        preds[1, at] = bad
+        objective = _auc_objective(preds, np.array([0, 1, 0, 1, 1, 0]))
+        with pytest.raises(DataError, match="finite"):
+            objective(np.ones(3))
+
+    def test_reused_buffer_never_leaks_between_calls(self):
+        rng = np.random.default_rng(4)
+        labels = rng.integers(0, 2, 50)
+        labels[:2] = (0, 1)
+        preds_a, preds_b = rng.random((4, 50)), np.round(rng.random((4, 50)), 1)
+        w1, w2 = rng.random(4), rng.random(4) * 3.0
+        obj_a, obj_b = _auc_objective(preds_a, labels), _auc_objective(preds_b, labels)
+        for objective, preds, w in [(obj_a, preds_a, w1), (obj_a, preds_a, w2),
+                                    (obj_a, preds_a, w1), (obj_b, preds_b, w1),
+                                    (obj_a, preds_a, w2), (obj_b, preds_b, w2)]:
+            assert _bits(objective(w)) == _bits(roc_auc(blend(preds, w), labels))
+
+    def test_scores_the_normalized_blend(self):
+        # x and the next float up differ, but not once divided by the total 3:
+        # the normalized blend ties them, so the AUC is not the raw sum's 1.0
+        x = 0.83
+        y = np.nextafter(x, 1.0)
+        assert x / 3.0 == y / 3.0
+        preds = np.array([[0.1, x, y, 0.9], [0.0, 0.0, 0.0, 0.0]])
+        labels = np.array([0, 0, 1, 1])
+        weights = np.array([1.0, 2.0])
+        assert roc_auc(blend(preds, weights), labels) == 0.875
+        assert _auc_objective(preds, labels)(weights) == 0.875
+
+    def test_all_zero_weights_score_minus_infinity(self):
+        objective = _auc_objective(np.array([[0.1, 0.9], [0.8, 0.2]]), [0, 1])
+        assert objective(np.zeros(2)) == -np.inf
 
 
 class TestOptimizeWeights:
@@ -306,6 +357,17 @@ class TestPersistence:
         out = tmp_path / "ens.json"
         out.write_text(json.dumps(doc))
         with pytest.raises(SerializationError):
+            load_ensemble(out)
+
+    @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_document_weight_is_a_serialization_error(self, tmp_path, bad):
+        # json.loads reads these tokens as floats; the document check names
+        # the weight before EnsembleModel sees it
+        out = tmp_path / "ens.json"
+        out.write_text('{"format": "tabdistill.ensemble/v1", "members": ["m0.json"], '
+                       f'"weights": [{bad}]}}')
+        with pytest.raises(SerializationError,
+                           match="ens.json: ensemble weight must be finite"):
             load_ensemble(out)
 
     def test_corrupted_json_rejected(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from tabdistill.errors import DataError
 from tabdistill.metrics import (
+    AUCLabels,
     evaluate,
     generation_correlation_matrix,
     log_loss,
@@ -31,9 +32,19 @@ class TestRocAuc:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected(self, bad):
-        for score_fn in (roc_auc, evaluate):
-            with pytest.raises(DataError, match="finite"):
-                score_fn([bad, 0.2, 0.3, 0.9], [1, 0, 1, 0])
+        labels = np.array([1, 0, 1, 0, 1])
+        for at in (0, 2, 4):  # first, in the middle, last
+            scores = np.array([0.1, 0.2, 0.3, 0.9, 0.5])
+            scores[at] = bad
+            for score_fn, given in [(roc_auc, labels), (roc_auc, AUCLabels(labels)),
+                                    (evaluate, labels)]:
+                with pytest.raises(DataError, match="finite"):
+                    score_fn(scores, given)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_wrong_length_against_bound_labels(self, n):
+        with pytest.raises(DataError, match="equal length"):
+            roc_auc(np.linspace(0, 1, n), AUCLabels([0, 1, 1, 0]))
 
     def test_matches_pair_counting_oracle_exactly(self):
         rng = np.random.default_rng(42)

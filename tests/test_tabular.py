@@ -90,6 +90,29 @@ class TestIngest:
                          "--schema-out", str(out)]) == 0
         assert json.loads(out.read_text(encoding="utf-8")) == ds.schema.to_json_dict()
 
+    @pytest.mark.parametrize("text", ["label,x,c\n0,1.5,a\n1,2.5,b\n1,3.0,a\n",
+                                      "x,c,label\n1.5,a,0\n2.5,b,1\n3.0,a,1\n"],
+                             ids=["label_first", "feature_first"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, text):
+        # spreadsheet programs write "UTF-8 with BOM"; the mark is not part
+        # of the first column's name
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        a, b = ingest_csv(plain, "label"), ingest_csv(marked, "label")
+        assert b.schema.to_json_dict() == a.schema.to_json_dict()
+        assert b.schema.column("x").kind == "float"
+        np.testing.assert_array_equal(b.labels, a.labels)
+        for x, y in zip(a.feature_arrays, b.feature_arrays):
+            np.testing.assert_array_equal(x, y)
+
+    def test_cli_ingest_of_a_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"\xef\xbb\xbflabel,x\n0,1.5\n1,2.5\n")
+        assert cli_main(["ingest", "--data", str(p), "--label", "label"]) == 0
+        assert json.loads(capsys.readouterr().out)["label_column"] == "label"
+
 
 class TestRemoveConstantColumns:
     def test_constant_column_removed(self):
