@@ -25,7 +25,13 @@ from tabdistill.ensemble import (
     optimize_weights_detailed,
     save_ensemble,
 )
-from tabdistill.errors import DataError, TabDistillError, TrainingError, VerificationError
+from tabdistill.errors import (
+    UNREADABLE_JSON,
+    DataError,
+    TabDistillError,
+    TrainingError,
+    VerificationError,
+)
 from tabdistill.kdcore import run_verification
 from tabdistill.learners import (
     LEARNER_KINDS,
@@ -55,7 +61,7 @@ EXIT_VERIFICATION = 4
 def _learner_spec(args) -> LearnerSpec:
     try:
         params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as exc:
+    except UNREADABLE_JSON as exc:
         raise DataError(f"--params is not valid JSON: {exc}") from None
     return LearnerSpec(kind=args.kind, params=params, seed=args.seed)
 

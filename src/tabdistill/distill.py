@@ -118,8 +118,8 @@ def distill_step(train_ds: Dataset, teacher_scores, beta: float, threshold: floa
     """The rows a student trains on and their targets: keep row i iff
     |f(x_i) - y_i| < threshold (1 drops only a score exactly opposite its
     label; keeping none raises), beta-mix the kept scores into weight pairs,
-    and under ``label_sampled`` draw one label per row. Kept rows keep their
-    row ids."""
+    and under ``label_sampled`` draw one label per row. The kept rows stay in
+    their original order."""
     require_number(threshold, "denoise threshold", 0, 1, "(]")
     scores = np.asarray(teacher_scores, dtype=np.float64)
     if scores.shape != (train_ds.n_rows,):
@@ -136,17 +136,12 @@ def distill_step(train_ds: Dataset, teacher_scores, beta: float, threshold: floa
 
 def _append_original(distilled: Dataset, target: TrainingTarget,
                      original: Dataset) -> tuple[Dataset, TrainingTarget]:
-    """Stack the original hard-label rows under the distilled rows. The
-    appended block gets fresh row ids to keep the id-uniqueness invariant."""
-    offset = int(max(distilled.row_ids.max(), original.row_ids.max())) + 1
+    """Stack the original rows, with their hard labels as the pairs
+    (y, 1 - y), under the distilled rows and their targets."""
     arrays = tuple(np.concatenate([a, b]) for a, b in
                    zip(distilled.feature_arrays, original.feature_arrays))
-    combined = Dataset(
-        schema=distilled.schema,
-        feature_arrays=arrays,
-        labels=np.concatenate([distilled.labels, original.labels]),
-        row_ids=np.concatenate([distilled.row_ids, original.row_ids + offset]),
-    )
+    combined = Dataset(distilled.schema, arrays,
+                       np.concatenate([distilled.labels, original.labels]))
     y = original.labels.astype(np.float64)
     return combined, TrainingTarget.weighted(np.concatenate([target.w_pos, y]),
                                              np.concatenate([target.w_neg, 1.0 - y]))

@@ -19,7 +19,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from tabdistill.errors import DataError, SerializationError, require_integer, require_number
+from tabdistill.errors import (
+    UNREADABLE_JSON,
+    DataError,
+    SerializationError,
+    require_integer,
+    require_number,
+)
 from tabdistill.learners import load_model, score_models
 from tabdistill.metrics import AUCLabels, roc_auc
 from tabdistill.tabular import Dataset
@@ -249,7 +255,7 @@ def load_ensemble(path: str | Path) -> EnsembleModel:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+    except UNREADABLE_JSON as exc:
         raise SerializationError(f"{path}: unreadable ensemble document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != ENSEMBLE_FORMAT:
         found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__

@@ -30,6 +30,11 @@ class VerificationError(TabDistillError):
     """A numerical verification suite reported a failure."""
 
 
+# reading a JSON file or text fails on an unreadable file (OSError), text that
+# is not UTF-8 or not JSON (ValueError) or nesting beyond the parser's depth
+UNREADABLE_JSON = (OSError, ValueError, RecursionError)
+
+
 def require_integer(value, what: str, low: int = 0) -> int:
     """``value`` as an int if it is an integer (not a bool) of at least
     ``low``; anything else raises DataError naming ``what``."""

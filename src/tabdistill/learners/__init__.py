@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from tabdistill.errors import (
+    UNREADABLE_JSON,
     DataError,
     SerializationError,
     TrainingError,
@@ -249,7 +250,7 @@ def save_model(model, path: str | Path) -> None:
 def load_model(path: str | Path):
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+    except UNREADABLE_JSON as exc:
         raise SerializationError(f"{path}: unreadable model document: {exc}") from exc
     return deserialize_model(doc)
 

@@ -32,16 +32,18 @@ class EvalReport:
 
 
 class AUCLabels:
-    """The label step of ``roc_auc``: 0/1 labels, checked, with their class
-    counts, the positives as an int64 0/1 vector and the ranks 1..n as int64,
-    so that an untied rank sum is one integer dot product. ``np.asarray``
-    turns it back into the labels."""
+    """The label step of ``roc_auc``: 0/1 labels, checked (any other label
+    raises DataError), with their class counts, the positives as an int64
+    0/1 vector and the ranks 1..n as int64, so that an untied rank sum is one
+    integer dot product. ``np.asarray`` turns it back into the labels."""
 
     def __init__(self, labels):
         self.labels = np.asarray(labels)
         self.pos = (self.labels == 1).astype(np.int64)
         self.n_pos = np.count_nonzero(self.pos)
         self.n_neg = np.count_nonzero(self.labels == 0)
+        if self.n_pos + self.n_neg != self.labels.size:
+            raise DataError("ROC AUC needs labels that are 0 or 1")
         if self.n_pos == 0 or self.n_neg == 0:
             raise DataError("ROC AUC needs both classes present")
         self.ranks = np.arange(1, len(self.pos) + 1, dtype=np.int64)

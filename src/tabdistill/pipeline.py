@@ -37,6 +37,7 @@ from tabdistill.ensemble import (
     save_ensemble,
 )
 from tabdistill.errors import (
+    UNREADABLE_JSON,
     DataError,
     TabDistillError,
     require_choice,
@@ -265,7 +266,7 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineC
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+    except UNREADABLE_JSON as exc:
         raise DataError(f"config file {path} is unreadable or not valid JSON: {exc}") from None
     if overrides and isinstance(doc, dict):
         doc = {**doc, **overrides}

@@ -3,8 +3,7 @@ column, feature transforms, constant-column pruning, deterministic splitting
 and feature encoding.
 
 Datasets are immutable after construction. Every operation returns a new
-Dataset; row ids are assigned at ingestion and preserved through filtering
-and splitting so dropped rows stay traceable.
+Dataset; a row is named by its position.
 """
 
 from __future__ import annotations
@@ -133,7 +132,6 @@ class Dataset:
     schema: Schema
     feature_arrays: tuple[np.ndarray, ...]
     labels: np.ndarray
-    row_ids: np.ndarray
 
     def __post_init__(self):
         n = len(self.labels)
@@ -142,11 +140,6 @@ class Dataset:
         for col, arr in zip(self.schema.feature_columns, self.feature_arrays):
             if len(arr) != n:
                 raise DataError(f"column {col.name!r} length mismatch")
-        if len(self.row_ids) != n:
-            raise DataError("row_ids length mismatch")
-        ids = np.sort(self.row_ids)
-        if (ids[1:] == ids[:-1]).any():
-            raise DataError("row_ids must be unique")
         if not np.isin(self.labels, (0, 1)).all():
             raise DataError("labels must be 0 or 1")
 
@@ -155,18 +148,9 @@ class Dataset:
         return len(self.labels)
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """Positional row selection; row ids travel with their rows."""
+        """The rows at positions ``indices``, in that order."""
         idx = np.asarray(indices)
-        return Dataset(
-            schema=self.schema,
-            feature_arrays=tuple(a[idx] for a in self.feature_arrays),
-            labels=self.labels[idx],
-            row_ids=self.row_ids[idx],
-        )
-
-    def with_schema(self, schema: Schema, feature_arrays: tuple[np.ndarray, ...]) -> "Dataset":
-        return Dataset(schema=schema, feature_arrays=feature_arrays,
-                       labels=self.labels, row_ids=self.row_ids)
+        return Dataset(self.schema, tuple(a[idx] for a in self.feature_arrays), self.labels[idx])
 
 
 def _parse_column(kind: str, values: Sequence[str]) -> list:
@@ -294,8 +278,7 @@ def ingest_csv(path: str | Path, label_column: str) -> Dataset:
         columns.append(Column(name, kind))
 
     schema = Schema(tuple(columns), label_column)
-    return Dataset(schema=schema, feature_arrays=tuple(arrays), labels=labels,
-                   row_ids=np.arange(len(labels), dtype=np.int64))
+    return Dataset(schema=schema, feature_arrays=tuple(arrays), labels=labels)
 
 
 def remove_constant_columns(ds: Dataset) -> tuple[Dataset, list[str]]:
@@ -315,7 +298,7 @@ def remove_constant_columns(ds: Dataset) -> tuple[Dataset, list[str]]:
     # removed holds feature names only, so the label column always survives
     schema = Schema(tuple(c for c in ds.schema.columns if c.name not in removed),
                     ds.schema.label_column)
-    return ds.with_schema(schema, tuple(kept_arrays)), removed
+    return Dataset(schema, tuple(kept_arrays), ds.labels), removed
 
 
 def _midranks_against(fit_sorted: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -361,7 +344,7 @@ def apply_transform(ds: Dataset, kind: str, fit_rows: Sequence[int]) -> Dataset:
             col = Column(col.name, "float")
         columns.append(col)
         new_arrays.append(arr)
-    return ds.with_schema(Schema(tuple(columns), ds.schema.label_column), tuple(new_arrays))
+    return Dataset(Schema(tuple(columns), ds.schema.label_column), tuple(new_arrays), ds.labels)
 
 
 def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

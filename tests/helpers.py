@@ -31,8 +31,7 @@ def dataset_from_arrays(features: dict[str, np.ndarray], labels,
         arrays.append(arr)
     cols.append(Column(label_column, "int"))
     labels = np.asarray(labels, dtype=np.int64)
-    return Dataset(Schema(tuple(cols), label_column), tuple(arrays), labels,
-                   np.arange(len(labels), dtype=np.int64))
+    return Dataset(Schema(tuple(cols), label_column), tuple(arrays), labels)
 
 
 def separable_dataset(n: int, seed: int, d: int = 2, margin: float = 0.0) -> Dataset:
@@ -106,7 +105,7 @@ def mixed_type_dataset(n: int, seed: int, levels: int = 12, codes=None) -> Datas
                      Column("label", "int")), "label")
     arrays = (rng.random(n) < 0.4, np.asarray(codes, dtype=np.int64),
               rng.integers(-50, 50, n).astype(np.int64), x, colour.astype(np.int64))
-    return Dataset(schema, arrays, labels, np.arange(n, dtype=np.int64))
+    return Dataset(schema, arrays, labels)
 
 
 class FixedModel:

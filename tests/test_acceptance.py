@@ -112,18 +112,21 @@ def test_criterion_06_denoise_boundary_and_monotonicity():
         ds = dataset_from_arrays({"a": rng.standard_normal(n)},
                                  rng.integers(0, 2, n))
         scores = rng.random(n)
+        # each value of "a" is unique, so the values a Dataset keeps name the
+        # positions of its rows in ds
+        a = ds.feature_arrays[0]
         kept_full, _ = distill_step(ds, scores, 0.7, threshold=1.0)
-        dropped_full = np.setdiff1d(ds.row_ids, kept_full.row_ids)
+        dropped_full = np.flatnonzero(~np.isin(a, kept_full.feature_arrays[0]))
         all_kept &= kept_full.n_rows == n and len(dropped_full) == 0
         previous: set = set()
         for threshold in np.linspace(0.05, 1.0, 12):
             try:
                 kept, _ = distill_step(ds, scores, 0.7, float(threshold))
-                ids = set(kept.row_ids.tolist())
+                positions = set(np.flatnonzero(np.isin(a, kept.feature_arrays[0])).tolist())
             except DataError:
-                ids = set()
-            monotone &= previous <= ids
-            previous = ids
+                positions = set()
+            monotone &= previous <= positions
+            previous = positions
     _criterion(6, "denoise boundary + monotonicity", all_kept and monotone,
                f"threshold-1 keeps all: {all_kept}, kept-set monotone: {monotone}")
 

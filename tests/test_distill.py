@@ -3,6 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from tabdistill import distill
 from tabdistill.distill import (
     DistillConfig,
     distill_step,
@@ -13,7 +14,7 @@ from tabdistill.distill import (
 )
 from tabdistill.errors import DataError
 from tabdistill.kdcore import KDInstance, mixed_targets
-from tabdistill.learners import TrainingTarget, gbdt_spec, serialize_model
+from tabdistill.learners import TrainingTarget, gbdt_spec, serialize_model, train
 
 from helpers import dataset_from_arrays, noisy_nonlinear_dataset, separable_dataset
 
@@ -122,9 +123,13 @@ class TestTargetsToSampled:
 
 
 def _kept_and_dropped(ds, scores, threshold):
-    """The rows distill_step keeps and the ids of the rows it drops."""
+    """The positions of the rows distill_step keeps, in the order it keeps
+    them, and of the rows it drops; each value of column ``a`` is unique, so
+    it names its row's position."""
     kept, _ = distill_step(ds, scores, 0.7, threshold)
-    return kept, np.setdiff1d(ds.row_ids, kept.row_ids)
+    position = {v: i for i, v in enumerate(ds.feature_arrays[0].tolist())}
+    kept_at = np.array([position[v] for v in kept.feature_arrays[0].tolist()], dtype=int)
+    return kept_at, np.setdiff1d(np.arange(ds.n_rows), kept_at)
 
 
 class TestDenoise:
@@ -133,7 +138,7 @@ class TestDenoise:
         ds = dataset_from_arrays({"a": rng.standard_normal(50)},
                                  rng.integers(0, 2, 50))
         kept, dropped = _kept_and_dropped(ds, rng.random(50), threshold=1.0)
-        assert kept.n_rows == 50
+        assert len(kept) == 50
         assert len(dropped) == 0
 
     def test_threshold_one_drops_an_exactly_opposite_score(self):
@@ -141,7 +146,7 @@ class TestDenoise:
         # is wrong) is dropped even at threshold 1
         ds = dataset_from_arrays({"a": [0.0, 1.0, 2.0, 3.0]}, [1, 0, 1, 0])
         kept, dropped = _kept_and_dropped(ds, [0.0, 0.5, 0.9, 0.1], threshold=1.0)
-        assert list(kept.row_ids) == [1, 2, 3]
+        assert list(kept) == [1, 2, 3]
         assert list(dropped) == [0]
 
     def test_confident_disagreement_dropped(self):
@@ -153,12 +158,12 @@ class TestDenoise:
     def test_gap_below_threshold_kept(self):
         ds = dataset_from_arrays({"a": [0.0, 1.0]}, [0, 1])
         kept, dropped = _kept_and_dropped(ds, [0.2, 0.9], threshold=0.5)
-        assert kept.n_rows == 2
+        assert len(kept) == 2
 
     def test_boundary_gap_equal_threshold_dropped(self):
         ds = dataset_from_arrays({"a": [0.0, 1.0]}, [1, 1])
         kept, dropped = _kept_and_dropped(ds, [0.5, 0.9], threshold=0.5)
-        assert list(kept.row_ids) == [1]
+        assert list(kept) == [1]
         assert list(dropped) == [0]
 
     def test_kept_set_monotone_in_threshold(self):
@@ -170,16 +175,16 @@ class TestDenoise:
         for threshold in (0.2, 0.4, 0.6, 0.8, 1.0):
             try:
                 kept, _ = _kept_and_dropped(ds, scores, threshold)
-                ids = set(kept.row_ids.tolist())
+                positions = set(kept.tolist())
             except DataError:
-                ids = set()
-            assert previous <= ids
-            previous = ids
+                positions = set()
+            assert previous <= positions
+            previous = positions
 
-    def test_row_ids_preserved(self):
+    def test_kept_rows_keep_their_order(self):
         ds = dataset_from_arrays({"a": [0.0, 1.0, 2.0]}, [1, 0, 1])
         kept, dropped = _kept_and_dropped(ds, [0.95, 0.96, 0.5], threshold=0.9)
-        assert list(kept.row_ids) == [0, 2]
+        assert list(kept) == [0, 2]
         assert list(dropped) == [1]
 
 
@@ -225,12 +230,32 @@ class TestRunGenerations:
         records, models = run_generations(gbdt_spec(rounds=5), ds, None, test, cfg)
         assert len(models) == 2
 
-    def test_include_original_appends_rows(self):
-        ds = separable_dataset(150, seed=14)
-        test = separable_dataset(60, seed=15)
-        cfg = DistillConfig(generations=1, include_original=True, seed=5)
+    def test_include_original_appends_rows(self, monkeypatch):
+        # generation 1 trains on the kept rows with their weight pairs, then
+        # on every original row in order with the pair (y, 1 - y)
+        ds = noisy_nonlinear_dataset(150, seed=14)
+        test = noisy_nonlinear_dataset(60, seed=15)
+        cfg = DistillConfig(denoise_threshold=0.5, generations=1, include_original=True, seed=5)
+        inputs = []
+
+        def recording_train(spec, rows, target, valid):
+            inputs.append((rows, target))
+            return train(spec, rows, target, valid)
+
+        monkeypatch.setattr(distill, "train", recording_train)
         records, models = run_generations(gbdt_spec(rounds=3), ds, None, test, cfg)
-        assert len(models) == 2  # smoke: the doubled dataset trains fine
+        assert len(models) == 2
+        scores = records[0].train_preds
+        y = ds.labels.astype(np.float64)
+        kept = np.flatnonzero(np.abs(scores - y) < cfg.denoise_threshold)
+        assert 0 < len(kept) < ds.n_rows
+        rows, target = inputs[1]
+        for got, column in zip(rows.feature_arrays, ds.feature_arrays, strict=True):
+            np.testing.assert_array_equal(got, np.concatenate([column[kept], column]))
+        np.testing.assert_array_equal(rows.labels, np.concatenate([ds.labels[kept], ds.labels]))
+        w_pos = cfg.beta * scores[kept] + (1.0 - cfg.beta) * y[kept]
+        np.testing.assert_array_equal(target.w_pos, np.concatenate([w_pos, y]))
+        np.testing.assert_array_equal(target.w_neg, np.concatenate([1.0 - w_pos, 1.0 - y]))
 
     @pytest.mark.parametrize("teacher_mode", ["from_last", "from_ensemble"])
     def test_records_keep_each_models_predictions(self, teacher_mode):

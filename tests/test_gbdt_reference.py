@@ -118,8 +118,7 @@ def _tied_dataset(n, seed):
                      Column("side", "categorical", ("l", "r")),
                      Column("flag", "bool"), Column("const", "float"),
                      Column("cont", "float"), Column("label", "int")), "label")
-    return Dataset(schema, (small_int, wide_int, colour, side, flag, const, cont),
-                   labels, np.arange(n, dtype=np.int64))
+    return Dataset(schema, (small_int, wide_int, colour, side, flag, const, cont), labels)
 
 
 def _assert_same_trees(model, reference):
@@ -434,8 +433,7 @@ def _two_valued_dataset(n, seed, kinds):
              "cont": (Column("cont", "float"), cont)}
     columns = [table[k] for k in kinds]
     schema = Schema(tuple(c for c, _ in columns) + (Column("label", "int"),), "label")
-    return Dataset(schema, tuple(v for _, v in columns), labels,
-                   np.arange(n, dtype=np.int64))
+    return Dataset(schema, tuple(v for _, v in columns), labels)
 
 
 @pytest.mark.parametrize("kinds, two_valued", [
@@ -568,8 +566,7 @@ def _mixed_dataset(n, seed):
         Column("channel", "categorical", tuple("abcdefghijkl")),
         Column("label", "int"))
     return Dataset(Schema(columns, "label"),
-                   tuple(x.T) + (visits, member, city, channel),
-                   labels, np.arange(n, dtype=np.int64))
+                   tuple(x.T) + (visits, member, city, channel), labels)
 
 
 def test_mixed_categorical_training_matches_reference():
@@ -587,8 +584,7 @@ def test_all_constant_features_give_single_leaf_trees():
                      Column("c", "categorical", ("only",)), Column("label", "int")),
                     "label")
     ds = Dataset(schema, (np.full(n, 2.5), np.full(n, 4), np.zeros(n, dtype=bool),
-                          np.zeros(n, dtype=np.int64)),
-                 labels, np.arange(n, dtype=np.int64))
+                          np.zeros(n, dtype=np.int64)), labels)
     spec = LearnerSpec("gbdt", {"rounds": 4, "max_depth": 3})
     model = train(spec, ds, TrainingTarget.hard())
     assert all(tree.feature.tolist() == [-1] for tree in model.trees)

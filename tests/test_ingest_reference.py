@@ -2,7 +2,7 @@
 references that keep the per-cell implementations they replaced.
 
 Every Dataset must match the reference byte for byte: schema JSON, every
-feature array's dtype and bytes, labels and row ids, and the encoded matrix.
+feature array's dtype and bytes, the labels, and the encoded matrix.
 Errors the reference raises must carry the same message. The only
 differences allowed are the errors the per-cell code lacked: an integer
 outside the int64 range, a float cell that parses as NaN, and a blank cell in
@@ -160,8 +160,7 @@ def reference_ingest_csv(path, label_column):
             columns.append(Column(name, "categorical", tuple(codes)))
 
     schema = Schema(tuple(columns), label_column)
-    return Dataset(schema=schema, feature_arrays=tuple(arrays), labels=labels,
-                   row_ids=np.arange(len(labels), dtype=np.int64))
+    return Dataset(schema=schema, feature_arrays=tuple(arrays), labels=labels)
 
 
 def reference_transform(enc, ds):
@@ -198,7 +197,6 @@ def _assert_same_dataset(got, want):
     for a, b in zip(got.feature_arrays, want.feature_arrays):
         _assert_same_bytes(a, b)
     _assert_same_bytes(got.labels, want.labels)
-    _assert_same_bytes(got.row_ids, want.row_ids)
 
 
 def _check_against_reference(path, label="label", fit_on=None):

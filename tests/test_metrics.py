@@ -41,6 +41,19 @@ class TestRocAuc:
                 with pytest.raises(DataError, match="finite"):
                     score_fn(scores, given)
 
+    @pytest.mark.parametrize("other", [2, -1])
+    def test_label_other_than_0_or_1_rejected(self, other):
+        # a row labelled 2 would count in the ranks but in neither class
+        labels = [0, 1, other, 1]
+        for score_fn in (roc_auc, evaluate):
+            with pytest.raises(DataError, match="0 or 1"):
+                score_fn([0.1, 0.2, 0.3, 0.4], labels)
+
+    def test_bool_labels_score(self):
+        labels = np.array([False, False, True, True])
+        assert roc_auc([0.1, 0.4, 0.35, 0.8], labels) == 0.75
+        assert evaluate([0.1, 0.4, 0.35, 0.8], labels).auc == 0.75
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_wrong_length_against_bound_labels(self, n):
         with pytest.raises(DataError, match="equal length"):

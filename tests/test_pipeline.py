@@ -491,6 +491,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("reader, named", [
+        pytest.param("config", "is unreadable or not valid JSON", id="config"),
+        pytest.param("model", "unreadable model document", id="model"),
+        pytest.param("ensemble", "unreadable ensemble document", id="ensemble"),
+        pytest.param("params", "--params is not valid JSON", id="params"),
+    ])
+    def test_deeply_nested_json_is_data_error(self, tmp_path, capsys, reader, named):
+        # nesting beyond the JSON parser's depth fails like any other bad JSON
+        nested = "[" * 100_000 + "]" * 100_000
+        path = self._write_csv(tmp_path)
+        doc = tmp_path / "doc.json"
+        doc.write_text(nested)
+        data = ["--data", str(path), "--label", "label"]
+        argv = {"config": ["pipeline", "--config", str(doc)],
+                "model": ["evaluate", "--model", str(doc), *data],
+                "ensemble": ["deploy-distill", "--ensemble", str(doc), *data,
+                             "--out", str(tmp_path / "m.json")],
+                "params": ["train", *data, "--out", str(tmp_path / "m.json"),
+                           "--params", nested]}[reader]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda doc: doc.update(base_logit=float("inf")), id="base_logit"),
         pytest.param(lambda doc: first_leaf(doc["trees"][1]).update(value=float("-inf")),

@@ -226,7 +226,7 @@ class TestScoreModels:
         x = ds.feature_arrays[3].copy()
         x[17] = np.nan
         bad = Dataset(ds.schema, ds.feature_arrays[:3] + (x,) + ds.feature_arrays[4:],
-                      ds.labels, ds.row_ids)
+                      ds.labels)
         with pytest.raises(DataError) as per_model:
             models[0].predict(bad)
         with pytest.raises(DataError) as shared:

@@ -179,13 +179,12 @@ class TestTransforms:
         # mean 0.5, std 0.5 from the two fit rows
         np.testing.assert_allclose(out.feature_arrays[0], [-1.0, 1.0, 199.0])
 
-    def test_fit_rows_are_positions_not_row_ids(self):
+    def test_fit_rows_are_positions_after_take(self):
         base = dataset_from_arrays({"a": [0.0, 1.0, 2.0, 3.0, 40.0]}, [0, 1, 0, 1, 0])
-        ds = base.take(np.array([4, 2, 0, 3, 1]))  # ids 4, 2, 0, 3, 1 at positions 0..4
+        ds = base.take(np.array([4, 2, 0, 3, 1]))  # base rows 4, 2, 0, 3, 1 at positions 0..4
         out = apply_transform(ds, "standardize", fit_rows=[1, 2])
         # positions 1 and 2 hold 2.0 and 0.0: mean 1, std 1
         np.testing.assert_array_equal(out.feature_arrays[0], [39.0, 1.0, -1.0, 2.0, 0.0])
-        np.testing.assert_array_equal(out.row_ids, ds.row_ids)
 
     def test_standardize_preserves_order(self):
         rng = np.random.default_rng(3)
@@ -217,26 +216,19 @@ class TestTransforms:
 
 
 class TestRowIds:
-    @pytest.mark.parametrize("ids", [[3, 1, 3, 0], [7, 7], [0, 5, 2, 9, 5]])
-    def test_duplicated_id_rejected(self, ids):
-        ds = dataset_from_arrays({"a": np.arange(len(ids), dtype=float)}, [0] * len(ids))
-        with pytest.raises(DataError, match="row_ids must be unique"):
-            Dataset(ds.schema, ds.feature_arrays, ds.labels, np.array(ids, dtype=np.int64))
-        with pytest.raises(DataError, match="row_ids must be unique"):
-            ds.take(np.array([0, 1, 0]))
-
-    @pytest.mark.parametrize("ids", [[5], [9, 2, 4, 0], [-1, 0, 1, 2, 3]])
-    def test_unique_ids_accepted_in_any_order(self, ids):
-        ds = dataset_from_arrays({"a": np.arange(len(ids), dtype=float)}, [0] * len(ids))
-        out = Dataset(ds.schema, ds.feature_arrays, ds.labels, np.array(ids, dtype=np.int64))
-        np.testing.assert_array_equal(out.row_ids, ids)  # stored unsorted
+    """A row is named by its position; ``take`` reorders and may repeat rows."""
 
     def test_take_by_permutation_builds(self):
         ds = dataset_from_arrays({"a": np.arange(6.0)}, [0, 1] * 3)
         perm = np.array([4, 0, 5, 2, 1, 3])
         out = ds.take(perm)
-        np.testing.assert_array_equal(out.row_ids, perm)
         np.testing.assert_array_equal(out.feature_arrays[0], perm.astype(float))
+
+    def test_take_may_repeat_a_position(self):
+        ds = dataset_from_arrays({"a": np.arange(2.0)}, [0, 1])
+        out = ds.take([0, 1, 0])
+        np.testing.assert_array_equal(out.feature_arrays[0], [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(out.labels, [0, 1, 0])
 
 
 class TestSplit:
@@ -251,16 +243,18 @@ class TestSplit:
         a = split(ds, SplitSpec(0.6, 0.2, seed=5))
         b = split(ds, SplitSpec(0.6, 0.2, seed=5))
         for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.row_ids, y.row_ids)
+            np.testing.assert_array_equal(x.feature_arrays[0], y.feature_arrays[0])
 
     def test_partition_exact_and_disjoint(self):
         rng = np.random.default_rng(0)
         ds = dataset_from_arrays({"a": rng.standard_normal(53)},
                                  rng.integers(0, 2, 53))
         tr, va, te = split(ds, SplitSpec(0.5, 0.25, seed=9))
-        all_ids = np.concatenate([tr.row_ids, va.row_ids, te.row_ids])
-        assert len(all_ids) == 53
-        assert set(all_ids) == set(ds.row_ids)
+        # each value of "a" is unique, so it names its row
+        all_rows = np.concatenate([tr.feature_arrays[0], va.feature_arrays[0],
+                                   te.feature_arrays[0]])
+        assert len(all_rows) == 53
+        assert set(all_rows) == set(ds.feature_arrays[0])
 
     def test_empty_partition_rejected(self):
         ds = dataset_from_arrays({"a": [1.0, 2.0, 3.0]}, [0, 1, 0])
@@ -286,7 +280,7 @@ class TestFeatureEncoder:
         schema = Schema((Column("c", "categorical", cats), Column("label", "int")),
                         "label")
         ds = Dataset(schema, (codes.astype(np.int64),),
-                     rng.integers(0, 2, 500).astype(np.int64), np.arange(500))
+                     rng.integers(0, 2, 500).astype(np.int64))
         enc = FeatureEncoder.fit(ds)
         x = enc.transform(ds)
         assert x.shape[1] == 65  # 64 kept + other

@@ -17,11 +17,12 @@ stdout.
 
 A change that must keep every output byte-identical prints the same
 manifest as its parent. To compare, check the parent out next to the repo
-and run the script once against each ``src/``; the script and the helpers
-come from the working tree both times, so only the package differs:
+and run each checkout's own script on its own ``src/``; each side needs its
+own helpers, since a change to how they build a Dataset would not run on
+the other side's package:
 
     git worktree add ../parent <parent-commit>
-    PYTHONPATH=../parent/src python3 tools/output_digests.py > parent.txt
+    (cd ../parent && PYTHONPATH=src python3 tools/output_digests.py) > parent.txt
     PYTHONPATH=src python3 tools/output_digests.py > change.txt
     diff parent.txt change.txt && sha256sum change.txt
     git worktree remove ../parent
