@@ -61,7 +61,8 @@ class DEConfig:
 
 class EnsembleModel:
     """Member models blended by a normalized weighted mean of predictions;
-    ``score_models`` encodes a Dataset once per distinct member encoder."""
+    ``score_models`` encodes a Dataset once per distinct live member
+    encoder. A member of weight 0 is never scored."""
 
     def __init__(self, members: Sequence, weights: Sequence[float]):
         if len(members) == 0:
@@ -78,8 +79,22 @@ class EnsembleModel:
         self.members = list(members)
         self.weights = w
 
+    def live(self) -> np.ndarray:
+        """Positions of the members with a nonzero weight, read from
+        ``weights`` at each call."""
+        return np.flatnonzero(self.weights)
+
     def predict(self, rows) -> np.ndarray:
-        return blend(score_models(self.members, rows), self.weights)
+        """``blend`` of every member's scores, scoring only the live members.
+        A dead member's row is left at 0.0: its product with a zero weight
+        is the same signed zero as that of any finite score in [0, 1], and
+        ``blend`` still totals every weight, so the bits are those of
+        scoring all members."""
+        live = self.live()
+        scores = score_models([self.members[j] for j in live], rows)
+        member_preds = np.zeros((len(self.members), scores.shape[1]))
+        member_preds[live] = scores
+        return blend(member_preds, self.weights)
 
     def to_json_dict(self, member_files: Sequence[str]) -> dict:
         if len(member_files) != len(self.members):
@@ -239,7 +254,7 @@ def combine_families(families: Sequence[Sequence], valid: Dataset,
         raise DataError("no members to combine")
     optimized, audit = optimize_weights_detailed(members, valid, cfg)
     audit["family_sizes"] = [len(f) for f in families]
-    audit["surviving_members"] = [int(j) for j in np.flatnonzero(optimized.weights > 0)]
+    audit["surviving_members"] = [int(j) for j in optimized.live()]
     return optimized, audit
 
 

@@ -2,10 +2,11 @@
 correlation. All kernels are pure functions.
 
 The ROC AUC is a rank sum over a single sort of the scores, exact under
-ties, and rejects non-finite scores with DataError; ``evaluate`` inherits
-that check. Its label step, ``AUCLabels``, checks and counts the labels
-and builds the integer vectors of the untied rank sum; the ensemble weight
-search runs it once and scores every blend against it."""
+ties, and rejects scores and labels that are not 1-D, and non-finite
+scores, with DataError; ``evaluate`` inherits those checks. Its label
+step, ``AUCLabels``, checks and counts the labels and builds the integer
+vectors of the untied rank sum; the ensemble weight search runs it once
+and scores every blend against it."""
 
 from __future__ import annotations
 
@@ -32,13 +33,16 @@ class EvalReport:
 
 
 class AUCLabels:
-    """The label step of ``roc_auc``: 0/1 labels, checked (any other label
-    raises DataError), with their class counts, the positives as an int64
-    0/1 vector and the ranks 1..n as int64, so that an untied rank sum is one
-    integer dot product. ``np.asarray`` turns it back into the labels."""
+    """The label step of ``roc_auc``: 1-D 0/1 labels, checked (any other
+    shape or label raises DataError), with their class counts, the
+    positives as an int64 0/1 vector and the ranks 1..n as int64, so that
+    an untied rank sum is one integer dot product. ``np.asarray`` turns it
+    back into the labels."""
 
     def __init__(self, labels):
         self.labels = np.asarray(labels)
+        if self.labels.ndim != 1:
+            raise DataError("ROC AUC needs 1-D labels")
         self.pos = (self.labels == 1).astype(np.int64)
         self.n_pos = np.count_nonzero(self.pos)
         self.n_neg = np.count_nonzero(self.labels == 0)
@@ -62,12 +66,14 @@ def roc_auc(scores, labels) -> float:
     the sorted 0/1 positives with the ranks. Otherwise each tie group adds
     its mid-rank times its count of positives; mid-ranks are half-integers,
     so that sum is exact whatever the sort kind or the order within a group.
-    Non-finite scores raise DataError."""
+    Scores and labels that are not 1-D, and non-finite scores, raise
+    DataError."""
     scores = np.asarray(scores, dtype=np.float64)
     bound = isinstance(labels, AUCLabels)
     # np.shape would copy an AUCLabels' labels through __array__
-    if scores.shape != (labels.labels.shape if bound else np.shape(labels)):
-        raise DataError("scores and labels must have equal length")
+    labels_shape = labels.labels.shape if bound else np.shape(labels)
+    if scores.ndim != 1 or scores.shape != labels_shape:
+        raise DataError("scores and labels must be 1-D and of equal length")
     if not bound:
         labels = AUCLabels(labels)
     n_pos, n_neg = labels.n_pos, labels.n_neg

@@ -54,6 +54,22 @@ class TestRocAuc:
         assert roc_auc([0.1, 0.4, 0.35, 0.8], labels) == 0.75
         assert evaluate([0.1, 0.4, 0.35, 0.8], labels).auc == 0.75
 
+    @pytest.mark.parametrize("scores, labels", [
+        (np.zeros((2, 2)), np.array([[0, 1], [1, 0]])),
+        (np.zeros((1, 4)), np.array([[0, 1, 1, 0]])),
+        (np.zeros((2, 2)), np.array([0, 1, 1, 0])),
+        (np.zeros(4), np.array([[0, 1], [1, 0]])),
+        (np.float64(0.5), np.int64(1)),
+    ])
+    def test_scores_and_labels_must_be_1d(self, scores, labels):
+        for score_fn in (roc_auc, evaluate):
+            with pytest.raises(DataError, match="1-D"):
+                score_fn(scores, labels)
+
+    def test_bound_labels_must_be_1d(self):
+        with pytest.raises(DataError, match="1-D"):
+            AUCLabels(np.array([[0, 1], [1, 0]]))
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_wrong_length_against_bound_labels(self, n):
         with pytest.raises(DataError, match="equal length"):

@@ -247,6 +247,76 @@ class TestScoreModels:
             EnsembleModel(models, np.ones(5)).predict(_other_schema(30))
 
 
+class _Poison:
+    """A member no one may score: ``predict`` records the call, then raises
+    or returns NaN."""
+
+    def __init__(self, raises: bool):
+        self.raises = raises
+        self.calls = 0
+
+    def predict(self, rows):
+        self.calls += 1
+        if self.raises:
+            raise RuntimeError("a dead member was scored")
+        return np.full(rows.n_rows, np.nan)
+
+
+class TestLiveMembers:
+    """``EnsembleModel.predict`` scores only the members of nonzero weight,
+    bit for bit as if it scored all of them."""
+
+    @pytest.mark.parametrize("weights", [
+        [0.0, 1.0, 0.3, 2.5, 0.7],     # dead first
+        [0.3, 1.0, 0.0, 0.0, 0.7],     # dead in the middle
+        [0.3, 1.0, 0.4, 2.5, 0.0],     # dead last
+        [0.3, -0.0, 0.4, 0.0, 0.7],    # a negative zero
+        [0.0, 0.0, 0.0, 0.0, 0.7],     # one live member
+    ])
+    def test_bitwise_equal_to_scoring_every_member(self, models_and_rows, weights):
+        models, ds = models_and_rows
+        expected = blend(np.stack([m.predict(ds) for m in models]), np.asarray(weights))
+        assert _bits(EnsembleModel(models, weights).predict(ds)) == _bits(expected)
+
+    def test_nine_members_keep_the_pairwise_total(self, models_and_rows):
+        models, ds = models_and_rows
+        members = models + models[:4]
+        w = np.array([0.3, 0.0, 0.1, 0.7, 0.0, 0.2, 0.6, 0.1, 0.0])
+        # numpy's pairwise sum of 8+ weights rounds differently without the zeros
+        assert w.sum() != w[w != 0].sum()
+        expected = blend(np.stack([m.predict(ds) for m in members]), w)
+        assert _bits(EnsembleModel(members, w).predict(ds)) == _bits(expected)
+
+    @pytest.mark.parametrize("raises", [True, False])
+    def test_dead_member_is_never_called(self, models_and_rows, raises):
+        models, ds = models_and_rows
+        first, last = _Poison(raises), _Poison(raises)
+        ens = EnsembleModel([first, models[0], last, models[2]], [0.0, 0.4, 0.0, 1.1])
+        expected = blend(np.stack([models[0].predict(ds), models[2].predict(ds)]),
+                         np.array([0.4, 1.1]))
+        assert _bits(ens.predict(ds)) == _bits(expected)
+        assert first.calls == last.calls == 0
+
+    def test_encoding_error_from_the_first_live_member(self, models_and_rows):
+        models, _ = models_and_rows
+        dead = _Poison(raises=True)
+        with pytest.raises(SchemaMismatchError):
+            EnsembleModel([dead, models[0]], [0.0, 1.0]).predict(_other_schema(30))
+        assert dead.calls == 0
+
+    def test_replaced_live_member_takes_effect(self, models_and_rows):
+        models, ds = models_and_rows
+        ens = EnsembleModel(models, [0.3, 1.0, 0.0, 2.5, 0.7])
+        duck = _Duck()
+        ens.members[1] = duck
+        members = [models[0], duck, models[2], models[3], models[4]]
+        expected = blend(np.stack([m.predict(ds) for m in members]), ens.weights)
+        assert _bits(ens.predict(ds)) == _bits(expected)
+        assert duck.seen == [ds, ds]
+        ens.members[3] = _Poison(raises=False)
+        assert np.isnan(ens.predict(ds)).all()
+
+
 class TestSigmoid:
     def test_bitwise_equal_to_masked_reference(self):
         rng = np.random.default_rng(0)

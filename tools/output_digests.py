@@ -13,7 +13,15 @@ ensembles, and ``ensemble-opt`` once more on its first member alone;
 Monte-Carlo budgets (200,000 resamples, about 2 s) and at ``--fast``'s.
 Every command's stdout is kept as a file too. The manifest, one
 ``sha256  relative-path`` line per file in sorted path order, goes to
-stdout.
+stdout after one header line that names the numeric environment: numpy's
+version, its enabled dispatch targets and the configuration string of the
+OpenBLAS numpy loaded (``unknown`` when that library does not export it).
+Outputs depend on the kernels these select, so two manifests compare only
+when their headers do. On any x86-64 machine with AVX2 the kernels can be
+pinned:
+
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
+        OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python3 tools/output_digests.py
 
 A change that must keep every output byte-identical prints the same
 manifest as its parent. To compare, check the parent out next to the repo
@@ -31,12 +39,15 @@ the other side's package:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
@@ -151,6 +162,24 @@ def write_outputs() -> None:
     _run(["verify", "--seed", "0"], "verify.stdout")
 
 
+def environment() -> str:
+    """The manifest's header: numpy's version, the dispatch targets numpy
+    enabled on this CPU, and the bundled OpenBLAS's configuration string,
+    which names the core type whose kernels it picked."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    # a handle on the extension module also finds the libraries it links
+    get_config = getattr(ctypes.CDLL(umath.__file__), "scipy_openblas_get_config64_", None)
+    blas = "unknown"
+    if get_config is not None:
+        get_config.restype = ctypes.c_char_p
+        blas = get_config().decode()
+    return f"# numpy {np.__version__}; dispatch {' '.join(targets) or 'none'}; blas {blas}"
+
+
 def manifest(root: Path) -> list[str]:
     lines = []
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
@@ -169,6 +198,7 @@ def main() -> int:
         finally:
             os.chdir(cwd)
         lines = manifest(root)
+    print(environment())
     print("\n".join(lines))
     print(f"{len(lines)} files", file=sys.stderr)
     return 0
