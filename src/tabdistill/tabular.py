@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -153,31 +154,151 @@ class Dataset:
         return Dataset(self.schema, tuple(a[idx] for a in self.feature_arrays), self.labels[idx])
 
 
-def _parse_column(kind: str, values: Sequence[str]) -> list:
-    """Every cell of a column parsed as ``kind``; KeyError or ValueError when
-    any cell does not parse."""
+def _parse_cells(kind: str, cells: Sequence[str]) -> np.ndarray:
+    """The cells parsed as ``kind`` into its dtype; KeyError or ValueError
+    when a cell does not parse, OverflowError when every cell is an int and
+    one lies outside the int64 range."""
     if kind == "bool":
-        return list(map(_BOOL_TOKENS.__getitem__, values))
-    return list(map(int if kind == "int" else float, map(str.strip, values)))
+        return np.fromiter(map(_BOOL_TOKENS.__getitem__, cells), bool, len(cells))
+    try:
+        return np.fromiter(map(int if kind == "int" else float, map(str.strip, cells)),
+                           _DTYPES[kind], len(cells))
+    except OverflowError:
+        list(map(int, map(str.strip, cells)))  # a later cell that is no int raises ValueError
+        raise
 
 
-def _infer_column(values: Sequence[str]) -> tuple[str, Optional[list]]:
-    """The first of bool, int, float whose parser accepts every cell, with
-    the parsed cells; categorical (and None) when none does."""
-    for kind in ("bool", "int", "float"):
+def _first_kind(kinds: Sequence[str], cells: Sequence[str]) -> tuple[str, Optional[np.ndarray]]:
+    """The first of ``kinds`` whose parser accepts every cell, with the parsed
+    cells (None when an int lies outside int64); categorical and None when
+    none does."""
+    for kind in kinds:
         try:
-            return kind, _parse_column(kind, values)
+            return kind, _parse_cells(kind, cells)
         except (KeyError, ValueError):
             pass
+        except OverflowError:
+            return kind, None
     return "categorical", None
 
 
-def _bad_cell(path: Path, name: str, kind: str, values: Sequence[str]) -> DataError:
+# the kinds a column of nonblank cells of each kind can still take: a bool
+# token is no number, so a bool column that meets another cell is categorical
+_KINDS_FROM = {None: ("bool", "int", "float"), "bool": ("bool",),
+               "int": ("int", "float"), "float": ("float",)}
+
+# rows per block of the CSV reader; at most one block of cells is held as
+# strings, so ingest memory is one block plus the result arrays
+_INGEST_BLOCK_ROWS = 1024
+
+
+def _read_blocks(path: Path) -> Iterator:
+    """The header row (None for an empty file), then the data rows in blocks
+    of ``_INGEST_BLOCK_ROWS``; a file that cannot be read (missing, a
+    directory, not UTF-8, a field past the csv module's limit, a NUL in the
+    path) raises DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            yield next(reader, None)
+            for row in reader:
+                yield [row, *islice(reader, _INGEST_BLOCK_ROWS - 1)]
+    except (OSError, ValueError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+
+
+def _column_blocks(path: Path, index: int, stop: int) -> Iterator[list[str]]:
+    """The cells of column ``index`` in the first ``stop`` data rows, read
+    from the file again, in blocks of ``_INGEST_BLOCK_ROWS``."""
+    blocks = _read_blocks(path)
+    next(blocks)
+    rows = islice(chain.from_iterable(blocks), stop)
+    while cells := [r[index] for r in islice(rows, _INGEST_BLOCK_ROWS)]:
+        yield cells
+
+
+class _ColumnReader:
+    """One feature column of a CSV, parsed a block of rows at a time.
+
+    ``kind`` is the kind of the nonblank cells so far (None before the
+    first) and ``parts`` holds their arrays, or once the kind is categorical
+    the codes of every cell. A block that widens the kind (int to float, or
+    to categorical) makes the column parse its earlier cells again from the
+    file: casting int64 parts would turn ``-0`` into 0.0 and cannot hold ints
+    beyond int64, and categories need the original strings. Errors are only
+    noted here; ``finish`` decides them once the whole file has been read.
+    """
+
+    def __init__(self, path: Path, index: int):
+        self.path, self.index = path, index
+        self.kind: Optional[str] = None
+        self.blank = False     # a blank cell was seen
+        self.overflow = False  # an int cell outside the int64 range was seen
+        self.parts: list[np.ndarray] = []
+        self.codes: dict[str, int] = {}
+        self.rows = 0
+
+    def add(self, cells: Sequence[str]) -> None:
+        """Parse the cells of the next block of rows."""
+        if self.kind == "categorical":
+            return self._code(cells)
+        # after a blank cell the kind is that of the nonblank cells, and the
+        # column is an error unless it ends categorical
+        typed = [v for v in cells if v.strip()] if self.blank else cells
+        if not typed:
+            self.rows += len(cells)
+            return
+        kind, parsed = _first_kind(_KINDS_FROM[self.kind], typed)
+        if kind == "categorical" and not self.blank and not all(map(str.strip, cells)):
+            self.blank = True
+            return self.add(cells)
+        # parts kept after a blank are never used, so then only the
+        # categories need the earlier cells
+        if kind != self.kind and self.rows and (kind == "categorical" or not self.blank):
+            self._reparse(kind)
+            return self.add(cells)
+        self.kind = kind
+        if kind == "categorical":
+            return self._code(cells)
+        if parsed is None:
+            self.overflow = True
+        elif not self.blank:
+            self.parts.append(parsed)
+        self.rows += len(cells)
+
+    def _code(self, cells: Sequence[str]) -> None:
+        for v in dict.fromkeys(cells):
+            self.codes.setdefault(v, len(self.codes))
+        self.parts.append(np.fromiter(map(self.codes.__getitem__, cells), np.int64, len(cells)))
+        self.rows += len(cells)
+
+    def _reparse(self, kind: str) -> None:
+        stop = self.rows
+        self.kind, self.parts, self.codes, self.overflow, self.rows = kind, [], {}, False, 0
+        for cells in _column_blocks(self.path, self.index, stop):
+            self.add(cells)
+
+    def finish(self, name: str) -> tuple[Column, np.ndarray]:
+        """The column and its array; DataError naming the first cell its kind
+        rejects."""
+        if self.kind is None:  # only blank cells: the blanks are the categories
+            self._reparse("categorical")
+        parts, self.parts = self.parts, []
+        if self.kind == "categorical":
+            return Column(name, "categorical", tuple(self.codes)), np.concatenate(parts)
+        arr = None if self.blank or self.overflow else np.concatenate(parts)
+        if arr is None or (self.kind == "float" and np.isnan(arr).any()):
+            raise _bad_cell(self.path, name, self.kind, chain.from_iterable(
+                _column_blocks(self.path, self.index, self.rows)))
+        return Column(name, self.kind), arr
+
+
+def _bad_cell(path: Path, name: str, kind: str, values: Iterable[str]) -> DataError:
     """The error for the first cell of a column that ``kind`` rejects: the
-    column's own parser and cast, run on one cell at a time."""
+    column's own parser, run on one cell at a time."""
     for row, raw in enumerate(values, 1):
         try:
-            value = np.array(_parse_column(kind, [raw]), dtype=_DTYPES[kind])[0]
+            value = _parse_cells(kind, [raw])[0]
         except (KeyError, ValueError):
             problem = {"bool": "is not a boolean", "int": "is not an integer",
                        "float": "is not a number"}[kind]
@@ -212,73 +333,70 @@ def ingest_csv(path: str | Path, label_column: str) -> Dataset:
     are errors: an integer outside the int64 range, a float cell that
     parses as NaN, and a blank cell in a column whose other cells all parse
     as bool, int or float (a column of blank cells only stays categorical).
+
+    The file is read in one pass, ``_INGEST_BLOCK_ROWS`` (1,024) rows at a
+    time, each block parsed straight into typed per-column parts, so memory
+    is bounded by one block of strings plus the result arrays. Only a column
+    whose kind widens in a later block reads its earlier cells again. Errors
+    are decided once the whole file has been read, so an unreadable file is
+    reported as such wherever the fault lies.
     """
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
-    except (OSError, ValueError, csv.Error) as exc:  # also not UTF-8, a NUL in the path
-        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+    blocks = _read_blocks(path)
+    header = next(blocks)
     if header is None:
         raise DataError(f"{path}: empty file")
 
-    if label_column not in header:
+    width = len(header)
+    has_label = label_column in header
+    # each name in order of first appearance, read from its last column, as
+    # a dict built from the header would
+    index = {name: j for j, name in enumerate(header)}
+    readers = {name: _ColumnReader(path, j) for name, j in index.items() if name != label_column}
+    label_parts: list[np.ndarray] = []
+    n_rows = 0
+    bad_width = bad_label = None
+    for block in blocks:
+        start, n_rows = n_rows + 1, n_rows + len(block)
+        # once an error is decided, the rest of the file is only read through,
+        # looking for rows of the wrong width while that error is a label
+        if not has_label or bad_width:
+            continue
+        if set(map(len, block)) != {width}:
+            i, r = next((i, r) for i, r in enumerate(block, start) if len(r) != width)
+            bad_width = f"row {i} has {len(r)} cells, expected {width}"
+            continue
+        if bad_label:
+            continue
+        columns = list(zip(*block))
+        cells = columns[index[label_column]]
+        try:
+            label_parts.append(np.fromiter(map(_LABEL_TOKENS.__getitem__, map(str.strip, cells)),
+                                           np.int64, len(cells)))
+        except KeyError:
+            i, raw = next((i, v) for i, v in enumerate(cells, start)
+                          if v.strip() not in _LABEL_TOKENS)
+            bad_label = f"row {i}, column {label_column!r}: label {raw!r} is not 0/1"
+            continue
+        for reader in readers.values():
+            reader.add(columns[reader.index])
+        del block, columns, cells  # so that no cell is alive while the next block is read
+
+    if not has_label:
         raise DataError(f"{path}: label column {label_column!r} not found "
                         f"(columns: {header})")
-    if not rows:
+    if not n_rows:
         raise DataError(f"{path}: no data rows")
-    width = len(header)
-    if set(map(len, rows)) != {width}:
-        for i, r in enumerate(rows):
-            if len(r) != width:
-                raise DataError(f"{path}: row {i + 1} has {len(r)} cells, expected {width}")
+    if bad_width or bad_label:
+        raise DataError(f"{path}: {bad_width or bad_label}")
 
-    by_name = dict(zip(header, zip(*rows)))
-    del rows  # the column tuples hold the cells now
-
-    raw_labels = by_name[label_column]
-    try:
-        labels = np.array(list(map(_LABEL_TOKENS.__getitem__, map(str.strip, raw_labels))),
-                          dtype=np.int64)
-    except KeyError:
-        row, raw = next((i, v) for i, v in enumerate(raw_labels, 1)
-                        if v.strip() not in _LABEL_TOKENS)
-        raise DataError(f"{path}: row {row}, column {label_column!r}: "
-                        f"label {raw!r} is not 0/1") from None
-
-    columns: list[Column] = []
-    arrays: list[np.ndarray] = []
-    for name in header:
-        if name == label_column:
-            columns.append(Column(name, "int"))
-            continue
-        values = by_name[name]
-        kind, parsed = _infer_column(values)
-        if kind == "categorical":
-            # a blank cell must not turn a bool or numeric column categorical;
-            # the blank fails the kind of the other cells, so a bad cell is found
-            nonblank = [v for v in values if v.strip()]
-            if 0 < len(nonblank) < len(values):
-                other = _infer_column(nonblank)[0]
-                if other != "categorical":
-                    raise _bad_cell(path, name, other, values)
-            codes = {v: j for j, v in enumerate(dict.fromkeys(values))}
-            arrays.append(np.array(list(map(codes.__getitem__, values)), dtype=np.int64))
-            columns.append(Column(name, kind, tuple(codes)))
-            continue
-        try:
-            arr = np.array(parsed, dtype=_DTYPES[kind])
-        except OverflowError:
-            raise _bad_cell(path, name, kind, values) from None
-        if kind == "float" and np.isnan(arr).any():
-            raise _bad_cell(path, name, kind, values)
-        arrays.append(arr)
-        columns.append(Column(name, kind))
-
+    features = {name: reader.finish(name) for name, reader in readers.items()}
+    columns = [Column(name, "int") if name == label_column else features[name][0]
+               for name in header]
+    arrays = [features[name][1] for name in header if name != label_column]
     schema = Schema(tuple(columns), label_column)
-    return Dataset(schema=schema, feature_arrays=tuple(arrays), labels=labels)
+    return Dataset(schema=schema, feature_arrays=tuple(arrays),
+                   labels=np.concatenate(label_parts))
 
 
 def remove_constant_columns(ds: Dataset) -> tuple[Dataset, list[str]]:
@@ -317,9 +435,11 @@ def apply_transform(ds: Dataset, kind: str, fit_rows: Sequence[int]) -> Dataset:
     mapping every value into (0, 1).
     """
     require_choice(kind, "transform", TRANSFORM_KINDS)
-    fit_rows = np.asarray(fit_rows, dtype=np.intp)
-    if len(fit_rows) == 0 or fit_rows.min() < 0 or fit_rows.max() >= ds.n_rows:
-        raise DataError(f"fit_rows must be a non-empty list of positions below {ds.n_rows}")
+    fit_rows = np.asarray(fit_rows)
+    # a bool mask or fractional positions would be cast to other positions
+    if (len(fit_rows) == 0 or fit_rows.dtype.kind not in "iu"
+            or fit_rows.min() < 0 or fit_rows.max() >= ds.n_rows):
+        raise DataError(f"fit_rows must be a non-empty list of integer positions below {ds.n_rows}")
 
     arrays = iter(ds.feature_arrays)
     columns: list[Column] = []
@@ -349,6 +469,7 @@ def apply_transform(ds: Dataset, kind: str, fit_rows: Sequence[int]) -> Dataset:
 
 def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic positional (train, valid, test) partition of range(n)."""
+    n = require_integer(n, "number of rows to split")
     if n < 3:
         raise DataError("need at least 3 rows to split")
     n_train = int(round(n * spec.train_fraction))

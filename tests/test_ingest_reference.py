@@ -7,12 +7,17 @@ Errors the reference raises must carry the same message. The only
 differences allowed are the errors the per-cell code lacked: an integer
 outside the int64 range, a float cell that parses as NaN, and a blank cell in
 a column whose other cells are all bools or numbers. Those are checked
-against a per-cell oracle that names the first offending row and column."""
+against a per-cell oracle that names the first offending row and column.
+
+The fixed-input, error-message and random tests run again with the reader's
+block size set to 2 and 3 rows, so that kind changes, blank cells, NaNs,
+out-of-range ints and short rows fall in a block after the first."""
 
 import csv
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tabdistill import tabular
 from tabdistill.errors import DataError
 from tabdistill.tabular import (
     MAX_ONE_HOT,
@@ -398,7 +404,7 @@ class TestNewCellErrors:
 # ---- random token lists ----
 
 _TOKENS = ["true", "false", "True", "False", "TRUE", "FALSE", " true", "tRUE",
-           "0", "1", "-3", "+4", " 5 ", "1_000", "1__0", "0x10", "٣", "\x1c7",
+           "0", "-0", "1", "-3", "+4", " 5 ", "1_000", "1__0", "0x10", "٣", "\x1c7",
            "9223372036854775807", "9223372036854775808", "-9223372036854775809",
            "99999999999999999999999", "1.0", ".5", "-2e3", "1e999", "inf", "-Infinity",
            "nan", " NaN", "", " ", "a", "b,c", 'q"uote', "x\ny", "é"]
@@ -484,3 +490,144 @@ def test_random_token_columns_match_the_reference(tmp_path, columns):
         _assert_same_dataset(got, want)
         enc = FeatureEncoder.fit(got)
         _assert_same_bytes(enc.transform(got), reference_transform(enc, want))
+
+
+# ---- the same inputs read in blocks of 2 and 3 rows ----
+
+@pytest.fixture(params=[2, 3], ids=lambda rows: f"blocks_of_{rows}")
+def small_blocks(request, monkeypatch):
+    monkeypatch.setattr(tabular, "_INGEST_BLOCK_ROWS", request.param)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestWorkloadCsvsInSmallBlocks(TestWorkloadCsvs):
+    pass
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestTokensInSmallBlocks(TestTokens):
+    pass
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestErrorMessagesInSmallBlocks(TestErrorMessages):
+    pass
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestNewCellErrorsInSmallBlocks(TestNewCellErrors):
+    pass
+
+
+@pytest.mark.usefixtures("small_blocks")
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=_tables())
+def test_random_token_columns_in_small_blocks(tmp_path, columns):
+    test_random_token_columns_match_the_reference.hypothesis.inner_test(tmp_path, columns)
+
+
+def _with_row_7(values: list, cell: str) -> list:
+    """Eight cells whose seventh is ``cell``: with blocks of 2 or 3 rows it
+    lands in a block after the first."""
+    return values[:6] + [cell] + values[7:]
+
+
+_INTS = [str(i) for i in range(1, 9)]
+_FLOATS = [f"{i}.5" for i in range(8)]
+_BOOLS = ["true", "false"] * 4
+_LABELS_8 = ["0", "1"] * 4
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLaterBlocks:
+    _same_error = TestErrorMessages._same_error
+
+    def test_kinds_that_widen_in_a_later_block(self, tmp_path):
+        path = _write_columns(tmp_path / "a.csv", {
+            "int_float": ["1", "-0"] + _with_row_7(_INTS, "1.5")[2:],
+            "big_float": ["99999999999999999999999"] + _with_row_7(_INTS, "2.5")[1:],
+            "big_cat": ["-9223372036854775809"] + _with_row_7(_INTS, "a")[1:],
+            "bool_cat": _with_row_7(_BOOLS, "1"),
+            "int_cat": _with_row_7(_INTS, "x"),
+            "nan_cat": ["nan"] + _with_row_7(_FLOATS, "z")[1:],
+            "blank_cat": ["1", ""] + _with_row_7(_INTS, "b")[2:],
+            "blank": ["", " "] * 4,
+            "label": _LABELS_8,
+        })
+        ds = _check_against_reference(path)
+        assert [c.kind for c in ds.schema.feature_columns] == ["float"] * 2 + ["categorical"] * 6
+        assert np.signbit(ds.feature_arrays[0][1])  # float("-0"), not a cast int 0
+        assert ds.feature_arrays[1][0] == 1e23
+
+    @pytest.mark.parametrize("column,message", [
+        (_with_row_7(_INTS, ""), "'' is not an integer"),
+        (_with_row_7(_FLOATS, "nan"), "'nan' parses as NaN, a missing value"),
+        (_with_row_7(_INTS, "9223372036854775808"),
+         "'9223372036854775808' is outside the int64 range"),
+        (_with_row_7(_BOOLS, " "), "' ' is not a boolean"),
+    ])
+    def test_bad_cell(self, tmp_path, column, message):
+        path = _write_columns(tmp_path / "a.csv", {"ok": _INTS, "x": column, "label": _LABELS_8})
+        with pytest.raises(DataError) as got:
+            ingest_csv(path, "label")
+        assert str(got.value) == f"{path}: row 7, column 'x': {message}"
+
+    def test_blank_cells_before_the_first_number(self, tmp_path):
+        path = _write_columns(tmp_path / "a.csv", {
+            "x": ["", " ", "", "", "", "", "1", "2"], "label": _LABELS_8})
+        with pytest.raises(DataError, match=r"row 1, column 'x': '' is not an integer$"):
+            ingest_csv(path, "label")
+
+    def test_short_row_and_bad_label(self, tmp_path):
+        rows = [[x, y] for x, y in zip(_INTS, _LABELS_8)]
+        path = _write_rows(tmp_path / "a.csv", ["x", "label"], rows[:6] + [["7"]] + rows[7:])
+        assert self._same_error(path).endswith("row 7 has 1 cells, expected 2")
+        bad_label = [[x, y] for x, y in zip(_INTS, _with_row_7(_LABELS_8, "2"))]
+        assert self._same_error(_write_rows(
+            tmp_path / "b.csv", ["x", "label"], bad_label)).endswith("label '2' is not 0/1")
+
+    def test_errors_keep_their_order_across_blocks(self, tmp_path):
+        # a short row after a bad label, a bad label after a bad cell
+        path = _write_rows(tmp_path / "a.csv", ["x", "label"],
+                           [["1", "2"]] + [["1", "0"]] * 5 + [["1"], ["1", "0"]])
+        assert self._same_error(path).endswith("row 7 has 1 cells, expected 2")
+        path = _write_columns(tmp_path / "b.csv", {
+            "x": ["nan"] + _FLOATS[1:], "label": _with_row_7(_LABELS_8, "2")})
+        assert self._same_error(path).endswith("label '2' is not 0/1")
+
+    def test_a_fault_late_in_the_file_makes_it_unreadable(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"x,label\n1,2\n3\n" + b"4,0\n" * 5 + b"\xff,1\n")
+        with pytest.raises(DataError, match="unreadable CSV"):
+            ingest_csv(path, "label")
+
+    def test_earlier_cells_are_read_again_only_when_a_kind_widens(self, tmp_path, monkeypatch):
+        reads = []
+        column_blocks = tabular._column_blocks
+        monkeypatch.setattr(tabular, "_column_blocks",
+                            lambda *args: reads.append(args[1:]) or column_blocks(*args))
+        features, labels = gen.mixed_types(40, 3)
+        gen.write_csv(features, labels, tmp_path / "mixed.csv")
+        ingest_csv(tmp_path / "mixed.csv", "label")
+        assert reads == []
+        path = _write_columns(tmp_path / "a.csv", {
+            "x": _with_row_7(_INTS, "1.5"), "y": _INTS, "label": _LABELS_8})
+        ingest_csv(path, "label")
+        assert reads == [(0, 6)]
+
+
+def test_ingest_memory_is_one_block_plus_the_arrays(tmp_path):
+    features, labels = gen.numeric_nonlinear(50_000, 11)
+    # three of the eight columns keep the test under two seconds; holding
+    # every cell as a string would still take several times the bound
+    gen.write_csv({name: features[name] for name in ("f1", "f2", "f3")}, labels,
+                  tmp_path / "data.csv")
+    tracemalloc.start()
+    try:
+        ds = ingest_csv(tmp_path / "data.csv", "label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(a.nbytes for a in ds.feature_arrays) + ds.labels.nbytes
+    assert peak < 3 * nbytes + 4 * 2**20, (peak, nbytes)

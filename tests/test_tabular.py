@@ -16,6 +16,7 @@ from tabdistill.tabular import (
     ingest_csv,
     remove_constant_columns,
     split,
+    split_indices,
 )
 
 from helpers import (
@@ -201,6 +202,14 @@ class TestTransforms:
             with pytest.raises(DataError, match="positions below 2"):
                 apply_transform(ds, "standardize", fit_rows=outside)
 
+    @pytest.mark.parametrize("fit_rows", [[True, True, True, False], [0.9, 1.9],
+                                          np.array([0, 1], dtype=object)])
+    def test_non_integer_fit_rows_rejected(self, fit_rows):
+        # cast to positions, the mask [T, T, T, F] would fit on rows 1, 1, 1, 0
+        ds = dataset_from_arrays({"a": [1.0, 2.0, 3.0, 4.0]}, [0, 1, 0, 1])
+        with pytest.raises(DataError, match="integer positions below 4"):
+            apply_transform(ds, "standardize", fit_rows=fit_rows)
+
     def test_int_column_becomes_float(self):
         ds = dataset_from_arrays({"i": np.array([1, 2, 3])}, [0, 1, 0])
         assert ds.schema.column("i").kind == "int"
@@ -255,6 +264,11 @@ class TestSplit:
                                    te.feature_arrays[0]])
         assert len(all_rows) == 53
         assert set(all_rows) == set(ds.feature_arrays[0])
+
+    @pytest.mark.parametrize("n", [10.5, "10", True, None])
+    def test_row_count_must_be_an_integer(self, n):
+        with pytest.raises(DataError, match="number of rows to split"):
+            split_indices(n, SplitSpec(0.6, 0.2, seed=0))
 
     def test_empty_partition_rejected(self):
         ds = dataset_from_arrays({"a": [1.0, 2.0, 3.0]}, [0, 1, 0])
