@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -148,9 +148,14 @@ class Dataset:
     def n_rows(self) -> int:
         return len(self.labels)
 
-    def take(self, indices: np.ndarray) -> "Dataset":
-        """The rows at positions ``indices``, in that order."""
-        idx = np.asarray(indices)
+    def take(self, positions: Sequence[int]) -> "Dataset":
+        """The rows at ``positions``, in that order; a position may repeat.
+        A bool mask, fractional or negative positions and positions past the
+        end raise DataError rather than being read as other rows."""
+        idx = np.asarray(positions)
+        if (idx.ndim != 1 or idx.dtype.kind not in "iu"
+                or len(idx) and (idx.min() < 0 or idx.max() >= self.n_rows)):
+            raise DataError(f"rows are taken by a list of integer positions below {self.n_rows}")
         return Dataset(self.schema, tuple(a[idx] for a in self.feature_arrays), self.labels[idx])
 
 
@@ -207,96 +212,62 @@ def _read_blocks(path: Path) -> Iterator:
         raise DataError(f"{path}: unreadable CSV: {exc}") from None
 
 
-def _column_blocks(path: Path, index: int, stop: int) -> Iterator[list[str]]:
-    """The cells of column ``index`` in the first ``stop`` data rows, read
-    from the file again, in blocks of ``_INGEST_BLOCK_ROWS``."""
-    blocks = _read_blocks(path)
-    next(blocks)
-    rows = islice(chain.from_iterable(blocks), stop)
-    while cells := [r[index] for r in islice(rows, _INGEST_BLOCK_ROWS)]:
-        yield cells
-
-
 class _ColumnReader:
     """One feature column of a CSV, parsed a block of rows at a time.
 
     ``kind`` is the kind of the nonblank cells so far (None before the
     first) and ``parts`` holds their arrays, or once the kind is categorical
-    the codes of every cell. A block that widens the kind (int to float, or
-    to categorical) makes the column parse its earlier cells again from the
-    file: casting int64 parts would turn ``-0`` into 0.0 and cannot hold ints
-    beyond int64, and categories need the original strings. Errors are only
-    noted here; ``finish`` decides them once the whole file has been read.
+    the codes of every cell. A kind that changes after earlier rows were
+    parsed (int to float, anything to categorical, blank rows to a typed
+    cell) sets ``changed``, and the file is then read once more with the
+    column starting at its final kind: casting int64 parts would turn ``-0``
+    into 0.0 and cannot hold ints beyond int64, and categories need the
+    original strings. A column that starts at its final kind keeps it, so
+    ``error``, the first cell its kind rejects, is found in the block that
+    holds it.
     """
 
-    def __init__(self, path: Path, index: int):
-        self.path, self.index = path, index
-        self.kind: Optional[str] = None
-        self.blank = False     # a blank cell was seen
-        self.overflow = False  # an int cell outside the int64 range was seen
+    def __init__(self, name: str, kind: Optional[str] = None):
+        self.name, self.kind = name, kind
+        self.changed = False
+        self.error: Optional[str] = None
         self.parts: list[np.ndarray] = []
         self.codes: dict[str, int] = {}
-        self.rows = 0
 
-    def add(self, cells: Sequence[str]) -> None:
-        """Parse the cells of the next block of rows."""
-        if self.kind == "categorical":
-            return self._code(cells)
-        # after a blank cell the kind is that of the nonblank cells, and the
-        # column is an error unless it ends categorical
-        typed = [v for v in cells if v.strip()] if self.blank else cells
-        if not typed:
-            self.rows += len(cells)
-            return
-        kind, parsed = _first_kind(_KINDS_FROM[self.kind], typed)
-        if kind == "categorical" and not self.blank and not all(map(str.strip, cells)):
-            self.blank = True
-            return self.add(cells)
-        # parts kept after a blank are never used, so then only the
-        # categories need the earlier cells
-        if kind != self.kind and self.rows and (kind == "categorical" or not self.blank):
-            self._reparse(kind)
-            return self.add(cells)
+    def add(self, cells: Sequence[str], start: int) -> None:
+        """Parse the cells of the block of rows that starts at row ``start``."""
+        kind, parsed = self.kind, None
+        if kind != "categorical":
+            kind, parsed = _first_kind(_KINDS_FROM[kind], cells)
+            if kind == "categorical" and not all(map(str.strip, cells)):
+                # after a blank cell the kind is that of the nonblank cells,
+                # and the column is an error unless it ends categorical
+                typed = [v for v in cells if v.strip()]
+                kind, parsed = (_first_kind(_KINDS_FROM[self.kind], typed)[0] if typed
+                                else self.kind), None
+        if kind != self.kind and start > 1:
+            self.changed = True
         self.kind = kind
         if kind == "categorical":
-            return self._code(cells)
-        if parsed is None:
-            self.overflow = True
-        elif not self.blank:
+            for v in dict.fromkeys(cells):
+                self.codes.setdefault(v, len(self.codes))
+            self.parts.append(np.fromiter(map(self.codes.__getitem__, cells), np.int64, len(cells)))
+        elif parsed is not None and not (kind == "float" and np.isnan(parsed).any()):
             self.parts.append(parsed)
-        self.rows += len(cells)
+        elif kind and not self.error:
+            self.error = _bad_cell(self.name, kind, cells, start)
 
-    def _code(self, cells: Sequence[str]) -> None:
-        for v in dict.fromkeys(cells):
-            self.codes.setdefault(v, len(self.codes))
-        self.parts.append(np.fromiter(map(self.codes.__getitem__, cells), np.int64, len(cells)))
-        self.rows += len(cells)
-
-    def _reparse(self, kind: str) -> None:
-        stop = self.rows
-        self.kind, self.parts, self.codes, self.overflow, self.rows = kind, [], {}, False, 0
-        for cells in _column_blocks(self.path, self.index, stop):
-            self.add(cells)
-
-    def finish(self, name: str) -> tuple[Column, np.ndarray]:
-        """The column and its array; DataError naming the first cell its kind
-        rejects."""
-        if self.kind is None:  # only blank cells: the blanks are the categories
-            self._reparse("categorical")
+    def finish(self) -> tuple[Column, np.ndarray]:
+        """The column and its array."""
         parts, self.parts = self.parts, []
-        if self.kind == "categorical":
-            return Column(name, "categorical", tuple(self.codes)), np.concatenate(parts)
-        arr = None if self.blank or self.overflow else np.concatenate(parts)
-        if arr is None or (self.kind == "float" and np.isnan(arr).any()):
-            raise _bad_cell(self.path, name, self.kind, chain.from_iterable(
-                _column_blocks(self.path, self.index, self.rows)))
-        return Column(name, self.kind), arr
+        categories = tuple(self.codes) if self.kind == "categorical" else None
+        return Column(self.name, self.kind, categories), np.concatenate(parts)
 
 
-def _bad_cell(path: Path, name: str, kind: str, values: Iterable[str]) -> DataError:
-    """The error for the first cell of a column that ``kind`` rejects: the
-    column's own parser, run on one cell at a time."""
-    for row, raw in enumerate(values, 1):
+def _bad_cell(name: str, kind: str, cells: Sequence[str], start: int) -> Optional[str]:
+    """The first of ``cells``, rows ``start`` on, that ``kind`` rejects, with
+    its row and column: the column's own parser, run on one cell at a time."""
+    for row, raw in enumerate(cells, start):
         try:
             value = _parse_cells(kind, [raw])[0]
         except (KeyError, ValueError):
@@ -308,40 +279,16 @@ def _bad_cell(path: Path, name: str, kind: str, values: Iterable[str]) -> DataEr
             if not (kind == "float" and np.isnan(value)):
                 continue
             problem = "parses as NaN, a missing value"
-        return DataError(f"{path}: row {row}, column {name!r}: {raw!r} {problem}")
+        return f"row {row}, column {name!r}: {raw!r} {problem}"
 
 
-def ingest_csv(path: str | Path, label_column: str) -> Dataset:
-    """Read an RFC-4180-style UTF-8 CSV (header mandatory) into a Dataset.
-    A leading UTF-8 byte-order mark is skipped.
-
-    Each feature column gets the first kind, tried in this order, whose
-    parser accepts every cell:
-
-    1. bool: the exact tokens true/false, True/False, TRUE/FALSE;
-    2. int: Python ``int`` of the whitespace-stripped cell, so signs and
-       ``1_000`` parse;
-    3. float: Python ``float`` of the stripped cell, so ``1.0``, ``-2e3``
-       and ``inf`` parse;
-    4. categorical otherwise, with values interned to dense integer codes
-       in order of first appearance.
-
-    Labels are 0/1 or a bool token. Every error is a DataError naming the
-    file; a file that cannot be read (missing, a directory, not UTF-8, a
-    field past the csv module's limit) is reported as unreadable, a bad
-    cell with its row and column. Besides labels that are not 0/1, these
-    are errors: an integer outside the int64 range, a float cell that
-    parses as NaN, and a blank cell in a column whose other cells all parse
-    as bool, int or float (a column of blank cells only stays categorical).
-
-    The file is read in one pass, ``_INGEST_BLOCK_ROWS`` (1,024) rows at a
-    time, each block parsed straight into typed per-column parts, so memory
-    is bounded by one block of strings plus the result arrays. Only a column
-    whose kind widens in a later block reads its earlier cells again. Errors
-    are decided once the whole file has been read, so an unreadable file is
-    reported as such wherever the fault lies.
-    """
-    path = Path(path)
+def _read_columns(path: Path, label_column: str,
+                  kinds: dict[str, str]) -> tuple[list[str], np.ndarray, dict[str, _ColumnReader]]:
+    """One pass over the file: its header, its labels and a reader per
+    feature column, each starting at its kind in ``kinds`` (not yet known
+    when absent). Raises the errors a pass decides at EOF, in this order:
+    unreadable; empty file, missing label, no rows; first short or long
+    row; first bad label."""
     blocks = _read_blocks(path)
     header = next(blocks)
     if header is None:
@@ -352,7 +299,7 @@ def ingest_csv(path: str | Path, label_column: str) -> Dataset:
     # each name in order of first appearance, read from its last column, as
     # a dict built from the header would
     index = {name: j for j, name in enumerate(header)}
-    readers = {name: _ColumnReader(path, j) for name, j in index.items() if name != label_column}
+    readers = {name: _ColumnReader(name, kinds.get(name)) for name in index if name != label_column}
     label_parts: list[np.ndarray] = []
     n_rows = 0
     bad_width = bad_label = None
@@ -378,8 +325,8 @@ def ingest_csv(path: str | Path, label_column: str) -> Dataset:
                           if v.strip() not in _LABEL_TOKENS)
             bad_label = f"row {i}, column {label_column!r}: label {raw!r} is not 0/1"
             continue
-        for reader in readers.values():
-            reader.add(columns[reader.index])
+        for name, reader in readers.items():
+            reader.add(columns[index[name]], start)
         del block, columns, cells  # so that no cell is alive while the next block is read
 
     if not has_label:
@@ -389,14 +336,58 @@ def ingest_csv(path: str | Path, label_column: str) -> Dataset:
         raise DataError(f"{path}: no data rows")
     if bad_width or bad_label:
         raise DataError(f"{path}: {bad_width or bad_label}")
+    return header, np.concatenate(label_parts), readers
 
-    features = {name: reader.finish(name) for name, reader in readers.items()}
+
+def ingest_csv(path: str | Path, label_column: str) -> Dataset:
+    """Read an RFC-4180-style UTF-8 CSV (header mandatory) into a Dataset.
+    A leading UTF-8 byte-order mark is skipped.
+
+    Each feature column gets the first kind, tried in this order, whose
+    parser accepts every cell:
+
+    1. bool: the exact tokens true/false, True/False, TRUE/FALSE;
+    2. int: Python ``int`` of the whitespace-stripped cell, so signs and
+       ``1_000`` parse;
+    3. float: Python ``float`` of the stripped cell, so ``1.0``, ``-2e3``
+       and ``inf`` parse;
+    4. categorical otherwise, with values interned to dense integer codes
+       in order of first appearance.
+
+    Labels are 0/1 or a bool token. Every error is a DataError naming the
+    file; a file that cannot be read (missing, a directory, not UTF-8, a
+    field past the csv module's limit) is reported as unreadable, a bad
+    cell with its row and column. Besides labels that are not 0/1, these
+    are errors: an integer outside the int64 range, a float cell that
+    parses as NaN, and a blank cell in a column whose other cells all parse
+    as bool, int or float (a column of blank cells only stays categorical).
+
+    The file is read ``_INGEST_BLOCK_ROWS`` (1,024) rows at a time, each
+    block parsed straight into typed per-column parts, so memory is bounded
+    by one block of strings plus the result arrays. It is read at most
+    twice: once more, with every column starting at its final kind, only
+    when some column's kind changed after earlier rows were parsed or a
+    column holds only blanks. A bad cell is found in the block that holds
+    it. Errors are decided once the whole file has been read, so an
+    unreadable file is reported as such wherever the fault lies; then
+    come the feature columns in header order.
+    """
+    path = Path(path)
+    header, labels, readers = _read_columns(path, label_column, {})
+    if any(reader.changed or reader.kind is None for reader in readers.values()):
+        # a column of blank cells only ends categorical
+        kinds = {name: reader.kind or "categorical" for name, reader in readers.items()}
+        del labels, readers  # so that the first pass's parts go before the second's
+        header, labels, readers = _read_columns(path, label_column, kinds)
+    for reader in readers.values():
+        if reader.error:
+            raise DataError(f"{path}: {reader.error}")
+
+    features = {name: reader.finish() for name, reader in readers.items()}
     columns = [Column(name, "int") if name == label_column else features[name][0]
                for name in header]
     arrays = [features[name][1] for name in header if name != label_column]
-    schema = Schema(tuple(columns), label_column)
-    return Dataset(schema=schema, feature_arrays=tuple(arrays),
-                   labels=np.concatenate(label_parts))
+    return Dataset(Schema(tuple(columns), label_column), tuple(arrays), labels)
 
 
 def remove_constant_columns(ds: Dataset) -> tuple[Dataset, list[str]]:
@@ -435,23 +426,17 @@ def apply_transform(ds: Dataset, kind: str, fit_rows: Sequence[int]) -> Dataset:
     mapping every value into (0, 1).
     """
     require_choice(kind, "transform", TRANSFORM_KINDS)
-    fit_rows = np.asarray(fit_rows)
-    # a bool mask or fractional positions would be cast to other positions
-    if (len(fit_rows) == 0 or fit_rows.dtype.kind not in "iu"
-            or fit_rows.min() < 0 or fit_rows.max() >= ds.n_rows):
-        raise DataError(f"fit_rows must be a non-empty list of integer positions below {ds.n_rows}")
-
-    arrays = iter(ds.feature_arrays)
+    arrays = zip(ds.feature_arrays, ds.take(fit_rows).feature_arrays)
     columns: list[Column] = []
     new_arrays: list[np.ndarray] = []
     for col in ds.schema.columns:
         if col.name == ds.schema.label_column:
             columns.append(col)
             continue
-        arr = next(arrays)
+        arr, fit = next(arrays)
         if col.kind in ("int", "float"):
             x = arr.astype(np.float64)
-            fit = x[fit_rows]
+            fit = fit.astype(np.float64)
             if kind == "standardize":
                 mean = fit.mean()
                 std = fit.std()  # population std

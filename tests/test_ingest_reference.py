@@ -566,6 +566,8 @@ class TestLaterBlocks:
         (_with_row_7(_INTS, "9223372036854775808"),
          "'9223372036854775808' is outside the int64 range"),
         (_with_row_7(_BOOLS, " "), "' ' is not a boolean"),
+        # noted under int in the first pass, named under float in the second
+        (_INTS[:6] + ["", "2.5"], "'' is not a number"),
     ])
     def test_bad_cell(self, tmp_path, column, message):
         path = _write_columns(tmp_path / "a.csv", {"ok": _INTS, "x": column, "label": _LABELS_8})
@@ -602,19 +604,25 @@ class TestLaterBlocks:
         with pytest.raises(DataError, match="unreadable CSV"):
             ingest_csv(path, "label")
 
-    def test_earlier_cells_are_read_again_only_when_a_kind_widens(self, tmp_path, monkeypatch):
+    def test_the_file_is_read_again_only_when_a_kind_changes(self, tmp_path, monkeypatch):
         reads = []
-        column_blocks = tabular._column_blocks
-        monkeypatch.setattr(tabular, "_column_blocks",
-                            lambda *args: reads.append(args[1:]) or column_blocks(*args))
+        read_blocks = tabular._read_blocks
+        monkeypatch.setattr(tabular, "_read_blocks",
+                            lambda path: reads.append(path) or read_blocks(path))
         features, labels = gen.mixed_types(40, 3)
         gen.write_csv(features, labels, tmp_path / "mixed.csv")
         ingest_csv(tmp_path / "mixed.csv", "label")
-        assert reads == []
-        path = _write_columns(tmp_path / "a.csv", {
-            "x": _with_row_7(_INTS, "1.5"), "y": _INTS, "label": _LABELS_8})
-        ingest_csv(path, "label")
-        assert reads == [(0, 6)]
+        assert reads == [tmp_path / "mixed.csv"]
+        widen = _write_columns(tmp_path / "widen.csv", {
+            "x": _with_row_7(_INTS, "1.5"), "y": _with_row_7(_INTS, "a"),
+            "z": _with_row_7(_BOOLS, "1"), "ok": _INTS, "label": _LABELS_8})
+        ingest_csv(widen, "label")
+        assert reads.count(widen) == 2
+        bad = _write_columns(tmp_path / "bad.csv", {
+            "ok": _INTS, "x": _with_row_7(_INTS, ""), "label": _LABELS_8})
+        with pytest.raises(DataError, match="row 7, column 'x'"):
+            ingest_csv(bad, "label")
+        assert reads.count(bad) == 1
 
 
 def test_ingest_memory_is_one_block_plus_the_arrays(tmp_path):

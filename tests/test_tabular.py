@@ -239,6 +239,14 @@ class TestRowIds:
         np.testing.assert_array_equal(out.feature_arrays[0], [0.0, 1.0, 0.0])
         np.testing.assert_array_equal(out.labels, [0, 1, 0])
 
+    @pytest.mark.parametrize("positions", [[0.5], [5], [True, False, True], [-1], [[0, 1]]],
+                             ids=["fraction", "past_the_end", "bool_mask", "negative", "2-D"])
+    def test_take_rejects_what_is_no_position(self, positions):
+        # numpy would read these as an IndexError, a mask or the last row
+        ds = dataset_from_arrays({"a": np.arange(3.0)}, [0, 1, 0])
+        with pytest.raises(DataError, match="integer positions below 3"):
+            ds.take(np.array(positions))
+
 
 class TestSplit:
     def test_60_20_on_ten_rows(self):
