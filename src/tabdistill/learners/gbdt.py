@@ -50,11 +50,14 @@ feature's place, so the tie rule holds across both groups.
 Gradient and hessian travel as one ``complex128`` vector, gradient + 1j *
 hessian, so one gather and one ``cumsum`` give both prefix sums: complex
 addition adds the real parts and the imaginary parts separately, each in the
-order a real ``cumsum`` would. A node's gradient and hessian totals are
-summed once, over the real and imaginary parts of one gather of its rows in
-ascending row order: numpy sums a strided part in the same pairwise order as
-a contiguous copy, so the totals are bit-identical to summing the gradient
-and the hessian vectors, and they serve both the search and the leaf value.
+order a real ``cumsum`` would. The candidates' left sums are read from the
+prefix sums' real and imaginary parts into two contiguous arrays, left
+gradient and left hessian, on which the gain arithmetic runs. A node's
+gradient and hessian totals are summed once, over the real and imaginary
+parts of one gather of its rows in ascending row order: numpy sums a strided
+part in the same pairwise order as a contiguous copy, so the totals are
+bit-identical to summing the gradient and the hessian vectors, and they
+serve both the search and the leaf value.
 
 A node whose hessian total ``h`` has ``h - min_child_weight <
 min_child_weight`` in floating point is a leaf without a search. The rule is
@@ -103,6 +106,11 @@ class Tree:
     value: np.ndarray      # leaf value, 0.0 for internal nodes
 
     def __post_init__(self):
+        self.feature = np.asarray(self.feature, dtype=np.int64)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.left = np.asarray(self.left, dtype=np.int64)
+        self.right = np.asarray(self.right, dtype=np.int64)
+        self.value = np.asarray(self.value, dtype=np.float64)
         # descent tables: a leaf tests column 0 and both its children are the
         # leaf itself, so every row takes exactly `depth` steps and a row that
         # reaches a leaf early stays there. Node i's children sit at
@@ -145,15 +153,10 @@ class Tree:
     def from_nested(cls, doc: dict) -> "Tree":
         """Parse one nested tree; a malformed node raises SerializationError,
         a number or feature index that breaks its rule DataError."""
-        feature, threshold, left, right, value = [], [], [], [], []
+        nodes = feature, threshold, left, right, value = [], [], [], [], []
 
         def rec(node) -> int:
-            i = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
+            i = _new_node(nodes)
             if not isinstance(node, dict) or len(node) != 1:
                 raise SerializationError("tree node must be an object with one key")
             body = node.get("leaf", node.get("split"))
@@ -174,11 +177,15 @@ class Tree:
             rec(doc)
         except RecursionError as exc:
             raise SerializationError("tree is nested too deeply") from exc
-        return cls(np.array(feature, dtype=np.int64),
-                   np.array(threshold, dtype=np.float64),
-                   np.array(left, dtype=np.int64),
-                   np.array(right, dtype=np.int64),
-                   np.array(value, dtype=np.float64))
+        return cls(*nodes)
+
+
+def _new_node(nodes: tuple[list, ...]) -> int:
+    """Appends a node to a tree's five field lists, as a leaf of value 0.0,
+    and returns its index."""
+    for field, fill in zip(nodes, (-1, 0.0, -1, -1, 0.0)):
+        field.append(fill)
+    return len(nodes[0]) - 1
 
 
 _NO_CUTS = np.empty(0, dtype=np.intp)
@@ -238,19 +245,6 @@ class _TreeBuilder:
         # block reads only those rows, so one mask serves every node
         self.in_left = np.empty(len(grad), dtype=bool)
         self.row_value = np.empty(len(grad))
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
 
     def _sums(self, rows: np.ndarray):
         """The node's gradient + 1j * hessian per row, in ascending row
@@ -262,7 +256,8 @@ class _TreeBuilder:
     def _sorted_cuts(self, block: np.ndarray):
         """The candidate cuts of the presorted columns, in (feature, cut)
         order: the positions in the block whose sorted value differs from the
-        next one, and the left gradient + 1j * hessian sum at each."""
+        next one, and the left gradient and hessian sums at each, read from
+        the prefix sums' real and imaginary parts into contiguous arrays."""
         sv = self.cols.xt.ravel().take(block + self.cols.offset)
         differs = np.empty(block.shape, dtype=bool)  # equal neighbours cannot be cut apart
         np.not_equal(sv[:, :-1], sv[:, 1:], out=differs[:, :-1])
@@ -271,12 +266,13 @@ class _TreeBuilder:
         cand = differs.ravel().nonzero()[0]
         left = self.gh.take(block)
         left.cumsum(axis=1, out=left)
-        return cand, left.take(cand)
+        left = left.ravel()  # a view: indexing its parts copies only the candidates
+        return cand, left.real[cand], left.imag[cand]
 
     def _two_valued_cuts(self, rows: np.ndarray, gh: np.ndarray):
         """The two-valued columns whose low and high values both occur in the
-        node, as positions in that group, and the left sum of each one's cut,
-        from one masked pass over the node's rows."""
+        node, as positions in that group, and the left gradient and hessian
+        sums of each one's cut, from one masked pass over the node's rows."""
         low = self.cols.low[rows]
         n_low = np.add.reduce(low, axis=0)
         cut = ((n_low > 0) & (n_low < len(rows))).nonzero()[0]
@@ -288,10 +284,7 @@ class _TreeBuilder:
         sums = sum_rows(np.multiply(low[start:start + _TWO_VALUED_BLOCK, None, :],
                                     pairs[start:start + _TWO_VALUED_BLOCK])
                         for start in range(0, len(rows), _TWO_VALUED_BLOCK))
-        left = np.empty(len(cut), dtype=np.complex128)
-        left.real = sums[0, cut]
-        left.imag = sums[1, cut]
-        return cut, left
+        return cut, sums[0, cut], sums[1, cut]
 
     def _best_split(self, rows: np.ndarray, block: np.ndarray, gh: np.ndarray,
                     g_total, h_total):
@@ -308,21 +301,19 @@ class _TreeBuilder:
             return None  # no cut can pass the weight floor (module docstring)
         cols = self.cols
         width = block.shape[1]
-        cand, left = self._sorted_cuts(block)
+        cand, gl, hl = self._sorted_cuts(block)
         two = before = slots = _NO_CUTS
         if cols.high.size:
-            two, two_left = self._two_valued_cuts(rows, gh)
+            two, two_gl, two_hl = self._two_valued_cuts(rows, gh)
             # a two-valued cut goes in after the cuts of every presorted
             # column of lower feature index; ``slots`` are its places in the
             # merged order
             before = cand.searchsorted(cols.two_place[two] * width)
             slots = before + np.arange(len(two))
-            left = np.insert(left, before, two_left)
-        if not left.size:
+            gl = np.insert(gl, before, two_gl)
+            hl = np.insert(hl, before, two_hl)
+        if not gl.size:
             return None
-        # contiguous copies: a pass over a strided part of ``left`` is slower
-        gl = left.real.copy()
-        hl = left.imag.copy()
         blocked = hl < self.mcw
         hr = h_total - hl  # from hl itself: (hl + l2) - l2 is not hl
         blocked |= hr < self.mcw
@@ -360,7 +351,8 @@ class _TreeBuilder:
 
     def build(self) -> tuple[Tree, np.ndarray]:
         """The tree and each training row's leaf value."""
-        root = self._new_node()
+        nodes = feature, threshold, left, right, value = [], [], [], [], []
+        root = _new_node(nodes)
         stack = [(root, np.arange(len(self.gh)), self.cols.order, 0)]
         while stack:
             node, rows, block, depth = stack.pop()
@@ -369,8 +361,8 @@ class _TreeBuilder:
             if depth < self.max_depth and len(rows) >= 2:
                 split = self._best_split(rows, block, gh, g_total, h_total)
             if split is None:
-                self.value[node] = float(-g_total / (h_total + self.l2))
-                self.row_value[rows] = self.value[node]
+                value[node] = float(-g_total / (h_total + self.l2))
+                self.row_value[rows] = value[node]
                 continue
             f, thr, go_left = split
             left_rows, right_rows = rows[go_left], rows[~go_left]
@@ -383,20 +375,15 @@ class _TreeBuilder:
                 in_left = self.in_left.take(flat)
                 left_block = flat.take(in_left.nonzero()[0]).reshape(len(block), len(left_rows))
                 right_block = flat.take((~in_left).nonzero()[0]).reshape(len(block), len(right_rows))
-            left_node = self._new_node()
-            right_node = self._new_node()
-            self.feature[node] = f
-            self.threshold[node] = thr
-            self.left[node] = left_node
-            self.right[node] = right_node
+            left_node = _new_node(nodes)
+            right_node = _new_node(nodes)
+            feature[node] = f
+            threshold[node] = thr
+            left[node] = left_node
+            right[node] = right_node
             stack.append((right_node, right_rows, right_block, depth + 1))
             stack.append((left_node, left_rows, left_block, depth + 1))
-        tree = Tree(np.array(self.feature, dtype=np.int64),
-                    np.array(self.threshold, dtype=np.float64),
-                    np.array(self.left, dtype=np.int64),
-                    np.array(self.right, dtype=np.int64),
-                    np.array(self.value, dtype=np.float64))
-        return tree, self.row_value
+        return Tree(*nodes), self.row_value
 
 
 class GBDTModel:

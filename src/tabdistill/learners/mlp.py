@@ -1,9 +1,15 @@
 """Feed-forward network trained by mini-batch gradient descent with
 momentum on the weighted cross-entropy, with optional per-layer batch
-normalization and patience-based early stopping on validation AUC."""
+normalization and patience-based early stopping on validation AUC.
+
+One forward pass, a single loop over the layers whose last turn is the
+output layer, serves training and inference. Training hands it a list for
+the backprop caches; inference hands none, so it keeps no layer's arrays
+once the next layer is built."""
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 import numpy as np
@@ -64,66 +70,51 @@ def _init_params(rng: np.random.Generator, sizes: list[int], batch_norm: bool) -
     return {"layers": layers, "running": running}
 
 
-def _copy_params(params: dict) -> dict:
-    return {
-        "layers": [{k: v.copy() for k, v in layer.items()} for layer in params["layers"]],
-        "running": None if params["running"] is None else
-        [{k: v.copy() for k, v in r.items()} for r in params["running"]],
-    }
-
-
-def _forward(params: dict, x: np.ndarray, training: bool) -> tuple[np.ndarray, list[dict]]:
-    """Returns output probabilities and per-layer caches for backprop."""
-    layers = params["layers"]
-    running = params["running"]
+def _forward(params: dict, x: np.ndarray, caches: Optional[list] = None) -> np.ndarray:
+    """Output probabilities from one loop over the layers; the output layer
+    is its last turn, and each earlier layer's output passes through ReLU
+    on its way into the next. Given a list, the pass normalizes by the
+    batch's own statistics, updates the running ones and appends each
+    layer's backprop cache; without one it reads the running statistics
+    and keeps no layer's arrays past the next layer."""
     a = x
-    caches: list[dict] = []
-    for i, layer in enumerate(layers[:-1]):
+    for i, layer in enumerate(params["layers"]):
+        if i:
+            # in place: backprop masks by a > 0, which is z > 0
+            a = np.maximum(z, 0.0, out=z)
         z = a @ layer["W"] + layer["b"]
-        cache = {"a_in": a, "z": z}
+        if caches is not None:
+            caches.append({"a_in": a})
         if "gamma" in layer:
-            if training:
-                mean = z.mean(axis=0)
-                var = z.var(axis=0)
-                stats = running[i]
+            stats = params["running"][i]
+            if caches is None:
+                mean, var = stats["mean"], stats["var"]
+            else:
+                mean, var = z.mean(axis=0), z.var(axis=0)
                 stats["mean"] = _BN_MOMENTUM * stats["mean"] + (1 - _BN_MOMENTUM) * mean
                 stats["var"] = _BN_MOMENTUM * stats["var"] + (1 - _BN_MOMENTUM) * var
-            else:
-                mean = running[i]["mean"]
-                var = running[i]["var"]
             inv_std = 1.0 / np.sqrt(var + _BN_EPS)
             z_hat = (z - mean) * inv_std
-            cache.update({"z_hat": z_hat, "inv_std": inv_std, "mean": mean})
+            if caches is not None:
+                caches[-1].update(z=z, z_hat=z_hat, inv_std=inv_std, mean=mean)
             z = layer["gamma"] * z_hat + layer["beta"]
-            cache["z_bn"] = z
-        a = np.maximum(z, 0.0)
-        caches.append(cache)
-    out = layers[-1]
-    logit = (a @ out["W"] + out["b"]).ravel()
-    caches.append({"a_in": a, "logit": logit})
-    return _sigmoid(logit), caches
+    return _sigmoid(z.ravel())
 
 
 def _forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray):
     """A training batch's probabilities and mean weighted cross-entropy
-    gradients, taken through the batch's own normalization statistics."""
-    probs, caches = _forward(params, x, training=True)
+    gradients, taken through the batch's own normalization statistics. A
+    hidden unit's ReLU passes gradient where its output, the next layer's
+    input, is positive."""
+    caches: list[dict] = []
+    probs = _forward(params, x, caches)
     n = len(x)
     layers = params["layers"]
     grads = [dict() for _ in layers]
-    w_sum = w_pos + w_neg
-    dlogit = (w_sum * probs - w_pos) / n  # derivative of the mean loss
-
-    out_cache = caches[-1]
-    grads[-1]["W"] = out_cache["a_in"].T @ dlogit[:, None]
-    grads[-1]["b"] = np.array([dlogit.sum()])
-    da = dlogit[:, None] @ layers[-1]["W"].T
-
-    for i in range(len(layers) - 2, -1, -1):
+    dz = (((w_pos + w_neg) * probs - w_pos) / n)[:, None]  # derivative of the mean loss
+    for i in range(len(layers) - 1, -1, -1):
         cache = caches[i]
         layer = layers[i]
-        pre_relu = cache["z_bn"] if "z_bn" in cache else cache["z"]
-        dz = da * (pre_relu > 0)
         if "gamma" in layer:
             z_hat = cache["z_hat"]
             inv_std = cache["inv_std"]
@@ -139,7 +130,7 @@ def _forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray, w_neg: np.
         grads[i]["W"] = cache["a_in"].T @ dz
         grads[i]["b"] = dz.sum(axis=0)
         if i > 0:
-            da = dz @ layer["W"].T
+            dz = (dz @ layer["W"].T) * (cache["a_in"] > 0)
     return probs, grads
 
 
@@ -158,7 +149,7 @@ class MLPModel:
 
     def predict(self, rows) -> np.ndarray:
         x = encode_features(self.encoder, rows)
-        return _forward(self.params, x, training=False)[0]
+        return _forward(self.params, x)
 
     def to_json_dict(self) -> dict:
         layers = []
@@ -255,14 +246,14 @@ def train_mlp(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,
                 for key in layer:
                     v = vel[key]
                     v *= mu
-                    v -= lr * grad[key].reshape(layer[key].shape)
+                    v -= lr * grad[key]
                     layer[key] += v
         epochs_run = epoch + 1
         if tracker is not None:
-            score = roc_auc(_forward(params, x_valid, training=False)[0], valid.labels)
+            score = roc_auc(_forward(params, x_valid), valid.labels)
             stop = tracker.update(epoch, float(score))
             if tracker.best_epoch == epoch:
-                best_params = _copy_params(params)
+                best_params = copy.deepcopy(params)
             if stop:
                 break
 

@@ -16,6 +16,8 @@ from tabdistill.learners import resolve_weight_pairs
 from tabdistill.learners.gbdt import _TWO_VALUED_BLOCK, _Columns, _sigmoid, _TreeBuilder
 from tabdistill.tabular import Column, Dataset, FeatureEncoder, Schema
 
+from helpers import noisy_nonlinear_dataset
+
 
 def _reference_split(x, grad, hess, rows, l2, mcw):
     g_total = grad[rows].sum()
@@ -521,12 +523,12 @@ def _root_two_valued_cuts(n, k, seed):
 def test_streamed_two_valued_sums_match_the_whole_product(n):
     # the pass builds and sums the (rows x 2 x columns) product in row
     # blocks; the bits must be those of summing the whole product at once
-    builder, gh, (cut, left) = _root_two_valued_cuts(n, 9, seed=n)
+    builder, gh, (cut, gl, hl) = _root_two_valued_cuts(n, 9, seed=n)
     whole = np.add.reduce(np.multiply(builder.cols.low[:, None, :],
                                       gh.view(np.float64).reshape(-1, 2, 1)), axis=0)
     np.testing.assert_array_equal(cut, np.arange(9))
-    np.testing.assert_array_equal(left.real, whole[0])
-    np.testing.assert_array_equal(left.imag, whole[1])
+    np.testing.assert_array_equal(gl, whole[0])
+    np.testing.assert_array_equal(hl, whole[1])
 
 
 def test_two_valued_pass_memory_is_per_block():
@@ -545,6 +547,27 @@ def test_two_valued_pass_memory_is_per_block():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_root_search_memory_follows_the_candidates():
+    # the root of 100,000 rows x 8 presorted columns, in units of one
+    # (columns x rows) float64 block: gathering the candidates' complex sums
+    # and copying their parts apart peaked at 7.3
+    ds = noisy_nonlinear_dataset(100_000, 7)
+    columns = _Columns(FeatureEncoder.fit(ds).transform(ds))
+    n, k = ds.n_rows, len(columns.features)
+    assert k == 8
+    builder = _TreeBuilder(columns, 0.5 - ds.labels, np.full(n, 0.25), 6, 1.0, 1.0)
+    rows = np.arange(n)
+    sums = builder._sums(rows)
+    tracemalloc.start()
+    try:
+        split = builder._best_split(rows, columns.order, *sums)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split is not None
+    assert peak < 6.7 * k * n * 8
 
 
 def _mixed_dataset(n, seed):

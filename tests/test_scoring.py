@@ -5,6 +5,7 @@ sign-folded sigmoid and of the loss-free MLP training step."""
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -24,7 +25,6 @@ from tabdistill.learners import (
 from tabdistill.learners import _sigmoid, resolve_weight_pairs
 from tabdistill.learners.mlp import (
     EarlyStopTracker,
-    _copy_params,
     _forward,
     _forward_backward,
     _init_params,
@@ -354,9 +354,9 @@ def _reference_train_mlp(spec, ds, target, valid):
                     vel[key] = mu * vel[key] - lr * grad[key].reshape(layer[key].shape)
                     layer[key] += vel[key]
         stop = tracker.update(epoch, float(roc_auc(
-            _forward(params, x_valid, training=False)[0], valid.labels)))
+            _forward(params, x_valid), valid.labels)))
         if tracker.best_epoch == epoch:
-            best = _copy_params(params)
+            best = copy.deepcopy(params)
         if stop:
             break
     return best

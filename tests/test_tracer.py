@@ -1,10 +1,16 @@
 """benchmarks/tracer.py wraps package functions by their module-level names,
 so entering its ``installed`` block fails on any name the package no longer
-defines; no benchmark is started."""
+defines; no benchmark is started. tools/scale_run.py times a pipeline's
+stages through the same wrappers."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import tabdistill
 import tabdistill.learners as learners
 import tabdistill.metrics as metrics
 import tabdistill.pipeline as pipeline
@@ -40,3 +46,25 @@ def test_train_and_load_record_their_spans(tmp_path):
         learners.load_model(tmp_path / "m.json")
     names = [s["name"] for s in trace.spans if s["name"].startswith("learners.")]
     assert names == ["learners.gbdt.train", "learners.mlp.train", "learners.load"]
+
+
+def test_scale_run_prints_one_line_of_stages(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(tabdistill.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(root / "tools" / "scale_run.py"), "--rows", "300"],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    out = json.loads(line)
+    assert set(out) == {"rows", "wall_s", "peak_rss_mb", "peak_span", "final_test_auc", "stages"}
+    assert out["rows"] == 300
+    assert out["peak_span"] is None or out["peak_span"] in out["stages"]
+    assert {"learners.gbdt.train", "learners.mlp.predict", "ensemble.optimize"} <= set(out["stages"])
+    for stage in out["stages"].values():
+        assert set(stage) == {"wall_s", "calls", "rss_mb"}
+        assert stage["calls"] >= 1
+        assert stage["rss_mb"] is None or stage["rss_mb"] <= out["peak_rss_mb"]
+    if out["peak_span"] is not None:
+        assert out["stages"][out["peak_span"]]["rss_mb"] == out["peak_rss_mb"]
+    assert list(tmp_path.iterdir()) == []
