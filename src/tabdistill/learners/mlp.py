@@ -82,7 +82,8 @@ def _forward(params: dict, x: np.ndarray, caches: Optional[list] = None) -> np.n
         if i:
             # in place: backprop masks by a > 0, which is z > 0
             a = np.maximum(z, 0.0, out=z)
-        z = a @ layer["W"] + layer["b"]
+        z = a @ layer["W"]
+        z += layer["b"]
         if caches is not None:
             caches.append({"a_in": a})
         if "gamma" in layer:

@@ -370,7 +370,7 @@ class TestMLP:
     def test_predict_keeps_no_backprop_caches(self, batch_norm, bound):
         # 50,000 rows through (32, 16), in units of one (rows x 32) float64
         # layer: keeping every layer's cache peaked at 3.4 (6.4 with batch
-        # norm); holding each layer only until the next is built, 2.3 (4.3)
+        # norm); holding each layer only until the next is built, 1.8 (4.3)
         n = 50_000
         model = train(mlp_spec(hidden_sizes=(32, 16), epochs=2, batch_norm=batch_norm),
                       noisy_nonlinear_dataset(500, seed=19), TrainingTarget.hard())
