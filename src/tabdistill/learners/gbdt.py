@@ -11,10 +11,12 @@ Each training call sorts the encoded columns into three groups once, by how
 many distinct training values each holds. A column with one value can never
 be cut, so the search leaves it out.
 
-A column with three or more values is sorted once, stably, into a (columns
-x rows) block of native-width (``np.intp``) row indices, so no gather pays an
-index cast: the column-block layout of exact greedy XGBoost (Chen & Guestrin
-2016, section 4.1). Only these columns keep their values, as one (columns x
+A column with three or more values is sorted once into a (columns x rows)
+block of native-width (``np.intp``) row indices, so no gather pays an index
+cast: the column-block layout of exact greedy XGBoost (Chen & Guestrin 2016,
+section 4.1). numpy's default sort kind puts distinct values in their one
+order; only a tied column, whose sorted values hold an equal neighbour, is
+sorted again, stably. Only these columns keep their values, as one (columns x
 rows) copy; the encoded matrix is dropped once the groups are built. A node
 owns the sub-block of its rows, and a split partitions every column's list
 with one stable gather per side, so each list stays sorted by value with ties
@@ -23,10 +25,10 @@ node's rows would give, so the per-column gradient and hessian cumsums add
 the same numbers in the same order and the gains are bit-identical to a
 search that sorts at every node. The search scans all columns of a node in
 one 2-D pass; ``cumsum`` along a row is sequential, exactly like a 1-D
-``cumsum``. Gains are evaluated only between distinct sorted values: the
-candidate cuts of all columns are gathered into one vector, so the gain
-arithmetic follows the number of cuts, not the number of rows. Children at ``max_depth`` are leaves, so their sub-blocks are
-never built. A split compares only the node's rows of its column with the
+``cumsum``. The gain is evaluated at every cut, and a cut between equal
+values, which only a tied column has, is blocked like one below the weight
+floor. Children at ``max_depth`` are leaves, so their sub-blocks are never
+built. A split compares only the node's rows of its column with the
 threshold, and writes their sides into one row mask that the node's block
 reads, so routing costs the node's rows, not the training set's.
 
@@ -38,21 +40,22 @@ node, one masked pass gives every such column's left sums: the mask rows of
 the node's rows, times each row's (gradient, hessian), fill a C-ordered
 (rows x 2 x columns) array that is summed over axis 0. numpy reduces that
 axis row after row, so each sum adds the node's low rows in ascending row
-order, exactly as the cumsum over a presorted list would; a masked row adds a
-zero, which leaves the sum unchanged. A (rows x 1) array would be summed
+order, exactly as the cumsum over a presorted list would; a masked row adds
+a zero, which leaves the sum unchanged. A (rows x 1) array would be summed
 pairwise instead and differ in the last bits, which decide exact ties; the
 middle axis of length 2 keeps one column sequential too. The array is built
 and summed a fixed number of rows at a time, each block after the running
 total (``metrics.sum_rows``), which adds in the same order, so memory stays
-bounded at any node size. Each column's cut joins the candidate vector at its
-feature's place, so the tie rule holds across both groups.
+bounded at any node size. These cuts follow the presorted columns' cuts; one
+of equal gain wins when its feature index is the lower, so the tie rule
+holds across both groups.
 
 Gradient and hessian travel as one ``complex128`` vector, gradient + 1j *
 hessian, so one gather and one ``cumsum`` give both prefix sums: complex
 addition adds the real parts and the imaginary parts separately, each in the
-order a real ``cumsum`` would. The candidates' left sums are read from the
-prefix sums' real and imaginary parts into two contiguous arrays, left
-gradient and left hessian, on which the gain arithmetic runs. A node's
+order a real ``cumsum`` would. The prefix sums' real and imaginary parts are
+copied into two contiguous arrays, left gradient and left hessian, on which
+the gain arithmetic runs; on the strided parts it runs slower. A node's
 gradient and hessian totals are summed once, over the real and imaginary
 parts of one gather of its rows in ascending row order: numpy sums a strided
 part in the same pairwise order as a contiguous copy, so the totals are
@@ -188,8 +191,6 @@ def _new_node(nodes: tuple[list, ...]) -> int:
     return len(nodes[0]) - 1
 
 
-_NO_CUTS = np.empty(0, dtype=np.intp)
-
 # node rows per block of the two-valued pass, which bounds its memory
 _TWO_VALUED_BLOCK = 4096
 
@@ -201,13 +202,14 @@ class _Columns:
     Columns with three or more values are ``features``. ``xt`` holds them
     alone, as (columns x rows), and ``order`` is their stable argsort, an
     ``np.intp`` block whose row k sorts ``xt[k]``, the values of
-    ``features[k]``; ``offset`` turns a block of row indices into positions
-    in ``xt.ravel()``. Two-valued columns are ``two_features``: ``low``
-    marks, as (rows x columns), the rows that hold a column's low value, so
-    ``low[:, j]`` is the split ``x[:, two_features[j]] < high[j]``, and
-    ``high`` is each column's high value. ``two_place`` is each two-valued
-    column's place among the presorted ones, where its cut joins theirs. A
-    column with one value is never cut and is in neither group.
+    ``features[k]``; ``tied`` are the rows of ``xt`` that repeat a value;
+    ``offset`` turns a block of row indices into positions in ``xt.ravel()``.
+    Two-valued columns are ``two_features``: ``low`` marks, as (rows x
+    columns), the rows that hold a column's low value, so ``low[:, j]`` is
+    the split ``x[:, two_features[j]] < high[j]``, and ``high`` is each
+    column's high value. ``two_place`` is each two-valued column's place
+    among the presorted ones, which decides ties. A column with one value is
+    never cut and is in neither group.
     """
 
     def __init__(self, x: np.ndarray):
@@ -221,7 +223,11 @@ class _Columns:
         self.features = np.flatnonzero(varies & ~two)
         self.xt = np.ascontiguousarray(x.T[self.features])
         self.offset = np.arange(len(self.features))[:, None] * n
-        self.order = np.argsort(self.xt, axis=1, kind="stable")
+        # only equal values can sort out of the stable order (module docstring)
+        self.order = np.argsort(self.xt, axis=1)
+        sorted_values = map(np.take, self.xt, self.order)  # a column at a time
+        self.tied = np.flatnonzero([(v[:-1] == v[1:]).any() for v in sorted_values])
+        self.order[self.tied] = np.argsort(self.xt[self.tied], axis=1, kind="stable")
         self.two_features = np.flatnonzero(two)
         self.two_place = np.searchsorted(self.features, self.two_features)
         self.high = hi[two]
@@ -253,22 +259,6 @@ class _TreeBuilder:
         gh = self.gh[rows]
         return gh, np.add.reduce(gh.real), np.add.reduce(gh.imag)
 
-    def _sorted_cuts(self, block: np.ndarray):
-        """The candidate cuts of the presorted columns, in (feature, cut)
-        order: the positions in the block whose sorted value differs from the
-        next one, and the left gradient and hessian sums at each, read from
-        the prefix sums' real and imaginary parts into contiguous arrays."""
-        sv = self.cols.xt.ravel().take(block + self.cols.offset)
-        differs = np.empty(block.shape, dtype=bool)  # equal neighbours cannot be cut apart
-        np.not_equal(sv[:, :-1], sv[:, 1:], out=differs[:, :-1])
-        differs[:, -1] = False
-        del sv
-        cand = differs.ravel().nonzero()[0]
-        left = self.gh.take(block)
-        left.cumsum(axis=1, out=left)
-        left = left.ravel()  # a view: indexing its parts copies only the candidates
-        return cand, left.real[cand], left.imag[cand]
-
     def _two_valued_cuts(self, rows: np.ndarray, gh: np.ndarray):
         """The two-valued columns whose low and high values both occur in the
         node, as positions in that group, and the left gradient and hessian
@@ -292,29 +282,34 @@ class _TreeBuilder:
         rows, its sub-block and ``_sums(rows)``; ``go_left`` marks the rows
         the split sends left.
 
-        Gains are computed only at candidate cuts, taken in (feature, cut)
-        order. Each expression below runs the same float operations, in the
-        same order, as ``0.5 * (gl*gl/(hl+l2) + gr*gr/(hr+l2) - parent)`` on
-        one feature's sorted rows, but in place on the candidates.
+        Gains are computed at every presorted cut, in (feature, cut) order,
+        then at the two-valued cuts, in place, with the same float operations
+        in the same order as ``0.5 * (gl*gl/(hl+l2) + gr*gr/(hr+l2) -
+        parent)`` on one feature's sorted rows.
         """
         if h_total - self.mcw < self.mcw:
             return None  # no cut can pass the weight floor (module docstring)
         cols = self.cols
-        width = block.shape[1]
-        cand, gl, hl = self._sorted_cuts(block)
-        two = before = slots = _NO_CUTS
+        m, width = block.shape
+        n_sorted, per_column = m * (width - 1), (m, width - 1)
+        two = ()  # the two-valued columns that can be cut here
         if cols.high.size:
             two, two_gl, two_hl = self._two_valued_cuts(rows, gh)
-            # a two-valued cut goes in after the cuts of every presorted
-            # column of lower feature index; ``slots`` are its places in the
-            # merged order
-            before = cand.searchsorted(cols.two_place[two] * width)
-            slots = before + np.arange(len(two))
-            gl = np.insert(gl, before, two_gl)
-            hl = np.insert(hl, before, two_hl)
-        if not gl.size:
+        if not n_sorted + len(two):
             return None
+        left = self.gh.take(block)
+        left.cumsum(axis=1, out=left)
+        gl, hl = np.empty((2, n_sorted + len(two)))
+        gl[:n_sorted].reshape(per_column)[...] = left.real[:, :-1]
+        hl[:n_sorted].reshape(per_column)[...] = left.imag[:, :-1]
+        del left
+        if len(two):
+            gl[n_sorted:], hl[n_sorted:] = two_gl, two_hl
         blocked = hl < self.mcw
+        if cols.tied.size:  # equal neighbours cannot be cut apart
+            sv = cols.xt.ravel().take(block[cols.tied] + cols.offset[cols.tied])
+            blocked[:n_sorted].reshape(per_column)[cols.tied] |= sv[:, :-1] == sv[:, 1:]
+            del sv
         hr = h_total - hl  # from hl itself: (hl + l2) - l2 is not hl
         blocked |= hr < self.mcw
         right = g_total - gl
@@ -335,18 +330,22 @@ class _TreeBuilder:
         # features holding a NaN dropped and the search repeated.
         k = int(gains.argmax())
         if math.isnan(gains[k]):
-            feature = np.insert(cols.features[cand // width], before, cols.two_features[two])
-            gains[np.isin(feature, feature[np.isnan(gains)])] = -np.inf
+            by_column = gains[:n_sorted].reshape(per_column)
+            by_column[np.isnan(by_column).any(axis=1)] = -np.inf
+            gains[np.isnan(gains)] = -np.inf  # a two-valued column's one cut
             k = int(gains.argmax())
+        if k < n_sorted and len(two):
+            # a two-valued cut of equal gain wins if its feature is the lower
+            j = int(gains[n_sorted:].argmax())
+            if gains[n_sorted + j] == gains[k] and cols.two_place[two[j]] <= k // (width - 1):
+                k = n_sorted + j
         if not gains[k] > 0.0:
             return None
-        j = int(slots.searchsorted(k))
-        if j < len(slots) and slots[j] == k:
-            t = two[j]
+        if k >= n_sorted:
+            t = two[k - n_sorted]
             return int(cols.two_features[t]), float(cols.high[t]), cols.low[rows, t]
-        position = cand[k - j]
-        row = position // width
-        thr = cols.xt[row, block.ravel()[position + 1]]
+        row, cut = divmod(k, width - 1)
+        thr = cols.xt[row, block[row, cut + 1]]
         return int(cols.features[row]), float(thr), cols.xt[row, rows] < thr
 
     def build(self) -> tuple[Tree, np.ndarray]:

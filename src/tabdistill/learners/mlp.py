@@ -89,16 +89,19 @@ def _forward(params: dict, x: np.ndarray, caches: Optional[list] = None) -> np.n
         if "gamma" in layer:
             stats = params["running"][i]
             if caches is None:
-                mean, var = stats["mean"], stats["var"]
+                # in place, the same operations: gamma * z_hat is z_hat * gamma
+                z -= stats["mean"]
+                z *= 1.0 / np.sqrt(stats["var"] + _BN_EPS)
+                z *= layer["gamma"]
+                z += layer["beta"]
             else:
                 mean, var = z.mean(axis=0), z.var(axis=0)
                 stats["mean"] = _BN_MOMENTUM * stats["mean"] + (1 - _BN_MOMENTUM) * mean
                 stats["var"] = _BN_MOMENTUM * stats["var"] + (1 - _BN_MOMENTUM) * var
-            inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-            z_hat = (z - mean) * inv_std
-            if caches is not None:
+                inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+                z_hat = (z - mean) * inv_std
                 caches[-1].update(z=z, z_hat=z_hat, inv_std=inv_std, mean=mean)
-            z = layer["gamma"] * z_hat + layer["beta"]
+                z = layer["gamma"] * z_hat + layer["beta"]
     return _sigmoid(z.ravel())
 
 

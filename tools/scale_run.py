@@ -1,7 +1,7 @@
 """One seeded two-family pipeline at a chosen row count, timed and measured
 stage by stage.
 
-    PYTHONPATH=src python3 tools/scale_run.py --rows 1000000
+    python3 tools/scale_run.py --rows 1000000
 
 The script writes ``noisy_nonlinear_dataset(rows, seed)`` with the helpers
 in ``tests/helpers.py`` to a CSV in a temporary directory and runs
@@ -35,6 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
+# this checkout's package, whatever PYTHONPATH names
+sys.path.insert(0, str(ROOT / "src"))
 
 from helpers import noisy_nonlinear_dataset, write_dataset_csv  # noqa: E402
 from tracer import Tracer, installed  # noqa: E402
