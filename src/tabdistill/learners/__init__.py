@@ -168,7 +168,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|).
     ``minimum(x, -x)`` is -|x| that keeps a NaN's sign bit."""
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def encode_features(encoder: FeatureEncoder, rows) -> np.ndarray:

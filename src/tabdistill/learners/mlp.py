@@ -5,11 +5,16 @@ normalization and patience-based early stopping on validation AUC.
 One forward pass, a single loop over the layers whose last turn is the
 output layer, serves training and inference. Training hands it a list for
 the backprop caches; inference hands none, so it keeps no layer's arrays
-once the next layer is built."""
+once the next layer is built.
+
+Training holds every layer array in one float64 vector, each array a
+reshaped view of it, and the gradients and velocities in two vectors of the
+same layout: the backward pass writes each gradient into its view, and a
+step is one momentum update of the whole vector. A best epoch is a copy of
+that vector and of the running statistics."""
 
 from __future__ import annotations
 
-import copy
 from typing import Optional
 
 import numpy as np
@@ -22,7 +27,7 @@ from tabdistill.learners import (
     encode_features,
     training_inputs,
 )
-from tabdistill.metrics import roc_auc
+from tabdistill.metrics import AUCLabels, roc_auc
 from tabdistill.tabular import Dataset, FeatureEncoder
 
 _BN_EPS = 1e-5
@@ -95,47 +100,62 @@ def _forward(params: dict, x: np.ndarray, caches: Optional[list] = None) -> np.n
                 z *= layer["gamma"]
                 z += layer["beta"]
             else:
-                mean, var = z.mean(axis=0), z.var(axis=0)
+                # z.mean(axis=0) and z.var(axis=0), operation for operation
+                n = len(z)
+                mean = np.add.reduce(z, axis=0) / n
+                zc = z - mean
+                var = np.add.reduce(zc * zc, axis=0) / n
                 stats["mean"] = _BN_MOMENTUM * stats["mean"] + (1 - _BN_MOMENTUM) * mean
                 stats["var"] = _BN_MOMENTUM * stats["var"] + (1 - _BN_MOMENTUM) * var
                 inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-                z_hat = (z - mean) * inv_std
-                caches[-1].update(z=z, z_hat=z_hat, inv_std=inv_std, mean=mean)
+                z_hat = zc * inv_std
+                caches[-1].update(zc=zc, z_hat=z_hat, inv_std=inv_std)
                 z = layer["gamma"] * z_hat + layer["beta"]
     return _sigmoid(z.ravel())
 
 
-def _forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray):
-    """A training batch's probabilities and mean weighted cross-entropy
-    gradients, taken through the batch's own normalization statistics. A
-    hidden unit's ReLU passes gradient where its output, the next layer's
-    input, is positive."""
+def _forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray,
+                      grads: list) -> np.ndarray:
+    """A training batch's probabilities. The mean weighted cross-entropy
+    gradients, taken through the batch's own normalization statistics, are
+    written into ``grads``, one dict of arrays per layer shaped like its
+    parameters. A hidden unit's ReLU passes gradient where its output, the
+    next layer's input, is positive."""
     caches: list[dict] = []
     probs = _forward(params, x, caches)
     n = len(x)
     layers = params["layers"]
-    grads = [dict() for _ in layers]
     dz = (((w_pos + w_neg) * probs - w_pos) / n)[:, None]  # derivative of the mean loss
     for i in range(len(layers) - 1, -1, -1):
-        cache = caches[i]
-        layer = layers[i]
+        cache, layer, grad = caches[i], layers[i], grads[i]
         if "gamma" in layer:
-            z_hat = cache["z_hat"]
-            inv_std = cache["inv_std"]
-            grads[i]["gamma"] = (dz * z_hat).sum(axis=0)
-            grads[i]["beta"] = dz.sum(axis=0)
+            zc, inv_std = cache["zc"], cache["inv_std"]
+            np.add.reduce(dz * cache["z_hat"], axis=0, out=grad["gamma"])
+            np.add.reduce(dz, axis=0, out=grad["beta"])
             dz_hat = dz * layer["gamma"]
-            dvar = (dz_hat * (cache["z"] - cache["mean"])).sum(axis=0) \
-                * (-0.5) * inv_std ** 3
-            dmean = (-dz_hat * inv_std).sum(axis=0) + dvar * (-2.0 / n) * (
-                cache["z"] - cache["mean"]).sum(axis=0)
-            dz = (dz_hat * inv_std + dvar * 2.0 * (cache["z"] - cache["mean"]) / n
-                  + dmean / n)
-        grads[i]["W"] = cache["a_in"].T @ dz
-        grads[i]["b"] = dz.sum(axis=0)
+            t = dz_hat * inv_std  # negation is exact: -t.sum() is (-dz_hat * inv_std).sum()
+            dvar = np.add.reduce(dz_hat * zc, axis=0) * (-0.5) * inv_std ** 3
+            dmean = -np.add.reduce(t, axis=0) + dvar * (-2.0 / n) * np.add.reduce(zc, axis=0)
+            dz = t + dvar * 2.0 * zc / n + dmean / n
+        np.matmul(cache["a_in"].T, dz, out=grad["W"])
+        np.add.reduce(dz, axis=0, out=grad["b"])
         if i > 0:
-            dz = (dz @ layer["W"].T) * (cache["a_in"] > 0)
-    return probs, grads
+            dz = dz @ layer["W"].T
+            dz *= cache["a_in"] > 0
+    return probs
+
+
+def _views(flat: np.ndarray, layers: list) -> list:
+    """Per layer, a dict of views into ``flat`` shaped like that layer's
+    arrays, laid out in layer order and each layer's key order."""
+    out, start = [], 0
+    for layer in layers:
+        views = {}
+        for key, arr in layer.items():
+            views[key] = flat[start:start + arr.size].reshape(arr.shape)
+            start += arr.size
+        out.append(views)
+    return out
 
 
 class MLPModel:
@@ -230,39 +250,44 @@ def train_mlp(spec: LearnerSpec, train_ds: Dataset, target: TrainingTarget,
     rng = np.random.default_rng(spec.seed)
     sizes = [x.shape[1], *spec["hidden_sizes"], 1]
     params = _init_params(rng, sizes, spec["batch_norm"])
-    velocity = [{k: np.zeros_like(v) for k, v in layer.items()}
-                for layer in params["layers"]]
+    theta = np.concatenate([a.ravel() for layer in params["layers"] for a in layer.values()])
+    params["layers"] = _views(theta, params["layers"])
+    grad = np.empty_like(theta)
+    grads = _views(grad, params["layers"])
+    velocity = np.zeros_like(theta)
 
     batch_size = spec["batch_size"]
     lr = spec["learning_rate"]
     mu = spec["momentum"]
-    tracker = EarlyStopTracker(spec["patience"]) if valid is not None else None
-    x_valid = encode_features(encoder, valid) if valid is not None else None
-    best_params = None
+    tracker = None
+    if valid is not None:
+        tracker = EarlyStopTracker(spec["patience"])
+        x_valid = encode_features(encoder, valid)
+        valid_labels = AUCLabels(valid.labels)
+    best = None
     epochs_run = 0
 
     for epoch in range(spec["epochs"]):
         order = rng.permutation(len(x))
         for start in range(0, len(x), batch_size):
             batch = order[start:start + batch_size]
-            _, grads = _forward_backward(params, x[batch], w_pos[batch], w_neg[batch])
-            for layer, vel, grad in zip(params["layers"], velocity, grads):
-                for key in layer:
-                    v = vel[key]
-                    v *= mu
-                    v -= lr * grad[key]
-                    layer[key] += v
+            _forward_backward(params, x[batch], w_pos[batch], w_neg[batch], grads)
+            velocity *= mu
+            velocity -= lr * grad
+            theta += velocity
         epochs_run = epoch + 1
         if tracker is not None:
-            score = roc_auc(_forward(params, x_valid), valid.labels)
+            score = roc_auc(_forward(params, x_valid), valid_labels)
             stop = tracker.update(epoch, float(score))
             if tracker.best_epoch == epoch:
-                best_params = copy.deepcopy(params)
+                # the running statistics are rebound, never written in place
+                running = params["running"]
+                best = theta.copy(), None if running is None else [dict(r) for r in running]
             if stop:
                 break
 
-    if best_params is not None:
-        params = best_params
+    if best is not None:
+        theta[:], params["running"] = best
     return MLPModel(spec=spec, encoder=encoder, params=params,
                     epochs_run=epochs_run,
                     best_epoch=tracker.best_epoch if tracker is not None else epochs_run - 1)

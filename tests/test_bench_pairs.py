@@ -1,13 +1,18 @@
 """The BENCH_<pr>.json collation of tools/bench_pairs.py, on canned run
-outputs; no benchmark is started."""
+outputs, and what a stopped script leaves behind; no benchmark is started."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
@@ -75,3 +80,61 @@ def test_collate_keeps_round_order_failures_and_digests():
     assert out["failed"] == {"parent": [0, 0, 0, 0], "change": [0, 0, 1, 0]}
     assert out["attempted"]["change"] == [10] * 4
     assert out["report_sha256"] == {"parent": ["aa"], "change": ["bb"]}
+
+
+# a stand-in for benchmarks/run.py: it says who it is, then runs far longer
+# than the test waits
+_SLEEPING_RUN = """
+import os, time
+from pathlib import Path
+Path("run.pid.tmp").write_text(str(os.getpid()))
+os.replace("run.pid.tmp", "run.pid")
+time.sleep(120)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _wait_for(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def test_sigterm_ends_the_running_benchmark_and_writes_nothing(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "benchmarks").mkdir(parents=True)
+    (checkout / "benchmarks" / "run.py").write_text(_SLEEPING_RUN)
+    (checkout / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
+        subprocess.run(git + cmd, cwd=checkout, check=True, capture_output=True)
+    out = tmp_path / "bench.json"
+    pid_file = checkout / "run.pid"
+    script = subprocess.Popen(
+        [sys.executable, str(SCRIPT), "--parent", str(checkout), "--change", str(checkout),
+         "--workload", "pipeline_gbdt", "--seed", "1", "--pairs", "1", "--seconds", "1",
+         "--out", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    child = None
+    try:
+        assert _wait_for(pid_file.exists, 30), "the benchmark run never started"
+        child = int(pid_file.read_text())
+        script.send_signal(signal.SIGTERM)
+        assert script.wait(timeout=30) != 0
+        assert _wait_for(lambda: not _alive(child), 5), "the benchmark run outlived the script"
+        assert not out.exists()
+    finally:
+        for pid in (script.pid, child):
+            if pid is not None and _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        script.wait(timeout=30)

@@ -303,7 +303,8 @@ class TestGBDTInvariances:
 def _loss_and_gradients(params, x, w_pos, w_neg):
     """A batch's mean weighted cross-entropy and its analytic gradients, as
     training computes them."""
-    probs, grads = _forward_backward(params, x, w_pos, w_neg)
+    grads = [{k: np.empty_like(v) for k, v in layer.items()} for layer in params["layers"]]
+    probs = _forward_backward(params, x, w_pos, w_neg, grads)
     return weighted_log_loss(probs, w_pos, w_neg), grads
 
 

@@ -1,7 +1,8 @@
 """Scoring many models on the same rows: one encoded matrix per distinct
 encoder, checked bit for bit against the per-model path and against the
 block-and-hstack transform it replaced. Also the bit-identity of the
-sign-folded sigmoid and of the loss-free MLP training step."""
+sign-folded sigmoid and of the MLP training step, against a forward and
+backward pass kept as they were before the flat parameter vector."""
 
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from tabdistill.learners import (
 )
 from tabdistill.learners import _sigmoid, resolve_weight_pairs
 from tabdistill.learners.mlp import (
+    _BN_EPS,
+    _BN_MOMENTUM,
     EarlyStopTracker,
     _forward,
     _forward_backward,
@@ -331,9 +334,67 @@ class TestSigmoid:
         assert _bits(got) == _bits(_reference_sigmoid(grid))
 
 
+def _reference_forward(params: dict, x: np.ndarray, caches: list) -> np.ndarray:
+    """The training forward pass as it was before the flat parameter vector:
+    batch statistics from ``z.mean``/``z.var``, and the cache keeps ``z``
+    and ``mean``."""
+    a = x
+    for i, layer in enumerate(params["layers"]):
+        if i:
+            a = np.maximum(z, 0.0, out=z)
+        z = a @ layer["W"]
+        z += layer["b"]
+        caches.append({"a_in": a})
+        if "gamma" in layer:
+            stats = params["running"][i]
+            mean, var = z.mean(axis=0), z.var(axis=0)
+            stats["mean"] = _BN_MOMENTUM * stats["mean"] + (1 - _BN_MOMENTUM) * mean
+            stats["var"] = _BN_MOMENTUM * stats["var"] + (1 - _BN_MOMENTUM) * var
+            inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+            z_hat = (z - mean) * inv_std
+            caches[-1].update(z=z, z_hat=z_hat, inv_std=inv_std, mean=mean)
+            z = layer["gamma"] * z_hat + layer["beta"]
+    return _sigmoid(z.ravel())
+
+
+def _reference_forward_backward(params: dict, x: np.ndarray, w_pos: np.ndarray,
+                                w_neg: np.ndarray):
+    """The backward pass as it was before gradients were written in place:
+    a fresh dict of gradients per layer, ``.sum(axis=0)`` and ``z - mean``
+    taken three times."""
+    caches: list[dict] = []
+    probs = _reference_forward(params, x, caches)
+    n = len(x)
+    layers = params["layers"]
+    grads = [dict() for _ in layers]
+    dz = (((w_pos + w_neg) * probs - w_pos) / n)[:, None]
+    for i in range(len(layers) - 1, -1, -1):
+        cache = caches[i]
+        layer = layers[i]
+        if "gamma" in layer:
+            z_hat = cache["z_hat"]
+            inv_std = cache["inv_std"]
+            grads[i]["gamma"] = (dz * z_hat).sum(axis=0)
+            grads[i]["beta"] = dz.sum(axis=0)
+            dz_hat = dz * layer["gamma"]
+            dvar = (dz_hat * (cache["z"] - cache["mean"])).sum(axis=0) \
+                * (-0.5) * inv_std ** 3
+            dmean = (-dz_hat * inv_std).sum(axis=0) + dvar * (-2.0 / n) * (
+                cache["z"] - cache["mean"]).sum(axis=0)
+            dz = (dz_hat * inv_std + dvar * 2.0 * (cache["z"] - cache["mean"]) / n
+                  + dmean / n)
+        grads[i]["W"] = cache["a_in"].T @ dz
+        grads[i]["b"] = dz.sum(axis=0)
+        if i > 0:
+            dz = (dz @ layer["W"].T) * (cache["a_in"] > 0)
+    return probs, grads
+
+
 def _reference_train_mlp(spec, ds, target, valid):
-    """``train_mlp`` before the loss-free step: every batch computes and
-    discards its loss, and velocities are rebuilt out of place."""
+    """``train_mlp`` before the loss-free step and the flat parameter
+    vector: every batch computes and discards its loss, velocities are
+    rebuilt out of place per layer and key, and the best epoch is a deep
+    copy."""
     encoder = FeatureEncoder.fit(ds)
     x = encoder.transform(ds)
     w_pos, w_neg = resolve_weight_pairs(target, ds.labels)
@@ -348,7 +409,7 @@ def _reference_train_mlp(spec, ds, target, valid):
         order = rng.permutation(len(x))
         for start in range(0, len(x), bs):
             batch = order[start:start + bs]
-            _, grads = _forward_backward(params, x[batch], w_pos[batch], w_neg[batch])
+            _, grads = _reference_forward_backward(params, x[batch], w_pos[batch], w_neg[batch])
             for layer, vel, grad in zip(params["layers"], velocity, grads):
                 for key in layer:
                     vel[key] = mu * vel[key] - lr * grad[key].reshape(layer[key].shape)
@@ -360,6 +421,36 @@ def _reference_train_mlp(spec, ds, target, valid):
         if stop:
             break
     return best
+
+
+@pytest.mark.parametrize("batch_norm", [False, True])
+@pytest.mark.parametrize("rows", [1, 7, 64, 256])
+def test_forward_backward_matches_reference_bits(batch_norm, rows):
+    # one step from the same parameters: the probabilities, every gradient
+    # and the updated running statistics, bit for bit
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, 9)) * 2.0
+    w_pos = rng.random(rows)
+    w_neg = rng.random(rows)
+    params = _init_params(rng, [9, 16, 8, 1], batch_norm)
+    # nonzero biases, and batch-norm scales of both signs
+    for layer in params["layers"]:
+        for key in ("b", "beta"):
+            if key in layer:
+                layer[key] += rng.standard_normal(layer[key].shape) * 0.3
+        if "gamma" in layer:
+            layer["gamma"] *= rng.uniform(-1.5, 1.5, layer["gamma"].shape)
+    ref_params = copy.deepcopy(params)
+    grads = [{k: np.full_like(v, np.nan) for k, v in layer.items()} for layer in params["layers"]]
+    probs = _forward_backward(params, x, w_pos, w_neg, grads)
+    ref_probs, ref_grads = _reference_forward_backward(ref_params, x, w_pos, w_neg)
+    assert _bits(probs) == _bits(ref_probs)
+    for got, want in zip(grads, ref_grads):
+        assert got.keys() == want.keys()
+        assert all(_bits(got[k]) == _bits(want[k]) for k in got)
+    if batch_norm:
+        for got, want in zip(params["running"], ref_params["running"]):
+            assert all(_bits(got[k]) == _bits(want[k]) for k in ("mean", "var"))
 
 
 @pytest.mark.parametrize("batch_norm", [False, True])

@@ -19,12 +19,16 @@ direction and the bound of each end-to-end metric come from the change's
 ``BENCHMARK.json``. Medians and quartiles are numpy's linear percentiles;
 ``median_change`` is the change's median over the parent's, minus 1, and a
 pair counts as better or worse by the metric's direction, ties for neither.
+
+Stopped by SIGTERM, the script kills and reaps the run in progress and exits
+non-zero without writing ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +101,22 @@ def collate(rounds: list[dict], end_to_end: dict) -> dict:
     }
 
 
+def _raise_stop(signum, frame):
+    # an exception, so that subprocess.run kills and reaps its child
+    raise SystemExit(f"stopped by signal {signum}; no result written")
+
+
+def run_pairs(checkouts: dict, workload: str, seed: int, pairs: int, seconds: float) -> list:
+    """``pairs`` rounds of one workload, alternating which side runs first."""
+    rounds = []
+    for i in range(pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        rounds.append({"first_side": order[0]} | {
+            side: run_once(checkouts[side], workload, seed, seconds) for side in order})
+        print(f"{workload}: pair {i + 1}/{pairs} done", file=sys.stderr)
+    return rounds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -116,15 +136,13 @@ def main(argv=None) -> int:
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     comparisons = {}
-    for workload in args.workload:
-        rounds = []
-        for i in range(args.pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            rounds.append({"first_side": order[0]} | {
-                side: run_once(checkouts[side], workload, args.seed, args.seconds)
-                for side in order})
-            print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        comparisons[f"{workload}: parent -> change"] = collate(rounds, end_to_end)
+    previous = signal.signal(signal.SIGTERM, _raise_stop)
+    try:
+        for workload in args.workload:
+            rounds = run_pairs(checkouts, workload, args.seed, args.pairs, args.seconds)
+            comparisons[f"{workload}: parent -> change"] = collate(rounds, end_to_end)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     provenance = rounds[0]["change"]["record"]["provenance"]
 
     args.out.write_text(json.dumps({
