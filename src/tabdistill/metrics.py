@@ -2,11 +2,13 @@
 correlation. All kernels are pure functions.
 
 The ROC AUC is a rank sum over a single sort of the scores, exact under
-ties, and rejects scores and labels that are not 1-D, and non-finite
-scores, with DataError; ``evaluate`` inherits those checks. Its label
-step, ``AUCLabels``, checks and counts the labels and builds the integer
-vectors of the untied rank sum; the ensemble weight search runs it once
-and scores every blend against it."""
+ties: scores in [0, 2), every probability among them, sort in place as
+int64 keys of their bits tagged with the label, any other scores by
+``argsort``. It rejects scores and labels that are not 1-D, and
+non-finite scores, with DataError; ``evaluate`` inherits those checks.
+Its label step, ``AUCLabels``, checks and counts the labels and builds
+the integer vectors of the untied rank sum; the ensemble weight search
+runs it once and scores every blend against it."""
 
 from __future__ import annotations
 
@@ -17,6 +19,9 @@ import numpy as np
 from tabdistill.errors import DataError
 
 PROB_EPS = 1e-12
+# bit patterns below this one are +0.0 and the positive doubles under 2.0;
+# NaN, the infinities, negatives and -0.0 all lie above it
+_TAGGABLE_BITS = 0x4000000000000000
 
 
 @dataclass(frozen=True)
@@ -61,11 +66,18 @@ def roc_auc(scores, labels) -> float:
     ties counting one half; exactly equal to pair counting. ``labels`` may
     be an ``AUCLabels``, built once by a caller that scores many vectors.
 
-    One sort ranks the scores. Without ties, sorted position i has rank
-    i + 1 and the positives' rank sum is the exact integer dot product of
-    the sorted 0/1 positives with the ranks. Otherwise each tie group adds
-    its mid-rank times its count of positives; mid-ranks are half-integers,
-    so that sum is exact whatever the sort kind or the order within a group.
+    One sort ranks the scores. When every score is +0.0 or a positive
+    double below 2.0, as every probability is, that sort is an in-place
+    int64 sort of keys holding each score's bits shifted up one place, the
+    low bit its label: the bits rise with the score, so the keys sort by
+    (score, label), and the sorted low bits are the sorted positives. Any
+    other score vector is checked finite and argsorted. Ties are found on
+    the untagged bits or the sorted scores, so a label never splits a tie
+    group. Without ties, sorted position i has rank i + 1 and the
+    positives' rank sum is the exact integer dot product of the sorted 0/1
+    positives with the ranks. Otherwise each tie group adds its mid-rank
+    times its count of positives; mid-ranks are half-integers, so that sum
+    is exact whatever the sort kind or the order within a group.
     Scores and labels that are not 1-D, and non-finite scores, raise
     DataError."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -77,12 +89,21 @@ def roc_auc(scores, labels) -> float:
     if not bound:
         labels = AUCLabels(labels)
     n_pos, n_neg = labels.n_pos, labels.n_neg
-    if not np.isfinite(scores).all():
-        raise DataError("ROC AUC needs finite scores")
-    order = np.argsort(scores)
-    sorted_scores = scores[order]
-    pos_sorted = labels.pos[order]
-    distinct = sorted_scores[1:] != sorted_scores[:-1]
+    bits = scores.view(np.uint64)
+    if (bits < _TAGGABLE_BITS).all():
+        keys = bits.view(np.int64) << 1
+        keys |= labels.pos
+        keys.sort()
+        pos_sorted = keys & 1
+        keys >>= 1
+        distinct = keys[1:] != keys[:-1]
+    else:
+        if not np.isfinite(scores).all():
+            raise DataError("ROC AUC needs finite scores")
+        order = np.argsort(scores)
+        sorted_scores = scores[order]
+        pos_sorted = labels.pos[order]
+        distinct = sorted_scores[1:] != sorted_scores[:-1]
     if distinct.all():
         rank_sum_pos = pos_sorted @ labels.ranks
     else:

@@ -116,6 +116,51 @@ def test_roc_auc_matches_mergesort_reference(n, ties):
         assert _bits(roc_auc(scores, labels)) == _bits(_reference_roc_auc(scores, labels))
 
 
+def _with(rng, scores, values, share):
+    """``scores`` with about ``share`` of its entries drawn from ``values``."""
+    scores = scores.copy()
+    picked = rng.random(len(scores)) < share
+    scores[picked] = rng.choice(values, picked.sum())
+    return scores
+
+
+# name: (draw(rng) -> scores, whether every score is +0.0 or a positive
+# double below 2.0, the scores roc_auc sorts as label-tagged integer keys)
+_SCORE_FAMILIES = {
+    "tied_probabilities": (lambda rng: np.round(rng.random(3000), 1), True),
+    "fast_path_edges": (lambda rng: _with(
+        rng, rng.random(1200), [0.0, 5e-324, np.nextafter(2.0, 0.0), 1.0], 0.5), True),
+    "two_and_above": (lambda rng: _with(
+        rng, rng.random(1200), [2.0, 1e300, 3.5, np.nextafter(2.0, 0.0)], 0.3), False),
+    "negatives": (lambda rng: np.round(rng.standard_normal(1200), 1), False),
+    "signed_zeros": (lambda rng: np.concatenate(
+        ([-0.0, 0.0], rng.choice([-0.0, 0.0, 0.25, 1.0], 598))), False),
+    "strided_column": (lambda rng: np.round(rng.random((2000, 3)), 2)[:, 1], True),
+    "strided_general_column": (
+        lambda rng: np.round(rng.standard_normal((2000, 3)), 1)[:, 2], False),
+    "large": (lambda rng: _with(rng, rng.random(50_000), np.round(rng.random(50), 2), 0.5),
+              True),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SCORE_FAMILIES))
+def test_both_rank_paths_match_mergesort_reference(family):
+    """The tagged integer sort (scores in [+0.0, 2.0)) and the argsort path
+    (any other finite scores) against the mergesort reference bit for bit,
+    with plain and with bound labels. -0.0 and 0.0 must tie."""
+    draw, tagged = _SCORE_FAMILIES[family]
+    rng = np.random.default_rng(sorted(_SCORE_FAMILIES).index(family))
+    for _ in range(5):
+        scores = draw(rng)
+        # the path under test runs
+        assert bool(np.all((scores < 2.0) & (scores >= 0.0) & ~np.signbit(scores))) == tagged
+        labels = rng.integers(0, 2, len(scores))
+        labels[:2] = (1, 0)
+        expected = _bits(_reference_roc_auc(scores, labels))
+        assert _bits(roc_auc(scores, labels)) == expected
+        assert _bits(roc_auc(scores, AUCLabels(labels))) == expected
+
+
 def test_roc_auc_matches_reference_on_blended_gbdt_like_scores():
     member_preds, labels = _gbdt_like_members(8, 3000, seed=9)
     rng = np.random.default_rng(10)
