@@ -66,6 +66,11 @@ def _learner_spec(args) -> LearnerSpec:
     return LearnerSpec(kind=args.kind, params=params, seed=args.seed)
 
 
+def _emit(doc: dict) -> int:
+    print(json.dumps(doc, indent=2, sort_keys=True))
+    return EXIT_OK
+
+
 def _cmd_ingest(args) -> int:
     ds = ingest_csv(args.data, args.label)
     schema = ds.schema.to_json_dict()
@@ -80,9 +85,8 @@ def _cmd_train(args) -> int:
     ds = ingest_csv(args.data, args.label)
     model = train(_learner_spec(args), ds, TrainingTarget.hard())
     save_model(model, args.out)
-    report = evaluate(model.predict(ds), ds.labels).as_dict()
-    print(json.dumps({"model": args.out, "train": report}, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _emit({"model": args.out,
+                  "train": evaluate(model.predict(ds), ds.labels).as_dict()})
 
 
 def _cmd_distill(args) -> int:
@@ -99,10 +103,7 @@ def _cmd_distill(args) -> int:
     for gen, model in enumerate(models):
         save_model(model, out_dir / f"gen{gen}.json")
     write_ledger_csv(records, out_dir / "ledger.csv")
-    print(json.dumps({"out_dir": str(out_dir),
-                      "ledger": [r.as_dict() for r in records]},
-                     indent=2, sort_keys=True))
-    return EXIT_OK
+    return _emit({"out_dir": str(out_dir), "ledger": [r.as_dict() for r in records]})
 
 
 def _cmd_ensemble_opt(args) -> int:
@@ -110,10 +111,8 @@ def _cmd_ensemble_opt(args) -> int:
     valid = ingest_csv(args.valid, args.label)
     optimized, audit = optimize_weights_detailed(members, valid, DEConfig(seed=args.seed))
     save_ensemble(optimized, args.models, args.out)
-    print(json.dumps({"ensemble": args.out, "weights": optimized.weights.tolist(),
-                      "validation_auc": audit["validation_auc"]},
-                     indent=2, sort_keys=True))
-    return EXIT_OK
+    return _emit({"ensemble": args.out, "weights": optimized.weights.tolist(),
+                  "validation_auc": audit["validation_auc"]})
 
 
 def _cmd_deploy_distill(args) -> int:
@@ -122,8 +121,7 @@ def _cmd_deploy_distill(args) -> int:
     model = distill_to_deployment(ens.predict(ds), ds, _learner_spec(args), args.beta,
                                   args.threshold)
     save_model(model, args.out)
-    print(json.dumps({"model": args.out}, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _emit({"model": args.out})
 
 
 def _cmd_pipeline(args) -> int:
@@ -131,9 +129,7 @@ def _cmd_pipeline(args) -> int:
                  if value is not None}
     cfg = load_config(args.config, overrides)
     report = run_pipeline(cfg)
-    print(json.dumps({"run_id": report["run_id"],
-                      "metrics": report["metrics"]}, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _emit({"run_id": report["run_id"], "metrics": report["metrics"]})
 
 
 def _cmd_verify(args) -> int:
@@ -150,9 +146,7 @@ def _cmd_verify(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = ingest_csv(args.data, args.label)
-    report = evaluate(model.predict(ds), ds.labels).as_dict()
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _emit(evaluate(model.predict(ds), ds.labels).as_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,22 +161,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", help="hyperparameters as a JSON object")
         p.add_argument("--seed", type=int, default=0)
 
+    def add_data_flags(p):
+        p.add_argument("--data", required=True)
+        p.add_argument("--label", required=True)
+
     p = sub.add_parser("ingest", help="validate a CSV and report its schema")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", required=True)
+    add_data_flags(p)
     p.add_argument("--schema-out")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("train", help="train a single model on hard labels")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", required=True)
+    add_data_flags(p)
     p.add_argument("--out", required=True)
     add_learner_flags(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("distill", help="run a self-distillation chain")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", required=True)
+    add_data_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--generations", type=int, default=DistillConfig.generations)
     p.add_argument("--beta", type=float, default=DistillConfig.beta)
@@ -205,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deploy-distill",
                        help="distill a persisted ensemble into one model")
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", required=True)
+    add_data_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--beta", type=float, default=DistillConfig.beta)
     p.add_argument("--threshold", type=float, default=DistillConfig.denoise_threshold)
@@ -228,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="evaluate a persisted model on a CSV")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", required=True)
+    add_data_flags(p)
     p.set_defaults(func=_cmd_evaluate)
 
     return parser

@@ -26,7 +26,7 @@ from tabdistill.errors import (
     require_integer,
     require_number,
 )
-from tabdistill.learners import LearnerSpec, TrainingTarget, train
+from tabdistill.learners import LearnerSpec, TrainingTarget, resolve_weight_pairs, train
 from tabdistill.metrics import roc_auc
 from tabdistill.tabular import Dataset
 
@@ -142,9 +142,9 @@ def _append_original(distilled: Dataset, target: TrainingTarget,
                    zip(distilled.feature_arrays, original.feature_arrays))
     combined = Dataset(distilled.schema, arrays,
                        np.concatenate([distilled.labels, original.labels]))
-    y = original.labels.astype(np.float64)
-    return combined, TrainingTarget.weighted(np.concatenate([target.w_pos, y]),
-                                             np.concatenate([target.w_neg, 1.0 - y]))
+    w_pos, w_neg = resolve_weight_pairs(TrainingTarget.hard(), original.labels)
+    return combined, TrainingTarget.weighted(np.concatenate([target.w_pos, w_pos]),
+                                             np.concatenate([target.w_neg, w_neg]))
 
 
 def run_generations(spec: LearnerSpec, train_ds: Dataset, valid: Optional[Dataset],

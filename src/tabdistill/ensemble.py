@@ -20,13 +20,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from tabdistill.errors import (
-    UNREADABLE_JSON,
     DataError,
     SerializationError,
     require_integer,
     require_number,
 )
-from tabdistill.learners import load_model, score_models
+from tabdistill.learners import _read_document, load_model, score_models
 from tabdistill.metrics import AUCLabels, roc_auc
 from tabdistill.tabular import Dataset
 
@@ -268,10 +267,7 @@ def load_ensemble(path: str | Path) -> EnsembleModel:
     resolving relative member paths against the document's directory. A
     document that is not a well-formed ensemble raises SerializationError."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except UNREADABLE_JSON as exc:
-        raise SerializationError(f"{path}: unreadable ensemble document: {exc}") from exc
+    doc = _read_document(path, "ensemble")
     if not isinstance(doc, dict) or doc.get("format") != ENSEMBLE_FORMAT:
         found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
         raise SerializationError(f"{path}: unknown ensemble format {found!r}")

@@ -248,12 +248,16 @@ def save_model(model, path: str | Path) -> None:
     Path(path).write_text(json.dumps(serialize_model(model), sort_keys=True), encoding="utf-8")
 
 
-def load_model(path: str | Path):
+def _read_document(path: str | Path, what: str):
+    """The JSON in ``path``; an unreadable file raises SerializationError."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UNREADABLE_JSON as exc:
-        raise SerializationError(f"{path}: unreadable model document: {exc}") from exc
-    return deserialize_model(doc)
+        raise SerializationError(f"{path}: unreadable {what} document: {exc}") from exc
+
+
+def load_model(path: str | Path):
+    return deserialize_model(_read_document(path, "model"))
 
 
 # the implementations import the contract above, so they load last

@@ -252,7 +252,7 @@ class _ColumnReader:
             for v in dict.fromkeys(cells):
                 self.codes.setdefault(v, len(self.codes))
             self.parts.append(np.fromiter(map(self.codes.__getitem__, cells), np.int64, len(cells)))
-        elif parsed is not None and not (kind == "float" and np.isnan(parsed).any()):
+        elif parsed is not None and (kind != "float" or np.isfinite(parsed).all()):
             self.parts.append(parsed)
         elif kind and not self.error:
             self.error = _bad_cell(self.name, kind, cells, start)
@@ -276,9 +276,10 @@ def _bad_cell(name: str, kind: str, cells: Sequence[str], start: int) -> Optiona
         except OverflowError:
             problem = "is outside the int64 range"
         else:
-            if not (kind == "float" and np.isnan(value)):
+            if kind != "float" or np.isfinite(value):
                 continue
-            problem = "parses as NaN, a missing value"
+            problem = ("parses as NaN, a missing value" if np.isnan(value)
+                       else "parses as infinity, not a finite number")
         return f"row {row}, column {name!r}: {raw!r} {problem}"
 
 
@@ -349,8 +350,8 @@ def ingest_csv(path: str | Path, label_column: str) -> Dataset:
     1. bool: the exact tokens true/false, True/False, TRUE/FALSE;
     2. int: Python ``int`` of the whitespace-stripped cell, so signs and
        ``1_000`` parse;
-    3. float: Python ``float`` of the stripped cell, so ``1.0``, ``-2e3``
-       and ``inf`` parse;
+    3. float: Python ``float`` of the stripped cell, so ``1.0`` and
+       ``-2e3`` parse;
     4. categorical otherwise, with values interned to dense integer codes
        in order of first appearance.
 
@@ -359,8 +360,9 @@ def ingest_csv(path: str | Path, label_column: str) -> Dataset:
     field past the csv module's limit) is reported as unreadable, a bad
     cell with its row and column. Besides labels that are not 0/1, these
     are errors: an integer outside the int64 range, a float cell that
-    parses as NaN, and a blank cell in a column whose other cells all parse
-    as bool, int or float (a column of blank cells only stays categorical).
+    parses as NaN or as infinity (``inf``, ``-Infinity``, ``1e999``), and
+    a blank cell in a column whose other cells all parse as bool, int or
+    float (a column of blank cells only stays categorical).
 
     The file is read ``_INGEST_BLOCK_ROWS`` (1,024) rows at a time, each
     block parsed straight into typed per-column parts, so memory is bounded

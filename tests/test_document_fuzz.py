@@ -13,6 +13,7 @@ import tempfile
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -211,3 +212,6 @@ def test_random_csv_bytes_ingest_or_are_data_error(content):
         except DataError:
             return
     assert isinstance(ds, Dataset)
+    # the 1e400 and inf tokens parse as floats, which no float column may hold
+    assert all(np.isfinite(a).all() for c, a in zip(ds.schema.feature_columns, ds.feature_arrays)
+               if c.kind == "float")

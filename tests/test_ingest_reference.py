@@ -5,13 +5,15 @@ Every Dataset must match the reference byte for byte: schema JSON, every
 feature array's dtype and bytes, the labels, and the encoded matrix.
 Errors the reference raises must carry the same message. The only
 differences allowed are the errors the per-cell code lacked: an integer
-outside the int64 range, a float cell that parses as NaN, and a blank cell in
-a column whose other cells are all bools or numbers. Those are checked
-against a per-cell oracle that names the first offending row and column.
+outside the int64 range, a float cell that parses as NaN or infinity, and a
+blank cell in a column whose other cells are all bools or numbers. Those are
+checked against a per-cell oracle that names the first offending row and
+column.
 
 The fixed-input, error-message and random tests run again with the reader's
 block size set to 2 and 3 rows, so that kind changes, blank cells, NaNs,
-out-of-range ints and short rows fall in a block after the first."""
+infinities, out-of-range ints and short rows fall in a block after the
+first."""
 
 import csv
 import importlib.util
@@ -259,13 +261,28 @@ class TestTokens:
     def test_padded_signed_exponent_and_underscore_numbers(self, tmp_path):
         path = _write_columns(tmp_path / "a.csv", {
             "i": [" 3", "-2 ", "+7", "1_000", "\t0\t", "-0"],
-            "f": [" 1.5", "-2e3", "+.5", "1_000.25", "6E-2 ", "1e999"],
+            "f": [" 1.5", "-2e3", "+.5", "1_000.25", "6E-2 ", "1.7976931348623157e308"],
             "label": ["0", "1", " 1 ", "true", "FALSE", "0"],
         })
         ds = _check_against_reference(path)
         assert [c.kind for c in ds.schema.feature_columns] == ["int", "float"]
         np.testing.assert_array_equal(ds.feature_arrays[0], [3, -2, 7, 1000, 0, 0])
-        assert ds.feature_arrays[1][-1] == np.inf
+        assert ds.feature_arrays[1][-1] == np.finfo(np.float64).max
+
+    # int() and float() reject U+001C-U+001F around a number, and strip the
+    # rest; str.strip() removes every one of them before either parser runs
+    @pytest.mark.parametrize("space", ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000"],
+                             ids=lambda c: f"U+{ord(c):04X}")
+    def test_unicode_whitespace_around_numbers_is_stripped(self, tmp_path, space):
+        path = _write_columns(tmp_path / "a.csv", {
+            "i": [f"{space}5{space}", f"{space}-3", f"7{space}", "1"],
+            "f": [f"{space}1.5{space}", f"{space}-2e3", f"0.25{space}", "4"],
+            "label": ["0", "1", "0", "1"],
+        })
+        ds = _check_against_reference(path)
+        assert [c.kind for c in ds.schema.feature_columns] == ["int", "float"]
+        assert ds.feature_arrays[0].tolist() == [5, -3, 7, 1]
+        assert ds.feature_arrays[1].tolist() == [1.5, -2000.0, 0.25, 4.0]
 
     def test_one_float_makes_an_integer_column_float(self, tmp_path):
         path = _write_columns(tmp_path / "a.csv", {
@@ -395,6 +412,11 @@ class TestNewCellErrors:
         assert self._error(tmp_path, {"f": ["0.5", token], "label": ["0", "1"]}) == \
             f"row 2, column 'f': {token!r} parses as NaN, a missing value"
 
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e999", " +INF "])
+    def test_infinite_cell(self, tmp_path, token):
+        assert self._error(tmp_path, {"f": ["0.5", token], "label": ["0", "1"]}) == \
+            f"row 2, column 'f': {token!r} parses as infinity, not a finite number"
+
     def test_first_bad_column_and_row_is_named(self, tmp_path):
         assert self._error(tmp_path, {
             "ok": ["a", "b", "c"], "x": ["1", "nan", ""], "y": ["", "1", "2"],
@@ -430,7 +452,7 @@ def _oracle_error(columns: dict, label: str):
                 bad = p is None or not (-2**63 <= p < 2**63)
             elif kind == "float":
                 p = _ref_parse_float(v)
-                bad = p is None or math.isnan(p)
+                bad = p is None or not math.isfinite(p)
             else:
                 bad = False
             if bad:
@@ -563,6 +585,7 @@ class TestLaterBlocks:
     @pytest.mark.parametrize("column,message", [
         (_with_row_7(_INTS, ""), "'' is not an integer"),
         (_with_row_7(_FLOATS, "nan"), "'nan' parses as NaN, a missing value"),
+        (_with_row_7(_FLOATS, "-inf"), "'-inf' parses as infinity, not a finite number"),
         (_with_row_7(_INTS, "9223372036854775808"),
          "'9223372036854775808' is outside the int64 range"),
         (_with_row_7(_BOOLS, " "), "' ' is not a boolean"),

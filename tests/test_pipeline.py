@@ -13,7 +13,7 @@ import tabdistill
 from tabdistill.cli import main as cli_main
 from tabdistill.distill import DistillConfig, distill_step
 from tabdistill.ensemble import DEConfig, EnsembleModel
-from tabdistill.errors import DataError
+from tabdistill.errors import DataError, TrainingError
 from tabdistill.learners import (
     GBDTModel,
     MLPModel,
@@ -395,14 +395,28 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert cli_main(["train", "--data", "x.csv"]) == 1
 
-    def test_training_error_exit_code(self, tmp_path, capsys):
+    # ingest rejects every cell that training without a transform cannot
+    # fit, so a stand-in for train raises the training error
+    def test_training_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        import tabdistill.cli as cli_module
+
+        def fail(*args):
+            raise TrainingError("training features contain non-finite values")
+        monkeypatch.setattr(cli_module, "train", fail)
+        code = cli_main(["train", "--data", str(self._write_csv(tmp_path)), "--label", "label",
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+
+    def test_infinite_cell_exit_code(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
         path.write_text("f1,label\n1.0,0\ninf,1\n2.0,0\n")
         code = cli_main(["train", "--data", str(path), "--label", "label",
                          "--out", str(tmp_path / "m.json"),
                          "--params", '{"rounds": 2}'])
-        assert code == 3
-        assert "finite" in capsys.readouterr().err
+        assert code == 2
+        assert "row 2, column 'f1': 'inf' parses as infinity" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("kind, params, named", [
         pytest.param("mlp", '{"hidden_sizes": 3}', "hidden_sizes", id="hidden_sizes-int"),
