@@ -198,27 +198,23 @@ def optimize_weights_detailed(members: Sequence, valid: Dataset, cfg: Optional[D
         return EnsembleModel(members, uniform), audit
 
     rng = np.random.default_rng(cfg.seed)
-    one_hots = np.eye(m)
 
-    def incumbent_seeds(active: np.ndarray) -> list[np.ndarray]:
-        # uniform over active members, then each active member alone
-        return [np.where(active, 1.0, 0.0), *one_hots[active]]
-
-    def run(active: np.ndarray, extra_seeds: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    def run(active: np.ndarray, *extra_seeds: np.ndarray) -> tuple[np.ndarray, float]:
         # inactive members are frozen at weight zero by searching only the
-        # active coordinates
+        # active coordinates; the incumbents are the uniform vector and each
+        # active member alone
         idx = np.flatnonzero(active)
-        seeds = [s[idx] for s in incumbent_seeds(active) + extra_seeds]
-        sub_preds = member_preds[idx]
-        sub_objective = _auc_objective(sub_preds, labels)
-        best_sub, best_fit = _de_maximize(sub_objective, len(idx), seeds, cfg, rng)
+        k = len(idx)
+        seeds = [np.ones(k), *np.eye(k), *(s[idx] for s in extra_seeds)]
+        sub_objective = _auc_objective(member_preds[idx], labels)
+        best_sub, best_fit = _de_maximize(sub_objective, k, seeds, cfg, rng)
         full = np.zeros(m)
         full[idx] = best_sub
         return full, best_fit
 
     active = np.ones(m, dtype=bool)
-    best_w, best_fit = run(active, [])
-    pre_prune = best_w.copy()
+    best_w, best_fit = run(active)
+    pre_prune = best_w
     prune_rounds = 0
     while active.sum() > 1:
         share = best_w / best_w.sum()
@@ -228,14 +224,14 @@ def optimize_weights_detailed(members: Sequence, valid: Dataset, cfg: Optional[D
             break
         active = active & ~tiny
         prune_rounds += 1
-        best_w, best_fit = run(active, [np.where(active, best_w, 0.0)])
+        best_w, best_fit = run(active, best_w)
 
     # the guarantee incumbents are prune-clean by construction; never return
     # anything below them. A one-hot blend is its member's scores exactly
     # (adding 0.0 and dividing by 1.0 are exact), so its fitness is the
     # member's AUC. max keeps the first of equal fitnesses
     final_candidates = [(best_w, best_fit), (uniform, uniform_fit),
-                        *zip(one_hots, audit["member_aucs"])]
+                        *zip(np.eye(m), audit["member_aucs"])]
     winner_w, winner_fit = max(final_candidates, key=lambda c: c[1])
 
     audit.update(pre_prune_weights=pre_prune.tolist(), final_weights=winner_w.tolist(),

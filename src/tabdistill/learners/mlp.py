@@ -55,23 +55,29 @@ class EarlyStopTracker:
         return self.stale >= self.patience
 
 
+def _shapes(sizes: list[int], batch_norm: bool) -> list[dict]:
+    """Per layer, each parameter's shape in storage order: ``W`` and ``b``,
+    then with batch norm ``gamma`` and ``beta`` on every hidden layer."""
+    layout = []
+    for i in range(len(sizes) - 1):
+        units = (sizes[i + 1],)
+        shapes = {"W": (sizes[i], sizes[i + 1]), "b": units}
+        if batch_norm and i < len(sizes) - 2:
+            shapes.update(gamma=units, beta=units)
+        layout.append(shapes)
+    return layout
+
+
 def _init_params(rng: np.random.Generator, sizes: list[int], batch_norm: bool) -> dict:
     layers = []
-    for i in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        layer = {
-            "W": rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in),
-            "b": np.zeros(fan_out),
-        }
-        is_hidden = i < len(sizes) - 2
-        if batch_norm and is_hidden:
-            layer["gamma"] = np.ones(fan_out)
-            layer["beta"] = np.zeros(fan_out)
-        layers.append(layer)
+    for shapes in _shapes(sizes, batch_norm):
+        # W He-initialized, drawn layer by layer; b and beta start at 0, gamma at 1
+        layers.append({k: rng.standard_normal(s) * np.sqrt(2.0 / s[0]) if k == "W"
+                       else np.ones(s) if k == "gamma" else np.zeros(s)
+                       for k, s in shapes.items()})
     running = None
     if batch_norm:
-        running = [{"mean": np.zeros(sizes[i + 1]), "var": np.ones(sizes[i + 1])}
-                   for i in range(len(sizes) - 2)]
+        running = [{"mean": np.zeros(n), "var": np.ones(n)} for n in sizes[1:-1]]
     return {"layers": layers, "running": running}
 
 
@@ -176,18 +182,12 @@ class MLPModel:
         return _forward(self.params, x)
 
     def to_json_dict(self) -> dict:
-        layers = []
-        for layer in self.params["layers"]:
-            entry = {"W": layer["W"].tolist(), "b": layer["b"].tolist()}
-            if "gamma" in layer:
-                entry["gamma"] = layer["gamma"].tolist()
-                entry["beta"] = layer["beta"].tolist()
-            layers.append(entry)
         running = self.params["running"]
         return {
-            "layers": layers,
+            "layers": [{k: a.tolist() for k, a in layer.items()}
+                       for layer in self.params["layers"]],
             "running": None if running is None else
-            [{"mean": r["mean"].tolist(), "var": r["var"].tolist()} for r in running],
+            [{k: a.tolist() for k, a in r.items()} for r in running],
             "epochs_run": self.epochs_run,
             "best_epoch": self.best_epoch,
         }
@@ -198,26 +198,22 @@ class MLPModel:
         Every parameter must have the shape the spec's layer sizes imply,
         starting from the encoder's output width, and finite values; anything
         else raises SerializationError."""
-        sizes = [encoder.width, *spec["hidden_sizes"], 1]
-        n_layers = len(sizes) - 1
-        if len(doc["layers"]) != n_layers:
+        layout = _shapes([encoder.width, *spec["hidden_sizes"], 1], spec["batch_norm"])
+        if len(doc["layers"]) != len(layout):
             raise SerializationError(
-                f"mlp document has {len(doc['layers'])} layers, its spec {n_layers}")
-        hidden_keys = ("W", "b", "gamma", "beta") if spec["batch_norm"] else ("W", "b")
+                f"mlp document has {len(doc['layers'])} layers, its spec {len(layout)}")
         layers = []
-        for i, entry in enumerate(doc["layers"]):
-            keys = hidden_keys if i < n_layers - 1 else ("W", "b")
-            if set(entry) != set(keys):
-                raise SerializationError(f"mlp layer {i} must hold exactly {list(keys)}")
-            shapes = {"W": (sizes[i], sizes[i + 1])}
-            layers.append({k: _checked_array(entry[k], shapes.get(k, (sizes[i + 1],)),
-                                             f"layer {i} {k}") for k in keys})
+        for i, (entry, shapes) in enumerate(zip(doc["layers"], layout)):
+            if set(entry) != set(shapes):
+                raise SerializationError(f"mlp layer {i} must hold exactly {list(shapes)}")
+            layers.append({k: _checked_array(entry[k], shape, f"layer {i} {k}")
+                           for k, shape in shapes.items()})
         running = doc["running"]
         if spec["batch_norm"]:
-            if not isinstance(running, list) or len(running) != n_layers - 1:
+            if not isinstance(running, list) or len(running) != len(layout) - 1:
                 raise SerializationError(
-                    f"mlp batch norm needs running statistics for {n_layers - 1} layers")
-            running = [{k: _checked_array(r[k], (sizes[i + 1],), f"running {i} {k}")
+                    f"mlp batch norm needs running statistics for {len(layout) - 1} layers")
+            running = [{k: _checked_array(r[k], layout[i]["b"], f"running {i} {k}")
                         for k in ("mean", "var")} for i, r in enumerate(running)]
         elif running is not None:
             raise SerializationError("mlp without batch norm has no running statistics")

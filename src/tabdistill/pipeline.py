@@ -320,10 +320,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         models_dir.mkdir(parents=True, exist_ok=True)
 
         families: dict[str, dict] = {}
-        member_groups = []  # one list of members per tag, empty for an absent family
-        member_refs = []  # (family tag, generation, file)
-        train_preds: list[np.ndarray] = []
-        test_preds: list[np.ndarray] = []
+        member_groups = []  # one list of models per tag, empty for an absent family
+        members = []  # (family tag, generation, file, record) per model, in ensemble order
         for tag, fam in zip(FAMILY_TAGS, cfg.families):
             if fam is None:
                 member_groups.append([])
@@ -331,43 +329,35 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             stage = f"distill/{tag}"
             records, models = run_generations(fam.learner, train_ds, valid_ds,
                                               test_ds, fam.distill)
-            model_files = []
-            for gen, model in enumerate(models):
-                name = f"{tag}_gen{gen}.json"
-                save_model(model, models_dir / name)
-                model_files.append(f"models/{name}")
-                member_refs.append((tag, gen, model_files[-1]))
+            # the chain scores a model on train only once it has taught; the
+            # last model teaches the deployment model, through the ensemble
+            records[-1].train_preds = models[-1].predict(train_ds)
+            files = [f"models/{tag}_gen{gen}.json" for gen in range(len(models))]
+            for gen, (model, file, record) in enumerate(zip(models, files, records)):
+                save_model(model, run_dir / file)
+                members.append((tag, gen, file, record))
             write_ledger_csv(records, run_dir / f"ledger_{tag}.csv")
-            families[tag] = {
-                "kind": fam.learner.kind,
-                "ledger": [r.as_dict() for r in records],
-                "model_files": model_files,
-            }
+            families[tag] = {"kind": fam.learner.kind,
+                             "ledger": [r.as_dict() for r in records], "model_files": files}
             member_groups.append(models)
-            # the chain scores a model on train only once it has taught
-            train_preds += [r.train_preds for r in records[:-1]]
-            train_preds.append(models[-1].predict(train_ds))
-            test_preds += [r.test_preds for r in records]
 
         stage = "ensemble"
-        members = [m for group in member_groups for m in group]
         if cfg.ensemble_opt is not None and len(members) > 1:
             optimized, audit = combine_families(member_groups, valid_ds, cfg.ensemble_opt)
         else:
-            optimized, audit = optimize_weights_detailed(members, valid_ds, None)
-        save_ensemble(optimized, [ref[2] for ref in member_refs],
-                      run_dir / "ensemble.json")
-        _write_weights_audit(run_dir / "weights_audit.csv", member_refs, audit)
+            optimized, audit = optimize_weights_detailed(
+                [m for group in member_groups for m in group], valid_ds, None)
+        save_ensemble(optimized, [m[2] for m in members], run_dir / "ensemble.json")
+        _write_weights_audit(run_dir / "weights_audit.csv", members, audit)
 
         stage = "final_distill"
         final_model = distill_to_deployment(
-            blend(np.stack(train_preds), optimized.weights), train_ds, cfg.final_learner,
-            cfg.final_beta, cfg.final_threshold, valid_ds)
+            blend(np.stack([m[3].train_preds for m in members]), optimized.weights),
+            train_ds, cfg.final_learner, cfg.final_beta, cfg.final_threshold, valid_ds)
         save_model(final_model, models_dir / "final.json")
 
         stage = "report"
-        report = _build_report(cfg, families, member_refs, audit, optimized,
-                               np.stack(test_preds), final_model, test_ds)
+        report = _build_report(cfg, families, members, audit, optimized, final_model, test_ds)
         _atomic_write_text(run_dir / "report.json",
                            json.dumps(report, indent=2, sort_keys=True))
         return report
@@ -375,24 +365,24 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         raise StageError(stage, exc) from exc
 
 
-def _write_weights_audit(path: Path, member_refs, audit: dict) -> None:
+def _write_weights_audit(path: Path, members, audit: dict) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["family", "generation", "model_file",
                          "pre_prune_weight", "final_weight"])
-        for (tag, gen, file), pre, post in zip(
-                member_refs, audit["pre_prune_weights"], audit["final_weights"]):
+        for (tag, gen, file, _), pre, post in zip(
+                members, audit["pre_prune_weights"], audit["final_weights"]):
             writer.writerow([tag, gen, file, repr(pre), repr(post)])
 
 
-def _build_report(cfg: PipelineConfig, families: dict, member_refs, audit: dict,
-                  optimized: EnsembleModel, test_preds: np.ndarray, final_model,
-                  test_ds: Dataset) -> dict:
+def _build_report(cfg: PipelineConfig, families: dict, members, audit: dict,
+                  optimized: EnsembleModel, final_model, test_ds: Dataset) -> dict:
     # baseline teacher: generation 0 of the first family of the deployment
     # learner's kind when there is one, otherwise of the first family
     baseline_tag = next((tag for tag, fam in families.items()
                          if fam["kind"] == cfg.final_learner.kind), next(iter(families)))
-    teacher = [ref[0] for ref in member_refs].index(baseline_tag)
+    teacher = [m[0] for m in members].index(baseline_tag)
+    test_preds = np.stack([m[3].test_preds for m in members])
 
     # best single model is selected on validation (the first of equal
     # AUCs), reported on test
@@ -403,7 +393,7 @@ def _build_report(cfg: PipelineConfig, families: dict, member_refs, audit: dict,
 
     metrics = {
         "teacher": {"family": baseline_tag, **report_on_test(test_preds[teacher])},
-        "best_single": {"family": member_refs[best][0], "generation": member_refs[best][1],
+        "best_single": {"family": members[best][0], "generation": members[best][1],
                         "validation_auc": audit["member_aucs"][best],
                         **report_on_test(test_preds[best])},
         "uniform_ensemble": report_on_test(blend(test_preds, np.ones(len(test_preds)))),
@@ -419,7 +409,7 @@ def _build_report(cfg: PipelineConfig, families: dict, member_refs, audit: dict,
         "config": cfg.echo(),
         "families": families,
         "ensemble": {
-            "member_files": [ref[2] for ref in member_refs],
+            "member_files": [m[2] for m in members],
             "weights": optimized.weights.tolist(),
             "audit": audit,
         },

@@ -423,7 +423,8 @@ def apply_transform(ds: Dataset, kind: str, fit_rows: Sequence[int]) -> Dataset:
     """Transform all int/float feature columns, fitting statistics on the
     rows at positions ``fit_rows`` and applying them to every row.
 
-    standardize: (x - mean) / std with population std, std=0 replaced by 1.
+    standardize: (x - mean) / std with population std, std=0 replaced by 1;
+    a column where that is not finite everywhere raises DataError.
     quantile: mid-rank empirical CDF r / (n + 1) over the fit values,
     mapping every value into (0, 1).
     """
@@ -440,11 +441,15 @@ def apply_transform(ds: Dataset, kind: str, fit_rows: Sequence[int]) -> Dataset:
             x = arr.astype(np.float64)
             fit = fit.astype(np.float64)
             if kind == "standardize":
-                mean = fit.mean()
-                std = fit.std()  # population std
-                if std == 0.0:
-                    std = 1.0
-                arr = (x - mean) / std
+                # cells near the float64 limit can overflow; the column is
+                # then refused by name, with no numpy warning on the way
+                with np.errstate(all="ignore"):
+                    mean = fit.mean()
+                    std = fit.std() or 1.0  # population std; 0 becomes 1
+                    arr = (x - mean) / std
+                if not np.isfinite(arr).all():
+                    raise DataError(f"column {col.name!r}: standardize leaves the float64 "
+                                    f"range (fit mean {float(mean):g}, std {float(std):g})")
             else:
                 fit_sorted = np.sort(fit)
                 arr = _midranks_against(fit_sorted, x) / (len(fit_sorted) + 1)

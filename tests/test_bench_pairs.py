@@ -113,8 +113,8 @@ def _wait_for(condition, seconds: float) -> bool:
 def test_sigterm_ends_the_running_benchmark_and_writes_nothing(tmp_path):
     checkout = tmp_path / "checkout"
     (checkout / "benchmarks").mkdir(parents=True)
-    (checkout / "benchmarks" / "run.py").write_text(_SLEEPING_RUN)
-    (checkout / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    (checkout / "benchmarks" / "run.py").write_text(_SLEEPING_RUN, encoding="utf-8")
+    (checkout / "BENCHMARK.json").write_text('{"end_to_end": []}', encoding="utf-8")
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
     for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
         subprocess.run(git + cmd, cwd=checkout, check=True, capture_output=True)
@@ -128,7 +128,7 @@ def test_sigterm_ends_the_running_benchmark_and_writes_nothing(tmp_path):
     child = None
     try:
         assert _wait_for(pid_file.exists, 30), "the benchmark run never started"
-        child = int(pid_file.read_text())
+        child = int(pid_file.read_text(encoding="utf-8"))
         script.send_signal(signal.SIGTERM)
         assert script.wait(timeout=30) != 0
         assert _wait_for(lambda: not _alive(child), 5), "the benchmark run outlived the script"

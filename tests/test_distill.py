@@ -290,7 +290,7 @@ class TestRunGenerations:
         records, _ = run_generations(gbdt_spec(rounds=3), ds, None, test, cfg)
         out = tmp_path / "ledger.csv"
         write_ledger_csv(records, out)
-        lines = out.read_text().strip().splitlines()
+        lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "gen,individual_auc,ensemble_auc,rows_kept,rows_dropped"
         assert len(lines) == 3
 

@@ -153,8 +153,8 @@ def _load_ensemble(doc) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, text in zip(("gbdt.json", "mlp.json"), _model_docs()):
-            (root / name).write_text(text)
-        (root / "ensemble.json").write_text(json.dumps(doc))
+            (root / name).write_text(text, encoding="utf-8")
+        (root / "ensemble.json").write_text(json.dumps(doc), encoding="utf-8")
         try:
             load_ensemble(root / "ensemble.json")
         except TabDistillError:

@@ -320,7 +320,7 @@ class TestPersistence:
         ens = EnsembleModel(members, [0.25, 0.75])
         out = tmp_path / "ens.json"
         save_ensemble(ens, ["m0.json", "m1.json"], out)
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["format"] == "tabdistill.ensemble/v1"
         assert doc["members"] == ["m0.json", "m1.json"]
         np.testing.assert_allclose(doc["weights"], [0.25, 0.75])
@@ -355,7 +355,7 @@ class TestPersistence:
     ])
     def test_malformed_document_rejected(self, tmp_path, doc):
         out = tmp_path / "ens.json"
-        out.write_text(json.dumps(doc))
+        out.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(SerializationError):
             load_ensemble(out)
 
@@ -365,13 +365,13 @@ class TestPersistence:
         # the weight before EnsembleModel sees it
         out = tmp_path / "ens.json"
         out.write_text('{"format": "tabdistill.ensemble/v1", "members": ["m0.json"], '
-                       f'"weights": [{bad}]}}')
+                       f'"weights": [{bad}]}}', encoding="utf-8")
         with pytest.raises(SerializationError,
                            match="ens.json: ensemble weight must be finite"):
             load_ensemble(out)
 
     def test_corrupted_json_rejected(self, tmp_path):
         out = tmp_path / "ens.json"
-        out.write_text('{"format": ')
+        out.write_text('{"format": ', encoding="utf-8")
         with pytest.raises(SerializationError):
             load_ensemble(out)

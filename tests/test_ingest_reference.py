@@ -309,7 +309,7 @@ class TestTokens:
             "c": ["a,b", "c", 'say "hi", then', "a,b", "x\ny"],
             "n": ["1", "2", "3", "4", "5"],
             "label": ["0", "1", "0", "1", "1"]})
-        assert "\"a,b\"" in path.read_text()
+        assert "\"a,b\"" in path.read_text(encoding="utf-8")
         ds = _check_against_reference(path)
         assert ds.schema.column("c").categories == ("a,b", "c", 'say "hi", then', "x\ny")
 
@@ -355,14 +355,14 @@ class TestErrorMessages:
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "a.csv"
-        path.write_text("x,label\n1,0\n2\n3,1\n")
+        path.write_text("x,label\n1,0\n2\n3,1\n", encoding="utf-8")
         assert self._same_error(path).endswith("row 2 has 1 cells, expected 2")
 
     def test_missing_label_empty_file_and_no_rows(self, tmp_path):
         self._same_error(_write_columns(tmp_path / "a.csv", {"x": ["1"], "y": ["0"]}))
-        (tmp_path / "b.csv").write_text("")
+        (tmp_path / "b.csv").write_text("", encoding="utf-8")
         self._same_error(tmp_path / "b.csv")
-        (tmp_path / "c.csv").write_text("x,label\n")
+        (tmp_path / "c.csv").write_text("x,label\n", encoding="utf-8")
         self._same_error(tmp_path / "c.csv")
 
 

@@ -545,7 +545,7 @@ def test_first_import_in_a_fresh_interpreter(module):
     src = str(Path(tabdistill.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", f"import {module}"],
                           env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, encoding="utf-8")
     assert done.returncode == 0, done.stderr
 
 

@@ -64,7 +64,7 @@ def _minimal_config(tmp_path, data_name="data.csv", seed=0, rounds=5):
 
 def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -274,7 +274,7 @@ class TestDeploymentDistillation:
         from tabdistill.learners import save_model
         out = tmp_path / "final.json"
         save_model(student, out)
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert "members" not in doc
         restored = load_model(out)
         probe = noisy_nonlinear_dataset(50, seed=12)
@@ -310,9 +310,9 @@ class TestCli:
     def test_evaluate_int_cells_on_a_float_column(self, tmp_path, capsys):
         # the model's x is a float column; integer cells score as their floats
         lines = [f"{x},{y}" for x, y in zip([0.5, 1.5, 2.5, 3.5] * 10, [0, 0, 1, 1] * 10)]
-        (tmp_path / "fit.csv").write_text("x,label\n" + "\n".join(lines) + "\n")
-        (tmp_path / "ints.csv").write_text("x,label\n1,0\n2,0\n3,1\n")
-        (tmp_path / "floats.csv").write_text("x,label\n1.0,0\n2.0,0\n3.0,1\n")
+        (tmp_path / "fit.csv").write_text("x,label\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        (tmp_path / "ints.csv").write_text("x,label\n1,0\n2,0\n3,1\n", encoding="utf-8")
+        (tmp_path / "floats.csv").write_text("x,label\n1.0,0\n2.0,0\n3.0,1\n", encoding="utf-8")
         model = str(tmp_path / "m.json")
         assert cli_main(["train", "--data", str(tmp_path / "fit.csv"), "--label", "label",
                          "--out", model, "--params", '{"rounds": 3}']) == 0
@@ -331,9 +331,9 @@ class TestCli:
                          "--out", str(model_path), "--kind", "gbdt",
                          "--params", '{"rounds": 2}']) == 0
         capsys.readouterr()
-        doc = json.loads(model_path.read_text())
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
         del doc["trees"]
-        model_path.write_text(json.dumps(doc))
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
         assert cli_main(["evaluate", "--model", str(model_path), "--data",
                          str(path), "--label", "label"]) == 2
         assert "trees" in capsys.readouterr().err
@@ -346,7 +346,7 @@ class TestCli:
     def test_verify_fast_passes(self, tmp_path, capsys):
         assert cli_main(["verify", "--fast", "--out",
                          str(tmp_path / "verify.json")]) == 0
-        report = json.loads((tmp_path / "verify.json").read_text())
+        report = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
         assert report["passed"] is True
 
     def test_distill_ensemble_opt_deploy_chain(self, tmp_path, capsys):
@@ -384,7 +384,7 @@ class TestCli:
     def test_all_constant_features_exit_2(self, tmp_path, capsys):
         # remove_constant_columns leaves no feature to train on
         rows = "".join(f"1,x,{i % 2}\n" for i in range(20))
-        (tmp_path / "data.csv").write_text("a,b,label\n" + rows)
+        (tmp_path / "data.csv").write_text("a,b,label\n" + rows, encoding="utf-8")
         doc = _minimal_config(tmp_path)
         doc["data"]["path"] = str(tmp_path / "data.csv")
         doc["families"]["b"] = {"learner": {"kind": "mlp", "params": {"epochs": 2}}}
@@ -410,13 +410,29 @@ class TestCli:
 
     def test_infinite_cell_exit_code(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
-        path.write_text("f1,label\n1.0,0\ninf,1\n2.0,0\n")
+        path.write_text("f1,label\n1.0,0\ninf,1\n2.0,0\n", encoding="utf-8")
         code = cli_main(["train", "--data", str(path), "--label", "label",
                          "--out", str(tmp_path / "m.json"),
                          "--params", '{"rounds": 2}'])
         assert code == 2
         assert "row 2, column 'f1': 'inf' parses as infinity" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_standardize_overflow_is_a_preprocess_error(self, tmp_path, capsys):
+        # every cell is finite, but ten near the float64 limit overflow the
+        # fit's statistics: one line naming the column, and no run directory
+        ds = noisy_nonlinear_dataset(200, seed=0)
+        f1 = ds.feature_arrays[0].copy()
+        f1[::20] = 1e308
+        write_dataset_csv(dataset_from_arrays(
+            {"f1": f1, "f2": ds.feature_arrays[1]}, ds.labels), tmp_path / "data.csv")
+        doc = _minimal_config(tmp_path)
+        doc["preprocess"]["transform"] = "standardize"
+        assert cli_main(["pipeline", "--config", str(_write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline stage 'preprocess' failed: column 'f1': ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, params, named", [
         pytest.param("mlp", '{"hidden_sizes": 3}', "hidden_sizes", id="hidden_sizes-int"),
@@ -479,7 +495,7 @@ class TestCli:
     def test_malformed_ensemble_is_data_error(self, tmp_path, capsys, doc):
         path, _ = self._train_model(tmp_path, capsys)
         ens_path = tmp_path / "ens.json"
-        ens_path.write_text(json.dumps(doc))
+        ens_path.write_text(json.dumps(doc), encoding="utf-8")
         code = cli_main(["deploy-distill", "--ensemble", str(ens_path),
                          "--data", str(path), "--label", "label",
                          "--out", str(tmp_path / "final.json")])
@@ -497,7 +513,7 @@ class TestCli:
         path, _ = self._train_model(tmp_path, capsys)
         ens_path = tmp_path / "ens.json"
         ens_path.write_text(json.dumps({"format": "tabdistill.ensemble/v1",
-                                        "members": [""], "weights": [1.0]}))
+                                        "members": [""], "weights": [1.0]}), encoding="utf-8")
         code = cli_main(["deploy-distill", "--ensemble", str(ens_path),
                          "--data", str(path), "--label", "label",
                          "--out", str(tmp_path / "final.json")])
@@ -516,7 +532,7 @@ class TestCli:
         nested = "[" * 100_000 + "]" * 100_000
         path = self._write_csv(tmp_path)
         doc = tmp_path / "doc.json"
-        doc.write_text(nested)
+        doc.write_text(nested, encoding="utf-8")
         data = ["--data", str(path), "--label", "label"]
         argv = {"config": ["pipeline", "--config", str(doc)],
                 "model": ["evaluate", "--model", str(doc), *data],
@@ -537,9 +553,9 @@ class TestCli:
     ])
     def test_infinite_gbdt_number_is_data_error(self, tmp_path, capsys, edit):
         path, model_path = self._train_model(tmp_path, capsys)
-        doc = json.loads(model_path.read_text())
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
         edit(doc)
-        model_path.write_text(json.dumps(doc))  # written as JSON's Infinity
+        model_path.write_text(json.dumps(doc), encoding="utf-8")  # written as JSON's Infinity
         assert cli_main(["evaluate", "--model", str(model_path), "--data",
                          str(path), "--label", "label"]) == 2
         err = capsys.readouterr().err
@@ -548,9 +564,9 @@ class TestCli:
     def test_wrong_width_mlp_layer_is_data_error(self, tmp_path, capsys):
         path, model_path = self._train_model(
             tmp_path, capsys, "mlp", '{"hidden_sizes": [4], "epochs": 2}')
-        doc = json.loads(model_path.read_text())
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
         doc["layers"][0]["W"].append(doc["layers"][0]["W"][0])
-        model_path.write_text(json.dumps(doc))
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
         assert cli_main(["evaluate", "--model", str(model_path), "--data",
                          str(path), "--label", "label"]) == 2
         assert "shape" in capsys.readouterr().err
@@ -730,7 +746,7 @@ class TestMalformedConfig:
 
     def test_invalid_json_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text('{"seed": 1,')
+        path.write_text('{"seed": 1,', encoding="utf-8")
         assert cli_main(["pipeline", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
@@ -753,7 +769,7 @@ class TestMalformedConfig:
         done = subprocess.run(
             [sys.executable, "-m", "tabdistill.cli", "pipeline", "--config", str(path)],
             env={**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0", "LC_ALL": "C"},
-            capture_output=True, text=True, errors="replace")
+            capture_output=True, text=True, encoding="utf-8", errors="replace")
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()

@@ -119,7 +119,8 @@ class TestTransform:
     def test_int_and_float_are_one_numeric_kind(self, tmp_path, fit_cells, score_cells):
         def csv(name, cells, labels):
             path = tmp_path / name
-            path.write_text("x,label\n" + "".join(f"{c},{y}\n" for c, y in zip(cells, labels)))
+            path.write_text("x,label\n" + "".join(f"{c},{y}\n" for c, y in zip(cells, labels)),
+                            encoding="utf-8")
             return ingest_csv(path, "label")
 
         fit = csv("fit.csv", fit_cells * 20, [0, 1, 1] * 20)

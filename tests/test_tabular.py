@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from helpers import (
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return p
 
 
@@ -194,6 +195,27 @@ class TestTransforms:
         out = apply_transform(ds, "standardize", fit_rows=np.arange(ds.n_rows))
         assert (np.argsort(out.feature_arrays[0]) == np.argsort(vals)).all()
 
+    def test_standardize_overflow_names_the_column_without_warnings(self):
+        # ten finite cells near the float64 limit overflow the fit's mean
+        a = np.arange(200, dtype=np.float64)
+        a[::20] = 1e308
+        ds = dataset_from_arrays({"ok": np.arange(200.0), "f1": a}, np.arange(200) % 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^column 'f1': standardize leaves the float64"):
+                apply_transform(ds, "standardize", fit_rows=np.arange(120))
+
+    def test_standardize_overflow_outside_the_fit_rows(self):
+        # the fit is finite with a small std; one cell outside it overflows
+        ds = dataset_from_arrays({"x": [0.0, 0.5, 1.0, 1.7e308]}, [0, 1, 0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"column 'x'.*\(fit mean 0\.5, std 0\.408"):
+                apply_transform(ds, "standardize", fit_rows=[0, 1, 2])
+            # on its own rows the same fit is finite
+            out = apply_transform(ds.take(np.arange(3)), "standardize", fit_rows=[0, 1, 2])
+        assert np.isfinite(out.feature_arrays[0]).all()
+
     def test_empty_fit_rows(self):
         ds = dataset_from_arrays({"a": [1.0, 2.0]}, [0, 1])
         with pytest.raises(DataError):
@@ -287,7 +309,7 @@ class TestSplit:
 class TestFeatureEncoder:
     def test_one_hot_layout_with_other_bucket(self, tmp_path):
         p = tmp_path / "a.csv"
-        p.write_text("c,label\nred,0\nblue,1\nred,1\n")
+        p.write_text("c,label\nred,0\nblue,1\nred,1\n", encoding="utf-8")
         ds = ingest_csv(p, "label")
         enc = FeatureEncoder.fit(ds)
         x = enc.transform(ds)

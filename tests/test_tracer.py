@@ -53,7 +53,7 @@ def test_scale_run_prints_one_line_of_stages(tmp_path):
     src = str(Path(tabdistill.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, str(root / "tools" / "scale_run.py"), "--rows", "300"],
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, encoding="utf-8")
     assert done.returncode == 0, done.stderr
     (line,) = done.stdout.splitlines()
     out = json.loads(line)

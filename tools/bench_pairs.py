@@ -43,7 +43,7 @@ def checkout_commit(checkout: Path):
     reads it (``git rev-parse HEAD``), or None when there is none."""
     try:
         proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                              capture_output=True, text=True, check=False)
+                              capture_output=True, text=True, encoding="utf-8", check=False)
     except OSError:
         return None
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -54,13 +54,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     record it wrote) added."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True,
+                          encoding="utf-8", check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited with code {proc.returncode}")
     result = json.loads(lines[-1])
     record = next(line.split(": ", 1)[1] for line in lines if line.startswith("record: "))
-    result["record"] = json.loads((checkout / record).read_text())
+    result["record"] = json.loads((checkout / record).read_text(encoding="utf-8"))
     return result
 
 
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
     if parent_commit is None:
         raise SystemExit(f"{args.parent} has no git commit; make the parent checkout with "
                          f"git worktree add, so the result names what it was measured against")
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     comparisons = {}
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
         "machine": {k: provenance[k] for k in ("cpu_model", "nproc", "numpy", "python")},
         "parent_commit": parent_commit,
         "comparisons": comparisons,
-    }, indent=2, sort_keys=True) + "\n")
+    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 
